@@ -17,13 +17,11 @@ from .errors import (
 )
 from .observers import (
     Ledger,
-    Observer,
     Premeasurement,
     RelativeFact,
     StageSnapshot,
     lift,
     premeasure,
-    readout,
     record_observable,
     reverse,
 )
@@ -40,7 +38,7 @@ from .parity import (
     product_identity,
     satisfiable,
 )
-from .pauli import PauliString, PauliSum, commutes
+from .pauli import PauliString, commutes
 from .rng import child_generator
 from .scenarios import (
     ConstraintResult,
@@ -58,19 +56,11 @@ from .scenarios import (
 from .statevector import (
     ALG_TOL,
     PHYS_TOL,
-    GateMatrix,
-    MeasurementOutcome,
     StateVector,
-    apply_gate,
     apply_pauli,
-    cnot,
     expectation,
     fidelity,
-    hadamard,
-    measure,
-    pauli_gate,
     prepare_ghz,
-    reduced_density,
     zero_state,
 )
 
@@ -84,14 +74,10 @@ __all__ = [
     "ConstraintSystem",
     "CplResult",
     "EnumerationResult",
-    "GateMatrix",
     "InternalConsistencyError",
     "Ledger",
-    "MeasurementOutcome",
-    "Observer",
     "ParityConstraint",
     "PauliString",
-    "PauliSum",
     "Premeasurement",
     "ProductIdentity",
     "ProtocolError",
@@ -104,28 +90,21 @@ __all__ = [
     "StageSnapshot",
     "StateVector",
     "analyze",
-    "apply_gate",
     "apply_pauli",
     "certify_constraint",
     "child_generator",
-    "cnot",
     "commutes",
     "cpl_check",
     "enumerate_assignments",
     "expectation",
     "fidelity",
     "ghz_record_system",
-    "hadamard",
     "lift",
-    "measure",
     "parse_constraints",
-    "pauli_gate",
     "premeasure",
     "prepare_ghz",
     "product_identity",
-    "readout",
     "record_observable",
-    "reduced_density",
     "reverse",
     "run_cdr",
     "run_cdr_suite",

@@ -21,6 +21,7 @@ from .report import (
     render_text,
 )
 from .rng import MAX_SEED
+from .scenarios import MAX_TOLERANCE
 from .verify import run_all_checks
 
 
@@ -48,7 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, default=0, help="master random seed")
     run_p.add_argument(
         "--tolerance", type=float, default=1e-9,
-        help="certification tolerance on exact expectations")
+        help="certification tolerance on exact expectations, "
+             f"0 < T < {MAX_TOLERANCE:g} (default 1e-9)")
     _add_output_flags(run_p)
 
     chk = sub.add_parser(
@@ -99,8 +101,8 @@ def _cmd_run(args) -> int:
         return _usage_error("--shots must be >= 0")
     if not 0 <= args.seed <= MAX_SEED:
         return _usage_error("--seed must be in [0, 2^64)")
-    if not args.tolerance > 0:
-        return _usage_error("--tolerance must be positive")
+    if not 0 < args.tolerance < MAX_TOLERANCE:
+        return _usage_error(f"--tolerance must lie in (0, {MAX_TOLERANCE:g})")
     if args.scenario == "lmz" and args.experiment is not None:
         return _usage_error("--experiment applies only to the cdr scenario")
     if args.scenario == "cdr" and args.experiment is None:

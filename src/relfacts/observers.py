@@ -16,23 +16,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import ProtocolError
-from .pauli import PauliOperator, PauliString, PauliSum, commutes
-from .statevector import PHYS_TOL, MeasurementOutcome, StateVector, measure
+from .pauli import PauliString, commutes
+from .statevector import PHYS_TOL, StateVector
 
 FACT_STATUSES = ("current", "disturbed", "erased")
-
-
-@dataclass(frozen=True)
-class Observer:
-    """An agent and the memory qubits it owns."""
-
-    name: str
-    memory_qubits: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "memory_qubits", tuple(self.memory_qubits))
-        if len(set(self.memory_qubits)) != len(self.memory_qubits):
-            raise ValueError(f"duplicate memory qubits: {self.memory_qubits}")
 
 
 @dataclass(frozen=True)
@@ -48,8 +35,6 @@ class Premeasurement:
     owner: str
 
     def __post_init__(self):
-        if not isinstance(self.observable, PauliString):
-            raise ValueError("premeasured observable must be a PauliString")
         if self.observable.is_identity():
             raise ValueError("premeasured observable must act non-trivially")
         if not 0 <= self.memory < self.observable.num_qubits:
@@ -70,16 +55,25 @@ def _premeasure_array(amps: np.ndarray, pm: Premeasurement) -> np.ndarray:
     return out
 
 
+def _require_cleared_memory(amps: np.ndarray, pm: Premeasurement,
+                            weight: float = 1.0) -> None:
+    """Raise ProtocolError unless the memory qubit reads 0 with certainty.
+    `weight` is the squared norm of `amps`, so that unnormalized branches
+    of an outcome tree are judged by their conditional probability."""
+    excited = (np.arange(amps.size) >> pm.memory) & 1 == 1
+    if float(np.sum(np.abs(amps[excited]) ** 2)) > PHYS_TOL * weight:
+        raise ProtocolError(
+            f"memory qubit {pm.memory} is not in |0>; "
+            "premeasurement needs a cleared memory")
+
+
 def premeasure(state: StateVector, pm: Premeasurement) -> StateVector:
     """Write the record: requires the memory qubit to read 0 with certainty."""
     if pm.observable.num_qubits != state.num_qubits:
         raise ValueError(
             f"premeasurement on {pm.observable.num_qubits} qubits, "
             f"state on {state.num_qubits}")
-    if state.probability_of_bit(pm.memory) > PHYS_TOL:
-        raise ProtocolError(
-            f"memory qubit {pm.memory} is not in |0>; "
-            "premeasurement needs a cleared memory")
+    _require_cleared_memory(state.amplitudes, pm)
     return StateVector(state.num_qubits, _premeasure_array(state.amplitudes, pm))
 
 
@@ -98,14 +92,13 @@ def record_observable(pm: Premeasurement) -> PauliString:
     return PauliString.single(pm.observable.num_qubits, pm.memory, "Z")
 
 
-def lift(obs: PauliOperator, pm: Premeasurement) -> PauliOperator:
+def lift(obs: PauliString, pm: Premeasurement) -> PauliString:
     """Conjugate `obs` through the premeasurement unitary: U obs U.
 
     This is how a later agent addresses a pre-record observable after the
-    record exists. A term commuting with the premeasured observable is
-    unchanged; an anticommuting term picks up X on the memory qubit. Strings
-    map to strings; sums map to sums. `obs` must not touch the memory qubit
-    and must square to the identity.
+    record exists. A string commuting with the premeasured observable is
+    unchanged; an anticommuting string picks up X on the memory qubit, so
+    strings map to strings. `obs` must not touch the memory qubit.
     """
     if obs.num_qubits != pm.observable.num_qubits:
         raise ValueError(
@@ -114,19 +107,11 @@ def lift(obs: PauliOperator, pm: Premeasurement) -> PauliOperator:
     if pm.memory in obs.support():
         raise ValueError(
             f"cannot lift an observable that already acts on memory qubit {pm.memory}")
-    if not obs.is_involution():
-        raise ValueError("lift requires an observable that squares to the identity")
-
-    def lift_string(s: PauliString) -> PauliString:
-        if commutes(s, pm.observable):
-            return s
-        factors = list(s.factors)
-        factors[pm.memory] = "X"
-        return PauliString(s.num_qubits, tuple(factors), s.sign)
-
-    if isinstance(obs, PauliString):
-        return lift_string(obs)
-    return PauliSum((c, lift_string(s)) for c, s in obs.terms)
+    if commutes(obs, pm.observable):
+        return obs
+    factors = list(obs.factors)
+    factors[pm.memory] = "X"
+    return PauliString(obs.num_qubits, tuple(factors), obs.sign)
 
 
 @dataclass
@@ -186,7 +171,7 @@ class Ledger:
     def current(self) -> list:
         return [f for f in self.facts if f.status == "current"]
 
-    def mark_disturbed(self, applied: PauliOperator, num_qubits: int) -> list:
+    def mark_disturbed(self, applied: PauliString, num_qubits: int) -> list:
         """Downgrade every current fact whose record observable fails to
         commute with the observable being measured or premeasured. Returns
         the facts that changed status."""
@@ -219,9 +204,3 @@ class StageSnapshot:
     label: str
     state: StateVector
     facts: tuple
-
-
-def readout(state: StateVector, qubit: int, rng: np.random.Generator) -> MeasurementOutcome:
-    """Projective Z readout of one qubit. Memory convention: |0> carries
-    outcome +1, |1> carries -1, so the returned value is the record value."""
-    return measure(state, PauliString.single(state.num_qubits, qubit, "Z"), rng)

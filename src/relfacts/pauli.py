@@ -6,15 +6,16 @@ qubit 0 upward: "XYZ" means X on qubit 0, Y on qubit 1, Z on qubit 2.
 
 Only Hermitian objects are representable: a PauliString carries a real sign
 (+1 or -1) and multiplication refuses anticommuting operands, whose product
-would pick up a factor of i. PauliSum holds real linear combinations for the
-rare operator that is not a single string (e.g. a premeasurement-conjugated
-observable with mixed commutation structure).
+would pick up a factor of i. Every observable the package measures,
+premeasures or lifts is a single string: lifting a string through a
+premeasurement yields a string again.
 """
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Union
+from dataclasses import dataclass
+from functools import reduce
+from operator import mul
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -110,9 +111,6 @@ class PauliString:
     def is_identity(self) -> bool:
         return all(f == "I" for f in self.factors)
 
-    def is_involution(self) -> bool:
-        return True
-
     def with_sign(self, sign: int) -> "PauliString":
         return PauliString(self.num_qubits, self.factors, sign)
 
@@ -203,138 +201,19 @@ def _phased_product(p: PauliString, q: PauliString) -> tuple:
     return power % 4, tuple(factors)
 
 
-class PauliSum:
-    """A real linear combination of Pauli strings on a fixed register.
-
-    Canonical form: string signs are folded into the coefficients, terms are
-    merged by factor tuple, zero terms dropped, and the survivors sorted by
-    factor tuple. Two sums built from the same operator therefore compare
-    equal term-by-term.
-    """
-
-    __slots__ = ("num_qubits", "terms", "_involution_cache")
-
-    def __init__(self, terms: Iterable):
-        collected = {}
-        num_qubits = None
-        for coeff, string in terms:
-            if num_qubits is None:
-                num_qubits = string.num_qubits
-            elif string.num_qubits != num_qubits:
-                raise ValueError("all terms must act on the same register")
-            key = string.factors
-            collected[key] = collected.get(key, 0.0) + float(coeff) * string.sign
-        if num_qubits is None:
-            raise ValueError("a PauliSum needs at least one term")
-        kept = tuple(
-            (c, PauliString(num_qubits, f))
-            for f, c in sorted(collected.items())
-            if abs(c) > 1e-15)
-        if not kept:
-            # The zero operator: keep one explicit zero-identity term so the
-            # object stays well-formed. It is not an involution.
-            kept = ((0.0, PauliString.identity(num_qubits)),)
-        self.num_qubits = num_qubits
-        self.terms = kept
-        self._involution_cache = None
-
-    def support(self) -> tuple:
-        qubits = set()
-        for _, s in self.terms:
-            qubits.update(s.support())
-        return tuple(sorted(qubits))
-
-    def is_involution(self) -> bool:
-        """True iff the sum squares to the identity, checked algebraically."""
-        if self._involution_cache is None:
-            square = _collect_product(self.terms, self.terms, self.num_qubits)
-            identity = ("I",) * self.num_qubits
-            ok = abs(square.pop(identity, 0.0) - 1.0) <= 1e-12
-            ok = ok and all(abs(c) <= 1e-12 for c in square.values())
-            self._involution_cache = ok
-        return self._involution_cache
-
-    def apply_to_array(self, amplitudes: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(amplitudes)
-        for coeff, string in self.terms:
-            out += coeff * string.apply_to_array(amplitudes)
-        return out
-
-    def dense_matrix(self) -> np.ndarray:
-        if self.num_qubits > DENSE_MATRIX_MAX_QUBITS:
-            raise ResourceError(
-                f"dense matrix for {self.num_qubits} qubits exceeds the "
-                f"{DENSE_MATRIX_MAX_QUBITS}-qubit guard")
-        out = np.zeros((1 << self.num_qubits, 1 << self.num_qubits), dtype=complex)
-        for coeff, string in self.terms:
-            out += coeff * string.dense_matrix()
-        return out
-
-    def label(self) -> str:
-        parts = []
-        for coeff, string in self.terms:
-            parts.append(f"{coeff:+g}*{''.join(string.factors)}")
-        return " ".join(parts)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PauliSum):
-            return NotImplemented
-        if self.num_qubits != other.num_qubits or len(self.terms) != len(other.terms):
-            return False
-        return all(
-            a[1].factors == b[1].factors and abs(a[0] - b[0]) <= 1e-12
-            for a, b in zip(self.terms, other.terms))
-
-    def __str__(self) -> str:
-        return self.label()
+def product_of(strings: Iterable[PauliString]) -> PauliString:
+    """Operator product of pairwise-commuting strings, in the listed order."""
+    return reduce(mul, strings)
 
 
-PauliOperator = Union[PauliString, PauliSum]
-
-
-def _collect_product(left_terms, right_terms, num_qubits) -> dict:
-    """Real-coefficient collection of (sum_left) @ (sum_right).
-
-    Coefficients are tracked as complex during collection; Hermitian inputs
-    with real coefficients always collapse to real totals.
-    """
-    acc = {}
-    for c1, s1 in left_terms:
-        for c2, s2 in right_terms:
-            power, factors = _phased_product(s1, s2)
-            phase = (1j ** power) * s1.sign * s2.sign
-            acc[factors] = acc.get(factors, 0.0) + c1 * c2 * phase
-    return acc
-
-
-def _as_terms(op: PauliOperator):
-    if isinstance(op, PauliString):
-        return ((1.0, op),)
-    return op.terms
-
-
-def commutes(p: PauliOperator, q: PauliOperator) -> bool:
-    """True iff [p, q] = 0.
-
-    For two strings this is the parity rule: they anticommute iff an odd
-    number of sites holds differing non-identity factors. Sums are handled
-    by collecting the full commutator and checking every coefficient.
-    """
-    if isinstance(p, PauliString) and isinstance(q, PauliString):
-        if p.num_qubits != q.num_qubits:
-            raise ValueError(
-                f"qubit counts differ: {p.num_qubits} vs {q.num_qubits}")
-        clashes = 0
-        for f, g in zip(p.factors, q.factors):
-            if f != "I" and g != "I" and f != g:
-                clashes += 1
-        return clashes % 2 == 0
-    left = _as_terms(p)
-    right = _as_terms(q)
-    n = left[0][1].num_qubits
-    if right[0][1].num_qubits != n:
-        raise ValueError("qubit counts differ")
-    pq = _collect_product(left, right, n)
-    qp = _collect_product(right, left, n)
-    keys = set(pq) | set(qp)
-    return all(abs(pq.get(k, 0.0) - qp.get(k, 0.0)) <= 1e-12 for k in keys)
+def commutes(p: PauliString, q: PauliString) -> bool:
+    """True iff [p, q] = 0: two strings anticommute iff an odd number of
+    sites holds differing non-identity factors."""
+    if p.num_qubits != q.num_qubits:
+        raise ValueError(
+            f"qubit counts differ: {p.num_qubits} vs {q.num_qubits}")
+    clashes = 0
+    for f, g in zip(p.factors, q.factors):
+        if f != "I" and g != "I" and f != g:
+            clashes += 1
+    return clashes % 2 == 0

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-# Stream ids (first path component).
-STREAM_CERTIFY = 1   # constraint certification shots: (STREAM_CERTIFY, constraint_id, kind)
+# Stream ids (first path component). The ids are part of every seeded
+# count, so they are never renumbered; id 1 is retired and stays unused.
 STREAM_SAMPLE = 2    # record-sampling shots:          (STREAM_SAMPLE, target_index)
 STREAM_CPL = 3       # two-time agreement shots:       (STREAM_CPL, variant)
 STREAM_SCRIPT = 9    # demo scripts and ad-hoc experiments

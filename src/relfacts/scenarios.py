@@ -18,15 +18,20 @@ the relevant records and lets Bob measure directly. Both reproduce the same
 four expectations, while the parity module shows no fixed +/-1 assignment
 to {A_k, B_k} satisfies all four at once.
 
+Every sequence of readouts, in both flows, goes through one exact outcome
+tree (_sequential_outcome_distribution). Exact certifications of a product
+use the operator product on the state; sampled evidence is drawn from the
+tree.
+
 Randomness: every sampled draw comes from rng.child_generator(master_seed,
-stream, scope), with streams STREAM_CERTIFY (scope = (constraint_id,
-kind)), STREAM_SAMPLE (scope = target index), STREAM_CPL (scope = variant).
-Shots inside one scope consume the stream sequentially, so identical
-(seed, flags) reproduce identical reports byte for byte.
+stream, scope), with streams STREAM_SAMPLE (scope = target index) and
+STREAM_CPL (scope = variant). Shots inside one scope consume the stream
+sequentially, so identical (seed, flags) reproduce identical reports byte
+for byte.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import combinations
 from math import sqrt
 from typing import Optional, Sequence
@@ -39,23 +44,20 @@ from .observers import (
     Premeasurement,
     StageSnapshot,
     _premeasure_array,
+    _require_cleared_memory,
     lift,
     premeasure,
-    readout,
-    record_observable,
     reverse,
 )
-from .pauli import PauliOperator, PauliString, commutes
-from .rng import STREAM_CERTIFY, STREAM_CPL, STREAM_SAMPLE, child_generator
+from .pauli import PauliString, commutes, product_of
+from .rng import STREAM_CPL, STREAM_SAMPLE, child_generator
 from .statevector import (
     ALG_TOL,
     PHYS_TOL,
     StateVector,
     expectation,
     fidelity,
-    measure,
     prepare_ghz,
-    reduced_density,
     zero_state,
 )
 
@@ -65,6 +67,9 @@ ALICE_MEMORY = (3, 4, 5)
 BOB_MEMORY = (6, 7, 8)
 
 DEFAULT_TOLERANCE = 1e-9
+# Exact products lie in [-1, 1] and a disturbed one reads 0, so a tolerance
+# of 0.5 or more would let wrong physics pass.
+MAX_TOLERANCE = 0.5
 
 BOB_MODES = ("lmz-lifted", "cdr-reversal")
 
@@ -78,7 +83,7 @@ CONSTRAINT_PATTERNS = (
 )
 CONSTRAINT_SIGNS = (1, -1, -1, -1)
 
-_KIND_CODES = {"operator": 0, "record": 1}
+CONSTRAINT_KINDS = ("operator", "record")
 
 
 @dataclass(frozen=True)
@@ -109,8 +114,9 @@ class ScenarioConfig:
             raise ValueError("experiment_id is only meaningful in cdr-reversal mode")
         if self.shots < 0:
             raise ValueError(f"shots must be >= 0, got {self.shots}")
-        if not self.tolerance > 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+        if not 0 < self.tolerance < MAX_TOLERANCE:
+            raise ValueError(
+                f"tolerance must lie in (0, {MAX_TOLERANCE:g}), got {self.tolerance}")
         if not 0 <= self.master_seed < 2**64:
             raise ValueError(f"master_seed must be in [0, 2^64), got {self.master_seed}")
 
@@ -363,7 +369,7 @@ def lifted_direct_observables(alice_pms: Sequence[Premeasurement]) -> tuple:
     Alice's memories implicitly."""
     out = []
     for k in range(3):
-        obs: PauliOperator = PauliString.single(NUM_QUBITS, SYSTEM_QUBITS[k], "X")
+        obs = PauliString.single(NUM_QUBITS, SYSTEM_QUBITS[k], "X")
         for pm in alice_pms:
             obs = lift(obs, pm)
         out.append(obs)
@@ -384,8 +390,8 @@ class ConstraintSpec:
     expected: int
 
 
-def constraint_table(bhats: Sequence[PauliOperator],
-                     ahats: Sequence[PauliOperator]) -> tuple:
+def constraint_table(bhats: Sequence[PauliString],
+                     ahats: Sequence[PauliString]) -> tuple:
     """The four certified products over direct/record observables."""
     specs = []
     for cid, (pattern, sign) in enumerate(zip(CONSTRAINT_PATTERNS, CONSTRAINT_SIGNS), 1):
@@ -403,19 +409,28 @@ def constraint_table(bhats: Sequence[PauliOperator],
 
 
 def _sequential_outcome_distribution(amplitudes: np.ndarray,
-                                     observables: Sequence[PauliOperator]) -> list:
-    """Joint distribution of measuring `observables` in the listed order.
+                                     steps: Sequence) -> list:
+    """Joint distribution of the readouts among `steps`, run in order.
 
-    p(v1..vm) = ||P_vm ... P_v1 psi||^2 with P_v = (1 + v*O)/2, which is the
-    exact probability of that outcome sequence under repeated projective
+    A step is a PauliString, read out projectively, or a Premeasurement,
+    applied to every branch between two readouts. A premeasurement needs
+    its memory cleared on every branch and raises ProtocolError otherwise,
+    as premeasure() does. p(v1..vm) = ||P_vm ... P_v1 psi||^2 with
+    P_v = (1 + v*O)/2 and any premeasurement unitaries in between, which is
+    the exact probability of that outcome sequence under repeated projective
     collapse. Branches of probability <= ALG_TOL are pruned; the survivors'
     probabilities must sum to 1 within PHYS_TOL. Returns [(values, p), ...].
     """
     leaves = [((), amplitudes)]
-    for obs in observables:
+    for step in steps:
+        if isinstance(step, Premeasurement):
+            for _, arr in leaves:
+                _require_cleared_memory(arr, step, float(np.vdot(arr, arr).real))
+            leaves = [(values, _premeasure_array(arr, step)) for values, arr in leaves]
+            continue
         grown = []
         for values, arr in leaves:
-            o_arr = obs.apply_to_array(arr)
+            o_arr = step.apply_to_array(arr)
             for v in (1, -1):
                 branch = (arr + v * o_arr) / 2.0
                 if float(np.vdot(branch, branch).real) > ALG_TOL:
@@ -442,7 +457,7 @@ def _draw_outcome_counts(dist: list, shots: int, rng: np.random.Generator) -> li
 
 
 def certify_constraint(state: StateVector,
-                       observables: Sequence[PauliOperator],
+                       observables: Sequence[PauliString],
                        expected: int,
                        *,
                        labels: Sequence[str],
@@ -450,18 +465,13 @@ def certify_constraint(state: StateVector,
                        kind: str = "operator",
                        stage: str = "",
                        tolerance: float = DEFAULT_TOLERANCE,
-                       shots: int = 0,
-                       master_seed: int = 0,
                        counters: Optional[OperationCounters] = None) -> ConstraintResult:
-    """Certify that a product of pairwise-commuting involutions has the
-    expected definite value on `state`.
+    """Certify that a product of pairwise-commuting Pauli strings has the
+    expected definite value on `state`, from its exact Born expectation.
 
-    The exact Born expectation of the product is computed first; when shots
-    > 0, the observables are additionally measured in sequence per shot
-    (sampled from the exact outcome-cascade distribution) and each sampled
-    product is compared with `expected`. Raises ProtocolError if any two
-    observables fail to commute (their product has no joint eigenbasis to
-    certify).
+    Raises ProtocolError if any two observables fail to commute (their
+    product has no joint eigenbasis to certify). Per-shot evidence for
+    record products is added by _certify_records.
     """
     observables = tuple(observables)
     labels = tuple(labels)
@@ -469,7 +479,7 @@ def certify_constraint(state: StateVector,
         raise ValueError("need one label per observable, at least one of each")
     if expected not in (1, -1):
         raise ValueError(f"expected product must be +1 or -1, got {expected!r}")
-    if kind not in _KIND_CODES:
+    if kind not in CONSTRAINT_KINDS:
         raise ValueError(f"kind must be 'operator' or 'record', got {kind!r}")
     for (la, oa), (lb, ob) in combinations(zip(labels, observables), 2):
         if not commutes(oa, ob):
@@ -488,32 +498,11 @@ def certify_constraint(state: StateVector,
             f"product expectation came out complex: {val!r}")
     if counters is not None:
         counters.exact_expectations += 1
-    products_plus = 0
-    products_minus = 0
-    violations = 0
-    if shots > 0:
-        rng = child_generator(
-            master_seed, STREAM_CERTIFY, constraint_id, _KIND_CODES[kind])
-        dist = _sequential_outcome_distribution(amps, observables)
-        for values, count in _draw_outcome_counts(dist, shots, rng):
-            product = 1
-            for v in values:
-                product *= v
-            if product == 1:
-                products_plus += count
-            else:
-                products_minus += count
-            if product != expected:
-                violations += count
-        if counters is not None:
-            counters.projective_measurements += shots * len(observables)
-            counters.sampled_shots += shots
-    certified = abs(val.real - expected) <= tolerance and violations == 0
     return ConstraintResult(
         constraint_id=constraint_id, kind=kind, labels=labels, stage=stage,
         expected=expected, expectation=float(val.real), tolerance=tolerance,
-        shots=shots, products_plus=products_plus, products_minus=products_minus,
-        violations=violations, certified=certified)
+        shots=0, products_plus=0, products_minus=0, violations=0,
+        certified=abs(val.real - expected) <= tolerance)
 
 
 def sample_records(state: StateVector,
@@ -570,28 +559,6 @@ def sample_records(state: StateVector,
         all_products_expected=(violations == 0))
 
 
-def _two_time_agreement(state: StateVector,
-                        system_obs: PauliString,
-                        record_qubit: int,
-                        disturbance: Optional[Premeasurement]) -> float:
-    """Exact E[v*w]: v from a projective readout of system_obs, w from a
-    later Z readout of the record, with an optional premeasurement between."""
-    amps = state.amplitudes
-    o_amps = system_obs.apply_to_array(amps)
-    record = PauliString.single(state.num_qubits, record_qubit, "Z")
-    total = 0.0
-    for v in (1, -1):
-        branch = (amps + v * o_amps) / 2.0
-        p = float(np.sum(np.abs(branch) ** 2))
-        if p <= ALG_TOL:
-            continue
-        chi = StateVector(state.num_qubits, branch / sqrt(p))
-        if disturbance is not None:
-            chi = premeasure(chi, disturbance)
-        total += p * v * expectation(chi, record)
-    return total
-
-
 def cpl_check(state: StateVector,
               system_obs: PauliString,
               record_label: str,
@@ -607,79 +574,57 @@ def cpl_check(state: StateVector,
     Intact: reading the system observable and then its record must agree
     with certainty (expectation 1, every sampled shot matching). Disturbed:
     the same two-time experiment with `disturbance` applied between the two
-    readouts. The same-time product expectation after the disturbance is
-    reported alongside, because it stays at +1: only the two-time agreement
-    carries the premise.
+    readouts. Each variant's exact agreement E[v*w] and its shots come from
+    one outcome tree. The same-time product expectation after the
+    disturbance is reported alongside, because it stays at +1: only the
+    two-time agreement carries the premise.
     """
-    intact_exact = _two_time_agreement(state, system_obs, record_qubit, None)
-    disturbed_exact = _two_time_agreement(state, system_obs, record_qubit, disturbance)
-    if counters is not None:
-        counters.exact_expectations += 2
-    pair = system_obs * PauliString.single(state.num_qubits, record_qubit, "Z")
-    after_state = premeasure(state, disturbance)
-    if counters is not None:
-        counters.unitary_applications += 1
-        counters.exact_expectations += 1
-    operator_after = expectation(after_state, pair)
-    matches = {0: 0, 1: 0}
-    if shots > 0:
-        record_obs = PauliString.single(state.num_qubits, record_qubit, "Z")
-        o_amps = system_obs.apply_to_array(state.amplitudes)
-        for variant, disturb in ((0, None), (1, disturbance)):
-            # Exact (v, w) distribution of the two-time experiment.
-            dist = []
-            for v in (1, -1):
-                branch = (state.amplitudes + v * o_amps) / 2.0
-                if float(np.vdot(branch, branch).real) <= ALG_TOL:
-                    continue
-                if disturb is not None:
-                    branch = _premeasure_array(branch, disturb)
-                z_arr = record_obs.apply_to_array(branch)
-                for w in (1, -1):
-                    sub = (branch + w * z_arr) / 2.0
-                    q = float(np.vdot(sub, sub).real)
-                    if q > ALG_TOL:
-                        dist.append(((v, w), q))
-            total = sum(p for _, p in dist)
-            if abs(total - 1.0) > PHYS_TOL:
-                raise InternalConsistencyError(
-                    f"two-time outcome probabilities sum to {total!r}")
+    record_obs = PauliString.single(state.num_qubits, record_qubit, "Z")
+    exact = []
+    matches = []
+    for variant, between in enumerate(((), (disturbance,))):
+        dist = _sequential_outcome_distribution(
+            state.amplitudes, (system_obs, *between, record_obs))
+        exact.append(sum(p * v * w for (v, w), p in dist))
+        matched = 0
+        if shots > 0:
             rng = child_generator(master_seed, STREAM_CPL, variant)
             for (v, w), count in _draw_outcome_counts(dist, shots, rng):
                 if v == w:
-                    matches[variant] += count
+                    matched += count
             if counters is not None:
                 counters.projective_measurements += 2 * shots
-                counters.unitary_applications += shots if disturb is not None else 0
+                counters.unitary_applications += shots * len(between)
                 counters.sampled_shots += shots
+        matches.append(matched)
+    after_state = premeasure(state, disturbance)
+    operator_after = expectation(after_state, system_obs * record_obs)
+    if counters is not None:
+        counters.exact_expectations += 3
+        counters.unitary_applications += 1
     return CplResult(
         system_label=system_obs.label(),
         record_label=record_label,
         record_qubit=record_qubit,
         disturbance_label=disturbance.observable.label(),
         shots=shots,
-        intact_expectation=intact_exact,
+        intact_expectation=exact[0],
         intact_matches=matches[0],
-        disturbed_expectation=disturbed_exact,
+        disturbed_expectation=exact[1],
         disturbed_matches=matches[1],
         operator_product_after=operator_after,
-        premise_certified=(abs(intact_exact - 1.0) <= tolerance
-                           and matches[0] == (shots if shots > 0 else 0)),
-        violation_demonstrated=(1.0 - disturbed_exact) > 0.1)
+        premise_certified=(abs(exact[0] - 1.0) <= tolerance
+                           and matches[0] == shots),
+        violation_demonstrated=(1.0 - exact[1]) > 0.1)
 
 
 def _commutation_survey(specs: Sequence[ConstraintSpec],
-                        bhats: Sequence[PauliOperator],
-                        ahats: Sequence[PauliOperator]) -> dict:
+                        bhats: Sequence[PauliString],
+                        ahats: Sequence[PauliString]) -> dict:
     """Pairwise commutation of the four product observables, commutation
     inside each certified triple, and the pair-local obstruction: each
     direct observable anticommutes with its own record observable."""
-    products = []
-    for spec in specs:
-        product = spec.observables[0]
-        for obs in spec.observables[1:]:
-            product = product * obs
-        products.append(product)
+    products = [product_of(spec.observables) for spec in specs]
     pairwise = {}
     all_commute = True
     for (i, pi), (j, pj) in combinations(enumerate(products, 1), 2):
@@ -719,11 +664,78 @@ def _commutation_survey(specs: Sequence[ConstraintSpec],
 # -- scenario flows ----------------------------------------------------------
 
 
-def _prepared_register(counters: OperationCounters) -> StateVector:
-    state = zero_state(NUM_QUBITS)
-    state = prepare_ghz(state, SYSTEM_QUBITS)
-    counters.unitary_applications += 3  # H + two CX
+def _record_step(state: StateVector, pm: Premeasurement, label: str,
+                 ledger: Ledger, counters: OperationCounters,
+                 stage: Optional[str] = None) -> StateVector:
+    """One record unitary, with the ledger and counters kept in step.
+
+    With a stage: premeasure `pm`, mark every record it disturbs, and enter
+    the new record as `label`. Without one: reverse `pm` and mark the record
+    `label` erased.
+    """
+    counters.unitary_applications += 1
+    if stage is None:
+        ledger.mark_erased(label)
+        return reverse(state, pm)
+    ledger.mark_disturbed(pm.observable, NUM_QUBITS)
+    state = premeasure(state, pm)
+    ledger.add(pm.owner, label, pm.memory, stage=stage)
     return state
+
+
+def _alice_complete(ledger: Ledger, counters: OperationCounters,
+                    snapshots: list) -> tuple:
+    """The opening both flows share: prepare the shared state, then let
+    Alice's friends premeasure it. Records the stages "prepared" and
+    "alice-complete"; returns the stage-1 state and Alice's
+    premeasurements."""
+    state = prepare_ghz(zero_state(NUM_QUBITS), SYSTEM_QUBITS)
+    counters.unitary_applications += 3  # H + two CX
+    snapshots.append(StageSnapshot(0, "prepared", state, ledger.snapshot()))
+    alice_pms = alice_premeasurements()
+    for k, pm in enumerate(alice_pms):
+        state = _record_step(
+            state, pm, f"A{k + 1}", ledger, counters, stage="alice-complete")
+    snapshots.append(StageSnapshot(1, "alice-complete", state, ledger.snapshot()))
+    return state, alice_pms
+
+
+def _certify_records(state: StateVector, constraint_id: int, stage: str,
+                     target: str, config: ScenarioConfig,
+                     counters: OperationCounters, sampling: list) -> ConstraintResult:
+    """Certify constraint `constraint_id` on the memory records of `state`.
+
+    The (label, qubit) records follow CONSTRAINT_PATTERNS: Bob's memory for
+    a B slot, Alice's for an A slot. Their Z product is certified exactly;
+    when config.shots > 0 the readouts are also sampled on STREAM_SAMPLE
+    (scope = constraint id), the tally is appended to `sampling`, and the
+    returned certification carries the shot evidence.
+    """
+    expected = CONSTRAINT_SIGNS[constraint_id - 1]
+    records = tuple(
+        (f"{slot}{k + 1}", (BOB_MEMORY if slot == "B" else ALICE_MEMORY)[k])
+        for k, slot in enumerate(CONSTRAINT_PATTERNS[constraint_id - 1]))
+    result = certify_constraint(
+        state,
+        tuple(PauliString.single(NUM_QUBITS, q, "Z") for _, q in records),
+        expected,
+        labels=tuple(label for label, _ in records),
+        constraint_id=constraint_id, kind="record", stage=stage,
+        tolerance=config.tolerance, counters=counters)
+    if config.shots == 0:
+        return result
+    tally = sample_records(
+        state, target=target, constraint_id=constraint_id, stage=stage,
+        records=records, expected_product=expected, shots=config.shots,
+        master_seed=config.master_seed, target_index=constraint_id,
+        counters=counters)
+    sampling.append(tally)
+    return replace(
+        result, shots=tally.shots,
+        products_plus=tally.outcome_counts_product(1),
+        products_minus=tally.outcome_counts_product(-1),
+        violations=tally.violations,
+        certified=result.certified and tally.violations == 0)
 
 
 def run_lmz(config: Optional[ScenarioConfig] = None) -> ScenarioReport:
@@ -741,18 +753,7 @@ def run_lmz(config: Optional[ScenarioConfig] = None) -> ScenarioReport:
     counters = OperationCounters()
     ledger = Ledger()
     snapshots = []
-
-    state = _prepared_register(counters)
-    snapshots.append(StageSnapshot(0, "prepared", state, ledger.snapshot()))
-
-    alice_pms = alice_premeasurements()
-    for k, pm in enumerate(alice_pms):
-        ledger.mark_disturbed(pm.observable, NUM_QUBITS)
-        state = premeasure(state, pm)
-        counters.unitary_applications += 1
-        ledger.add("alice", f"A{k + 1}", ALICE_MEMORY[k], stage="alice-complete")
-    snapshots.append(StageSnapshot(1, "alice-complete", state, ledger.snapshot()))
-    stage1 = state
+    stage1, alice_pms = _alice_complete(ledger, counters, snapshots)
 
     bhats = lifted_direct_observables(alice_pms)
     ahats = record_readout_observables()
@@ -764,82 +765,43 @@ def run_lmz(config: Optional[ScenarioConfig] = None) -> ScenarioReport:
             stage1, spec.observables, spec.expected,
             labels=spec.labels, constraint_id=spec.constraint_id,
             kind="operator", stage="alice-complete",
-            tolerance=config.tolerance, shots=0,
-            master_seed=config.master_seed, counters=counters))
+            tolerance=config.tolerance, counters=counters))
     commutation = _commutation_survey(specs, bhats, ahats)
 
     bob_pms = tuple(
         Premeasurement(bhats[k], BOB_MEMORY[k], "bob") for k in range(3))
-    bob_states = []
+    state = stage1
     for k, pm in enumerate(bob_pms):
-        ledger.mark_disturbed(pm.observable, NUM_QUBITS)
-        state = premeasure(state, pm)
-        counters.unitary_applications += 1
-        ledger.add("bob", f"B{k + 1}", BOB_MEMORY[k], stage=f"bob-{k + 1}")
+        state = _record_step(
+            state, pm, f"B{k + 1}", ledger, counters, stage=f"bob-{k + 1}")
         snapshots.append(StageSnapshot(2 + k, f"bob-{k + 1}", state, ledger.snapshot()))
-        bob_states.append(state)
     final = state
+    bob1 = snapshots[2].state
 
     # Record-level certification and sampling: constraint 1 from the full
-    # pipeline's Bob records; each mixed constraint from the pipeline branch
-    # where only the matching Bob premeasurement has run.
-    record_plan = []
+    # pipeline's Bob records, constraint 2 from the pipeline right after
+    # Bob's first step, constraints 3 and 4 from a side branch where only
+    # the matching Bob premeasurement has run.
+    sampling = []
     for spec in specs:
         cid = spec.constraint_id
         if cid == 1:
-            st = final
-            stage_label = "bob-3"
+            st, stage_label = final, "bob-3"
+        elif cid == 2:
+            st, stage_label = bob1, "bob-1"
         else:
-            j = cid - 2
-            if j == 0:
-                st = bob_states[0]
-                stage_label = "bob-1"
-            else:
-                st = premeasure(stage1, bob_pms[j])
-                counters.unitary_applications += 1
-                stage_label = f"bob-{j + 1}-only"
-        records = []
-        for k, slot in enumerate(CONSTRAINT_PATTERNS[cid - 1]):
-            if slot == "B":
-                records.append((f"B{k + 1}", BOB_MEMORY[k]))
-            else:
-                records.append((f"A{k + 1}", ALICE_MEMORY[k]))
-        record_plan.append((spec, st, stage_label, tuple(records)))
-
-    sampling = []
-    for spec, st, stage_label, records in record_plan:
-        base = certify_constraint(
-            st,
-            tuple(PauliString.single(NUM_QUBITS, q, "Z") for _, q in records),
-            spec.expected,
-            labels=tuple(label for label, _ in records),
-            constraint_id=spec.constraint_id, kind="record", stage=stage_label,
-            tolerance=config.tolerance, shots=0,
-            master_seed=config.master_seed, counters=counters)
-        if config.shots > 0:
-            tally = sample_records(
-                st, target=f"constraint-{spec.constraint_id}-records",
-                constraint_id=spec.constraint_id, stage=stage_label,
-                records=records, expected_product=spec.expected,
-                shots=config.shots, master_seed=config.master_seed,
-                target_index=spec.constraint_id, counters=counters)
-            sampling.append(tally)
-            base = replace(
-                base, shots=tally.shots,
-                products_plus=tally.outcome_counts_product(1),
-                products_minus=tally.outcome_counts_product(-1),
-                violations=tally.violations,
-                certified=base.certified and tally.violations == 0)
-        constraints.append(base)
+            st = premeasure(stage1, bob_pms[cid - 2])
+            counters.unitary_applications += 1
+            stage_label = f"bob-{cid - 1}-only"
+        constraints.append(_certify_records(
+            st, cid, stage_label, f"constraint-{cid}-records", config,
+            counters, sampling))
 
     # Transported certificate: conjugate each product through Bob's three
     # premeasurements and certify it on the final state.
     final_certificate = []
     for spec in specs:
-        product = spec.observables[0]
-        for obs in spec.observables[1:]:
-            product = product * obs
-        carried = product
+        carried = product_of(spec.observables)
         for pm in bob_pms:
             carried = lift(carried, pm)
         val = expectation(final, carried)
@@ -854,10 +816,10 @@ def run_lmz(config: Optional[ScenarioConfig] = None) -> ScenarioReport:
 
     # Disturbed diagnostic: the mixed record product that held right after
     # Bob's first premeasurement no longer holds on the final state.
-    trio = (PauliString.single(NUM_QUBITS, BOB_MEMORY[0], "Z")
-            * PauliString.single(NUM_QUBITS, ALICE_MEMORY[1], "Z")
-            * PauliString.single(NUM_QUBITS, ALICE_MEMORY[2], "Z"))
-    early_val = expectation(bob_states[0], trio)
+    trio = product_of(
+        PauliString.single(NUM_QUBITS, q, "Z")
+        for q in (BOB_MEMORY[0], ALICE_MEMORY[1], ALICE_MEMORY[2]))
+    early_val = expectation(bob1, trio)
     final_val = expectation(final, trio)
     counters.exact_expectations += 2
     disturbed_statuses = {
@@ -877,7 +839,7 @@ def run_lmz(config: Optional[ScenarioConfig] = None) -> ScenarioReport:
         shots=config.shots, master_seed=config.master_seed,
         tolerance=config.tolerance, counters=counters)
 
-    _require_constraint_coverage(constraints, {1, 2, 3, 4}, ("operator", "record"))
+    _require_constraint_coverage(constraints, {1, 2, 3, 4}, CONSTRAINT_KINDS)
     passed = (
         all(c.certified for c in constraints)
         and commutation["all_products_commute"]
@@ -917,26 +879,13 @@ def run_cdr(config: ScenarioConfig) -> ScenarioReport:
     counters = OperationCounters()
     ledger = Ledger()
     snapshots = []
-
-    state = _prepared_register(counters)
-    prepared = state
-    snapshots.append(StageSnapshot(0, "prepared", state, ledger.snapshot()))
-
-    alice_pms = alice_premeasurements()
-    for k, pm in enumerate(alice_pms):
-        ledger.mark_disturbed(pm.observable, NUM_QUBITS)
-        state = premeasure(state, pm)
-        counters.unitary_applications += 1
-        ledger.add("alice", f"A{k + 1}", ALICE_MEMORY[k], stage="alice-complete")
-    snapshots.append(StageSnapshot(1, "alice-complete", state, ledger.snapshot()))
+    state, alice_pms = _alice_complete(ledger, counters, snapshots)
+    prepared = snapshots[0].state
 
     pattern = CONSTRAINT_PATTERNS[exp - 1]
-    expected = CONSTRAINT_SIGNS[exp - 1]
     reversed_pairs = tuple(k for k, slot in enumerate(pattern) if slot == "B")
     for k in sorted(reversed_pairs, reverse=True):
-        state = reverse(state, alice_pms[k])
-        counters.unitary_applications += 1
-        ledger.mark_erased(f"A{k + 1}")
+        state = _record_step(state, alice_pms[k], f"A{k + 1}", ledger, counters)
     stage_label = "reversed-all" if exp == 1 else f"reversed-pair-{reversed_pairs[0] + 1}"
     snapshots.append(StageSnapshot(2, stage_label, state, ledger.snapshot()))
 
@@ -949,8 +898,10 @@ def run_cdr(config: ScenarioConfig) -> ScenarioReport:
         }
     else:
         mem = ALICE_MEMORY[reversed_pairs[0]]
-        rho = reduced_density(state, (mem,))
-        purity = float(np.trace(rho @ rho).real)
+        # Purity of the memory's reduced state from its Bloch vector.
+        bloch = [expectation(state, PauliString.single(NUM_QUBITS, mem, f))
+                 for f in "XYZ"]
+        purity = (1.0 + sum(b * b for b in bloch)) / 2.0
         excitation = state.probability_of_bit(mem)
         restoration = {
             "kind": "memory",
@@ -963,22 +914,13 @@ def run_cdr(config: ScenarioConfig) -> ScenarioReport:
 
     # Operator certification on the reversed state: direct X for freed
     # pairs, record Z for kept ones.
-    op_labels = []
-    op_observables = []
-    for k, slot in enumerate(pattern):
-        if slot == "B":
-            op_labels.append(f"B{k + 1}")
-            op_observables.append(
-                PauliString.single(NUM_QUBITS, SYSTEM_QUBITS[k], "X"))
-        else:
-            op_labels.append(f"A{k + 1}")
-            op_observables.append(
-                PauliString.single(NUM_QUBITS, ALICE_MEMORY[k], "Z"))
+    spec = constraint_table(
+        tuple(PauliString.single(NUM_QUBITS, q, "X") for q in SYSTEM_QUBITS),
+        record_readout_observables())[exp - 1]
     constraints = [certify_constraint(
-        state, op_observables, expected, labels=op_labels,
+        state, spec.observables, spec.expected, labels=spec.labels,
         constraint_id=exp, kind="operator", stage=stage_label,
-        tolerance=config.tolerance, shots=0,
-        master_seed=config.master_seed, counters=counters)]
+        tolerance=config.tolerance, counters=counters)]
 
     # Bob measures the freed system qubits directly (premeasurement onto his
     # own memories, so the records coexist and can be read in any order).
@@ -986,54 +928,23 @@ def run_cdr(config: ScenarioConfig) -> ScenarioReport:
         pm = Premeasurement(
             PauliString.single(NUM_QUBITS, SYSTEM_QUBITS[k], "X"),
             memory=BOB_MEMORY[k], owner="bob")
-        ledger.mark_disturbed(pm.observable, NUM_QUBITS)
-        state = premeasure(state, pm)
-        counters.unitary_applications += 1
-        ledger.add("bob", f"B{k + 1}", BOB_MEMORY[k], stage="bob-direct")
+        state = _record_step(
+            state, pm, f"B{k + 1}", ledger, counters, stage="bob-direct")
     snapshots.append(StageSnapshot(3, "bob-direct", state, ledger.snapshot()))
-    final = state
 
-    records = []
-    for k, slot in enumerate(pattern):
-        if slot == "B":
-            records.append((f"B{k + 1}", BOB_MEMORY[k]))
-        else:
-            records.append((f"A{k + 1}", ALICE_MEMORY[k]))
-    records = tuple(records)
-    base = certify_constraint(
-        final,
-        tuple(PauliString.single(NUM_QUBITS, q, "Z") for _, q in records),
-        expected,
-        labels=tuple(label for label, _ in records),
-        constraint_id=exp, kind="record", stage="bob-direct",
-        tolerance=config.tolerance, shots=0,
-        master_seed=config.master_seed, counters=counters)
     sampling = []
-    if config.shots > 0:
-        tally = sample_records(
-            final, target=f"experiment-{exp}-records",
-            constraint_id=exp, stage="bob-direct", records=records,
-            expected_product=expected, shots=config.shots,
-            master_seed=config.master_seed, target_index=exp,
-            counters=counters)
-        sampling.append(tally)
-        base = replace(
-            base, shots=tally.shots,
-            products_plus=tally.outcome_counts_product(1),
-            products_minus=tally.outcome_counts_product(-1),
-            violations=tally.violations,
-            certified=base.certified and tally.violations == 0)
-    constraints.append(base)
+    constraints.append(_certify_records(
+        state, exp, "bob-direct", f"experiment-{exp}-records", config,
+        counters, sampling))
 
     current_labels = tuple(f.label for f in ledger.current())
     coexisting_records = {
         "current": list(current_labels),
-        "constraint_labels": [label for label, _ in records],
-        "records_match_constraint": sorted(current_labels)
-        == sorted(label for label, _ in records),
+        "constraint_labels": list(spec.labels),
+        "records_match_constraint": sorted(current_labels) == sorted(spec.labels),
     }
 
-    _require_constraint_coverage(constraints, {exp}, ("operator", "record"))
+    _require_constraint_coverage(constraints, {exp}, CONSTRAINT_KINDS)
     passed = (
         all(c.certified for c in constraints)
         and restoration["restored"]

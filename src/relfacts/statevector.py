@@ -2,7 +2,9 @@
 
 States are immutable: every operation returns a fresh StateVector and never
 mutates amplitude arrays in place. Basis-state index bit q is the value of
-qubit q (qubit 0 = least significant bit).
+qubit q (qubit 0 = least significant bit). Measurement lives in the outcome
+tree of the scenarios module, which tracks every branch exactly instead of
+collapsing one state.
 
 Tolerances: PHYS_TOL bounds physically-meaningful drift (norms, realness of
 expectations); ALG_TOL bounds pure floating-point noise (branch
@@ -16,12 +18,11 @@ from math import sqrt
 import numpy as np
 
 from .errors import InternalConsistencyError, ProtocolError, ResourceError
-from .pauli import PauliOperator, PauliString, PauliSum
+from .pauli import PauliString
 
 PHYS_TOL = 1e-10
 ALG_TOL = 1e-12
 MAX_QUBITS = 24
-REDUCED_MAX_QUBITS = 12
 
 
 @dataclass(frozen=True)
@@ -59,63 +60,6 @@ class StateVector:
         return float(np.sum(np.abs(self.amplitudes[sel]) ** 2))
 
 
-@dataclass(frozen=True)
-class MeasurementOutcome:
-    """Result of one projective measurement: the sampled eigenvalue, the Born
-    probability of that eigenvalue, and the collapsed post-measurement state."""
-
-    value: int
-    probability: float
-    state: StateVector
-
-
-@dataclass(frozen=True)
-class GateMatrix:
-    """A 1- or 2-qubit unitary. For 2-qubit gates, targets[0] addresses the
-    least significant bit of the gate's local 4-dim index."""
-
-    name: str
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        if m.shape not in ((2, 2), (4, 4)):
-            raise ValueError(f"gate matrix must be 2x2 or 4x4, got {m.shape}")
-        if not np.allclose(m.conj().T @ m, np.eye(m.shape[0]), atol=ALG_TOL * 10):
-            raise ValueError(f"gate {self.name!r} is not unitary")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def arity(self) -> int:
-        return 1 if self.matrix.shape == (2, 2) else 2
-
-
-def hadamard() -> GateMatrix:
-    return GateMatrix("H", np.array([[1, 1], [1, -1]]) / sqrt(2.0))
-
-
-def pauli_gate(factor: str) -> GateMatrix:
-    mats = {
-        "X": np.array([[0, 1], [1, 0]]),
-        "Y": np.array([[0, -1j], [1j, 0]]),
-        "Z": np.array([[1, 0], [0, -1]]),
-    }
-    if factor not in mats:
-        raise ValueError(f"unknown Pauli gate {factor!r}")
-    return GateMatrix(factor, mats[factor])
-
-
-def cnot() -> GateMatrix:
-    """Controlled-X with control = targets[0], target = targets[1]."""
-    m = np.zeros((4, 4))
-    m[0, 0] = 1.0  # control 0, target 0
-    m[2, 2] = 1.0  # control 0, target 1
-    m[3, 1] = 1.0  # control 1 flips target 0 -> 1
-    m[1, 3] = 1.0  # control 1 flips target 1 -> 0
-    return GateMatrix("CX", m)
-
-
 def zero_state(num_qubits: int) -> StateVector:
     """The all-zeros computational basis state |0...0>."""
     if not 1 <= num_qubits <= MAX_QUBITS:
@@ -126,44 +70,14 @@ def zero_state(num_qubits: int) -> StateVector:
     return StateVector(num_qubits, amps)
 
 
-def apply_gate(state: StateVector, gate: GateMatrix, targets) -> StateVector:
-    targets = tuple(targets)
-    if len(targets) != gate.arity:
-        raise ValueError(
-            f"gate {gate.name!r} has arity {gate.arity}, got targets {targets}")
-    if len(set(targets)) != len(targets):
-        raise ValueError(f"duplicate target qubits: {targets}")
-    for t in targets:
-        if not 0 <= t < state.num_qubits:
-            raise ValueError(f"target qubit {t} out of range")
-    amps = state.amplitudes
-    idx = np.arange(amps.size)
-    out = np.empty_like(amps)
-    m = gate.matrix
-    if gate.arity == 1:
-        (t,) = targets
-        i0 = idx[(idx >> t) & 1 == 0]
-        i1 = i0 + (1 << t)
-        a0, a1 = amps[i0], amps[i1]
-        out[i0] = m[0, 0] * a0 + m[0, 1] * a1
-        out[i1] = m[1, 0] * a0 + m[1, 1] * a1
-    else:
-        a, b = targets
-        base = idx[((idx >> a) & 1 == 0) & ((idx >> b) & 1 == 0)]
-        groups = (base, base + (1 << a), base + (1 << b), base + (1 << a) + (1 << b))
-        vecs = np.stack([amps[g] for g in groups])
-        new_vecs = m @ vecs
-        for g, row in zip(groups, new_vecs):
-            out[g] = row
-    return StateVector(state.num_qubits, out)
-
-
 def prepare_ghz(state: StateVector, qubits) -> StateVector:
     """Entangle the listed qubits into (|0..0> + |1..1>)/sqrt(2).
 
     Precondition: each listed qubit reads 0 with certainty, which guarantees
-    the register factorizes as |0..0> on those qubits. Circuit: H on
-    qubits[0], then CX fanning out to the rest.
+    the register factorizes as |0..0> on those qubits. Each amplitude with
+    those bits clear is then split evenly onto itself and the index with
+    all of them set, which is what H on qubits[0] followed by CX fanning
+    out to the rest does.
     """
     qubits = tuple(qubits)
     if len(qubits) < 2:
@@ -174,37 +88,29 @@ def prepare_ghz(state: StateVector, qubits) -> StateVector:
         if state.probability_of_bit(q) > PHYS_TOL:
             raise ProtocolError(
                 f"qubit {q} is not in |0>; preparation requires a cleared register")
-    out = apply_gate(state, hadamard(), (qubits[0],))
-    cx = cnot()
-    for q in qubits[1:]:
-        out = apply_gate(out, cx, (qubits[0], q))
-    return out
+    mask = sum(1 << q for q in qubits)
+    amps = state.amplitudes
+    cleared = np.flatnonzero((np.arange(amps.size) & mask) == 0)
+    out = np.zeros_like(amps)
+    out[cleared] = amps[cleared] * (1.0 / sqrt(2.0))
+    out[cleared | mask] = out[cleared]
+    return StateVector(state.num_qubits, out)
 
 
 def apply_pauli(state: StateVector, op: PauliString) -> StateVector:
-    """The state P|psi>, including the sign of P. Strings only: applying a
-    general sum is not norm-preserving."""
-    if not isinstance(op, PauliString):
-        raise ValueError("apply_pauli takes a PauliString; sums are not unitary")
+    """The state P|psi>, including the sign of P."""
     if op.num_qubits != state.num_qubits:
         raise ValueError(
             f"operator on {op.num_qubits} qubits, state on {state.num_qubits}")
     return StateVector(state.num_qubits, op.apply_to_array(state.amplitudes))
 
 
-def _require_involution(op: PauliOperator, state: StateVector, what: str):
-    num = op.num_qubits
-    if num != state.num_qubits:
+def expectation(state: StateVector, op: PauliString) -> float:
+    """<psi| P |psi> for a Pauli string. Guaranteed real and in [-1, 1] up
+    to PHYS_TOL; violations raise InternalConsistencyError."""
+    if op.num_qubits != state.num_qubits:
         raise ValueError(
-            f"operator on {num} qubits, state on {state.num_qubits}")
-    if not op.is_involution():
-        raise ValueError(f"{what} requires an observable that squares to the identity")
-
-
-def expectation(state: StateVector, op: PauliOperator) -> float:
-    """<psi| O |psi> for an involution observable. Guaranteed real and in
-    [-1, 1] up to PHYS_TOL; violations raise InternalConsistencyError."""
-    _require_involution(op, state, "expectation")
+            f"operator on {op.num_qubits} qubits, state on {state.num_qubits}")
     val = complex(np.vdot(state.amplitudes, op.apply_to_array(state.amplitudes)))
     if abs(val.imag) > PHYS_TOL:
         raise InternalConsistencyError(
@@ -215,82 +121,9 @@ def expectation(state: StateVector, op: PauliOperator) -> float:
     return float(val.real)
 
 
-def measure(state: StateVector, op: PauliOperator, rng: np.random.Generator) -> MeasurementOutcome:
-    """Projective measurement of a +1/-1 involution observable.
-
-    Branch amplitudes are (1 +/- O)/2 |psi>. The eigenvalue is sampled from
-    the Born weights through `rng`; a branch whose probability is within
-    ALG_TOL of certainty is taken without consuming a random draw, so
-    deterministic readouts do not advance the stream.
-    """
-    _require_involution(op, state, "measure")
-    amps = state.amplitudes
-    o_amps = op.apply_to_array(amps)
-    plus = (amps + o_amps) / 2.0
-    minus = (amps - o_amps) / 2.0
-    p_plus = float(np.sum(np.abs(plus) ** 2))
-    p_minus = float(np.sum(np.abs(minus) ** 2))
-    if abs(p_plus + p_minus - 1.0) > PHYS_TOL:
-        raise InternalConsistencyError(
-            f"branch probabilities {p_plus!r} + {p_minus!r} do not sum to 1")
-    if p_plus >= 1.0 - ALG_TOL:
-        value = 1
-    elif p_plus <= ALG_TOL:
-        value = -1
-    else:
-        value = 1 if rng.random() < p_plus else -1
-    if value == 1:
-        branch, prob = plus, p_plus
-    else:
-        branch, prob = minus, p_minus
-    post = StateVector(state.num_qubits, branch / sqrt(prob))
-    return MeasurementOutcome(value=value, probability=prob, state=post)
-
-
 def fidelity(a: StateVector, b: StateVector) -> float:
     """|<a|b>|^2 between pure states."""
     if a.num_qubits != b.num_qubits:
         raise ValueError(
             f"states on different registers: {a.num_qubits} vs {b.num_qubits}")
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
-
-
-def reduced_density(state: StateVector, subset) -> np.ndarray:
-    """Reduced density matrix on `subset`, tracing out the rest.
-
-    Row/column index bit j of the returned matrix is the value of qubit
-    subset[j], keeping the little-endian convention inside the subset.
-    """
-    subset = tuple(subset)
-    if len(subset) == 0:
-        raise ValueError("subset must be non-empty")
-    if len(set(subset)) != len(subset):
-        raise ValueError(f"duplicate qubits in subset: {subset}")
-    for q in subset:
-        if not 0 <= q < state.num_qubits:
-            raise ValueError(f"qubit {q} out of range")
-    if len(subset) > REDUCED_MAX_QUBITS:
-        raise ResourceError(
-            f"reduced density on {len(subset)} qubits exceeds the "
-            f"{REDUCED_MAX_QUBITS}-qubit guard")
-    n = state.num_qubits
-    k = len(subset)
-    # Tensor axis n-1-q corresponds to qubit q. Order kept axes so that
-    # subset[0] lands on the fastest-varying (least significant) position.
-    tensor = state.amplitudes.reshape((2,) * n)
-    kept_axes = [n - 1 - q for q in reversed(subset)]
-    traced_axes = [ax for ax in range(n) if ax not in kept_axes]
-    mat = np.transpose(tensor, kept_axes + traced_axes).reshape(1 << k, -1)
-    return mat @ mat.conj().T
-
-
-def density_fidelity(rho: np.ndarray, state: StateVector) -> float:
-    """<psi| rho |psi> for a density matrix against a pure reference."""
-    amps = state.amplitudes
-    if rho.shape != (amps.size, amps.size):
-        raise ValueError(
-            f"density matrix shape {rho.shape} does not match state dimension {amps.size}")
-    val = complex(np.vdot(amps, rho @ amps))
-    if abs(val.imag) > PHYS_TOL:
-        raise InternalConsistencyError(f"density overlap came out complex: {val!r}")
-    return float(val.real)

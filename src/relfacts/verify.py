@@ -15,7 +15,7 @@ import numpy as np
 
 from . import parity
 from .observers import Premeasurement, premeasure, reverse
-from .pauli import PauliString
+from .pauli import PauliString, product_of
 from .rng import STREAM_SCRIPT, child_generator
 from .report import build_check_document, build_run_document, render_text
 from .scenarios import (
@@ -80,12 +80,7 @@ def run_all_checks(full_shots: int = FULL_SHOTS) -> tuple:
         bhats = lifted_direct_observables(pms)
         ahats = record_readout_observables()
         specs = constraint_table(bhats, ahats)
-        products = []
-        for spec in specs:
-            p = spec.observables[0]
-            for obs in spec.observables[1:]:
-                p = p * obs
-            products.append(p.dense_matrix())
+        products = [product_of(spec.observables).dense_matrix() for spec in specs]
         worst_comm = max(
             float(np.linalg.norm(a @ b - b @ a))
             for a, b in combinations(products, 2))

@@ -83,6 +83,9 @@ class TestUsageErrors:
         ["check-assignments"],
         ["check-assignments", "--builtin", "ghz", "--constraints", "somefile"],
         ["check-assignments", "--constraints", "/definitely/not/a/file"],
+        ["run", "lmz", "--tolerance", "0.5"],
+        ["run", "cdr", "--experiment", "all", "--tolerance", "3"],
+        ["run", "lmz", "--tolerance", "inf"],
     ])
     def test_returns_2(self, argv, capsys):
         assert main(argv) == 2

@@ -1,0 +1,75 @@
+"""Golden report bytes: the SHA-256 of every listed report is pinned.
+
+The hashes were generated from the reports of an earlier release, so a
+refactor that changes any byte of a report, in either format, fails here.
+The determinism checks elsewhere run the same code twice and cannot see a
+change across versions.
+"""
+import hashlib
+
+import pytest
+
+from relfacts.cli import main
+
+GOLDEN = {
+    ("run lmz --shots 0", "json"):
+        "3278494ad73d560555da15a1fd84e4fac239f703911b39ca86db0a80acff72d4",
+    ("run lmz --shots 0", "text"):
+        "fa26d48bef242f891106734a9600ab312081edbaad8a5c0af170c2ad1c8e196e",
+    ("run lmz --shots 1000 --seed 7", "json"):
+        "e21cf0982d13faa2c3ff7a3e919582e4f69c2134f5108f4ba03002ecfb515e44",
+    ("run lmz --shots 1000 --seed 7", "text"):
+        "53ff480d8ffd919e5fb495a1d6fb4f1d904af83ec116bcc6f3ffbf20ab548459",
+    ("run cdr --experiment 1 --shots 0", "json"):
+        "c7d86d4484e33254fb45069e7e7d1069b2ef66b3fc4eb8d612ab6e8fe2679864",
+    ("run cdr --experiment 1 --shots 0", "text"):
+        "8fd16885023bb6d1e5fc1887003300f332c66c03ecdf6d0ff05f153d054d7dad",
+    ("run cdr --experiment 1 --shots 1000 --seed 7", "json"):
+        "33470be698599fa7f2bacdc12adbf18c1447e56bbcb9e273f2300b183d87942e",
+    ("run cdr --experiment 1 --shots 1000 --seed 7", "text"):
+        "09df978cda6d5df72358409fcd1acb723792470c9339089675da02e3fc34b3e1",
+    ("run cdr --experiment 2 --shots 0", "json"):
+        "d65f89c27e850722a43bf3a9caa5f9de39672fe95eadcf1e5efcf6229aa23f85",
+    ("run cdr --experiment 2 --shots 0", "text"):
+        "e48904f892fbd3b10720ac937abecd80927d5533ef6b561f50323216fcd53a10",
+    ("run cdr --experiment 2 --shots 1000 --seed 7", "json"):
+        "fc85d2c62635e255aeac9108d59f5c0cabc178e4c9cd84fad399381b955bacad",
+    ("run cdr --experiment 2 --shots 1000 --seed 7", "text"):
+        "027d940146546246fcd9ea7ffd135a229be241938e7445b8eebb3411e29c56fc",
+    ("run cdr --experiment 3 --shots 0", "json"):
+        "121599d76fdbd6d105719176930cdcadafe236480d7599292b5482eeff667719",
+    ("run cdr --experiment 3 --shots 0", "text"):
+        "608e7976f4c2896cfdba2acfc7b6c139e033253d12bfdb3124b6d436069afb4e",
+    ("run cdr --experiment 3 --shots 1000 --seed 7", "json"):
+        "e3cb72d1cf24163657e2d20d1c7b92a970a05b699c897ce50ac9aad3fb19621d",
+    ("run cdr --experiment 3 --shots 1000 --seed 7", "text"):
+        "b527f87c714de5bbf8edae4900d7660dc032534b639c707097b3fb9f7c4b55ee",
+    ("run cdr --experiment 4 --shots 0", "json"):
+        "7cfe41033eccb39e9a30b071266ea13e3352efa18b4697627846c582ba8ac4d0",
+    ("run cdr --experiment 4 --shots 0", "text"):
+        "dec2dfcee4b99dafcad1d9447fdd2343b0e0eb9c27738b6df355a9900081cc60",
+    ("run cdr --experiment 4 --shots 1000 --seed 7", "json"):
+        "5742e2f5ba4f384659298f2e838d0f92c75d523f010642e77cb843912057b16b",
+    ("run cdr --experiment 4 --shots 1000 --seed 7", "text"):
+        "a66460c0a60f2df79ead8944846be8b9df73630d7bfc019807ce196e7aa6f300",
+    ("run cdr --experiment all --shots 0", "json"):
+        "89359e0fa9bb652a240baa17ecbe32db325e24b61c575a1cc70b4fe0e1fe9a6b",
+    ("run cdr --experiment all --shots 0", "text"):
+        "ff4f98a6a74926bae39be61b45c0ea40da6a403f058d3ecb198139f2bea4beba",
+    ("run cdr --experiment all --shots 1000 --seed 7", "json"):
+        "eeff2ddb85acd0b834581315e152742a7b4d85d7b80a1090a8ef5b13003babb7",
+    ("run cdr --experiment all --shots 1000 --seed 7", "text"):
+        "1ff97eb6fe3faae1b9d75c1e65af3e9c7cc841527cc02e4447c75f4b8d5f7535",
+    ("check-assignments --builtin ghz", "json"):
+        "05a4342ac62383a38bcd472860186ca631b9e5df9a16dc341e8dd9829f4917fc",
+    ("check-assignments --builtin ghz", "text"):
+        "04dddc2f4c410dc40788de8cce43ab23c7b8484ad57eb793ddeb32fa3f8057c7",
+}
+
+
+@pytest.mark.parametrize("command,fmt", sorted(GOLDEN))
+def test_report_bytes_match_golden_hash(command, fmt, tmp_path):
+    path = tmp_path / f"report.{fmt}"
+    assert main(command.split() + ["--format", fmt, "--out", str(path)]) == 0
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == GOLDEN[(command, fmt)]

@@ -8,26 +8,22 @@ from oracle import op, op_label, premeasure_unitary, random_state
 from relfacts.errors import ProtocolError
 from relfacts.observers import (
     Ledger,
-    Observer,
     Premeasurement,
     lift,
     premeasure,
-    readout,
     record_observable,
     reverse,
 )
-from relfacts.pauli import PauliString, PauliSum, commutes
-from relfacts.statevector import (
-    StateVector,
-    apply_gate,
-    expectation,
-    fidelity,
-    hadamard,
-    measure,
-    zero_state,
-)
+from relfacts.pauli import PauliString, commutes
+from relfacts.scenarios import _sequential_outcome_distribution
+from relfacts.statevector import StateVector, expectation, fidelity, zero_state
 
 INV_SQRT2 = 1 / sqrt(2.0)
+
+
+def plus_zero():
+    """|+> on qubit 0, |0> on qubit 1."""
+    return StateVector(2, np.array([INV_SQRT2, INV_SQRT2, 0, 0], dtype=complex))
 
 
 def pm_z(num_qubits=2, system=0, memory=1):
@@ -48,27 +44,16 @@ class TestPremeasurementChecks:
         with pytest.raises(ValueError):
             Premeasurement(PauliString.from_label("ZI"), 5, "friend")
 
-    def test_sum_rejected(self):
-        s = PauliSum([(INV_SQRT2, PauliString.from_label("XI")),
-                      (INV_SQRT2, PauliString.from_label("ZI"))])
-        with pytest.raises(ValueError):
-            Premeasurement(s, 1, "friend")
-
-    def test_observer_duplicate_memory(self):
-        with pytest.raises(ValueError):
-            Observer("alice", (3, 3))
 
 
 class TestPremeasure:
     def test_plus_state_becomes_bell_pair(self):
-        state = apply_gate(zero_state(2), hadamard(), (0,))
-        out = premeasure(state, pm_z())
+        out = premeasure(plus_zero(), pm_z())
         np.testing.assert_allclose(
             out.amplitudes, [INV_SQRT2, 0.0, 0.0, INV_SQRT2], atol=1e-15)
 
     def test_requires_cleared_memory(self):
-        state = apply_gate(zero_state(2), hadamard(), (0,))
-        once = premeasure(state, pm_z())
+        once = premeasure(plus_zero(), pm_z())
         with pytest.raises(ProtocolError):
             premeasure(once, pm_z())
 
@@ -124,19 +109,21 @@ class TestReverse:
             assert fidelity(back, state) >= 1.0 - 1e-12
 
     def test_reverse_after_collapse_loses_the_branch(self):
-        state = apply_gate(zero_state(2), hadamard(), (0,))
+        state = plus_zero()
         pm = pm_z()
         recorded = premeasure(state, pm)
-        outcome = measure(recorded, record_observable(pm), np.random.default_rng(1))
-        back = reverse(outcome.state, pm)
-        # value frozen from the independent dense computation
-        assert fidelity(back, state) == pytest.approx(0.5, abs=1e-12)
+        np.testing.assert_allclose(
+            recorded.amplitudes, [INV_SQRT2, 0, 0, INV_SQRT2], atol=1e-15)
+        # a readout of the record collapses the Bell pair onto |00> or |11>
+        for collapsed in ([1, 0, 0, 0], [0, 0, 0, 1]):
+            back = reverse(StateVector(2, np.array(collapsed, dtype=complex)), pm)
+            # value frozen from the independent dense computation
+            assert fidelity(back, state) == pytest.approx(0.5, abs=1e-12)
 
     def test_reverse_allows_dirty_memory(self):
         # collapse leaves the memory entangled or excited; reversal still runs
-        state = apply_gate(zero_state(2), hadamard(), (0,))
         pm = pm_z()
-        recorded = premeasure(state, pm)
+        recorded = premeasure(plus_zero(), pm)
         reverse(recorded, pm)
 
 
@@ -161,14 +148,11 @@ class TestLift:
             PauliString.from_map(num_qubits, {0: "X"}),
             PauliString.from_map(num_qubits, {0: "Z", 1: "X"}),
             PauliString.from_map(num_qubits, {1: "Z"}),
-            PauliSum([(INV_SQRT2, PauliString.from_map(num_qubits, {0: "X"})),
-                      (INV_SQRT2, PauliString.from_map(num_qubits, {0: "Y"}))]),
         ]
         for obs in cases:
             lifted = lift(obs, pm)
             np.testing.assert_allclose(
                 lifted.dense_matrix(), u @ obs.dense_matrix() @ u, atol=1e-12)
-            assert lifted.is_involution()
 
     def test_lifted_observable_anticommutes_with_record(self):
         pm = pm_z()
@@ -181,10 +165,6 @@ class TestLift:
             lift(PauliString.from_label("IZ"), pm)  # touches the memory
         with pytest.raises(ValueError):
             lift(PauliString.from_label("X"), pm)  # register mismatch
-        bad = PauliSum([(1.0, PauliString.from_label("XI")),
-                        (1.0, PauliString.from_label("ZI"))])
-        with pytest.raises(ValueError):
-            lift(bad, pm)
 
 
 class TestLedger:
@@ -236,21 +216,23 @@ class TestLedger:
 
 
 class TestReadout:
+    """Memory readouts through the outcome tree: |0> carries +1, |1> -1."""
+
     def test_zero_reads_plus_one(self):
-        out = readout(zero_state(2), 1, np.random.default_rng(0))
-        assert out.value == 1
-        assert out.probability == pytest.approx(1.0)
+        dist = _sequential_outcome_distribution(
+            zero_state(2).amplitudes, (record_observable(pm_z()),))
+        assert dist == [((1,), pytest.approx(1.0))]
 
     def test_excited_reads_minus_one(self):
-        state = apply_gate(zero_state(1), hadamard(), (0,))
-        rng = np.random.default_rng(2)
-        seen = {readout(state, 0, rng).value for _ in range(30)}
-        assert seen == {1, -1}
+        excited = np.array([0, 0, 1, 0], dtype=complex)  # memory qubit 1 set
+        dist = _sequential_outcome_distribution(excited, (record_observable(pm_z()),))
+        assert dist == [((-1,), pytest.approx(1.0))]
 
     def test_repeatability(self):
-        state = apply_gate(zero_state(1), hadamard(), (0,))
-        rng = np.random.default_rng(4)
-        first = readout(state, 0, rng)
-        again = readout(first.state, 0, rng)
-        assert again.value == first.value
-        assert again.probability == pytest.approx(1.0)
+        pm = pm_z()
+        recorded = premeasure(plus_zero(), pm)
+        record = record_observable(pm)
+        dist = dict(_sequential_outcome_distribution(
+            recorded.amplitudes, (record, record)))
+        assert set(dist) == {(1, 1), (-1, -1)}
+        assert dist[(1, 1)] == pytest.approx(0.5, abs=1e-12)

@@ -14,7 +14,9 @@ from relfacts.scenarios import (
     CONSTRAINT_SIGNS,
     NUM_QUBITS,
     SYSTEM_QUBITS,
+    OperationCounters,
     ScenarioConfig,
+    _certify_records,
     _draw_outcome_counts,
     _sequential_outcome_distribution,
     alice_premeasurements,
@@ -61,6 +63,9 @@ class TestScenarioConfig:
         {"tolerance": 0.0},
         {"master_seed": -1},
         {"master_seed": 2**64},
+        {"tolerance": 0.5},
+        {"tolerance": 3.0},
+        {"tolerance": float("inf")},
     ])
     def test_rejections(self, kwargs):
         with pytest.raises(ValueError):
@@ -331,25 +336,45 @@ class TestCertifyConstraint:
             certify_constraint(
                 zero_state(3), obs, 1, labels=("a", "b"), constraint_id=1)
 
-    def test_sampled_certification(self):
-        state = zero_state(2)
-        obs = (PauliString.from_label("ZI"), PauliString.from_label("IZ"))
-        result = certify_constraint(
-            state, obs, 1, labels=("a", "b"), constraint_id=1,
-            shots=100, master_seed=9)
-        assert result.certified
-        assert result.expectation == pytest.approx(1.0)
-        assert result.products_plus == 100
+    def test_sampled_certification(self, lmz_exact):
+        # Record certification of constraint 2 right after Bob's first step:
+        # exact product plus per-shot evidence drawn on the sampling stream.
+        config = ScenarioConfig(shots=100, master_seed=9)
+        counters = OperationCounters()
+        sampling = []
+        result = _certify_records(
+            lmz_exact.snapshots[2].state, 2, "bob-1", "t", config, counters,
+            sampling)
+        assert result.kind == "record"
+        assert result.labels == ("B1", "A2", "A3")
+        assert result.expectation == pytest.approx(-1.0, abs=1e-12)
+        assert result.shots == 100
+        assert result.products_minus == 100
         assert result.violations == 0
+        assert result.certified
+        assert [t.target for t in sampling] == ["t"]
+        assert sampling[0].outcome_counts == sample_records(
+            lmz_exact.snapshots[2].state, target="t", constraint_id=2,
+            stage="bob-1", records=(("B1", BOB_MEMORY[0]), ("A2", ALICE_MEMORY[1]),
+                                    ("A3", ALICE_MEMORY[2])),
+            expected_product=-1, shots=100, master_seed=9,
+            target_index=2).outcome_counts
+        assert counters.exact_expectations == 1
+        assert counters.sampled_shots == 100
+        exact_only = _certify_records(
+            lmz_exact.snapshots[2].state, 2, "bob-1", "t", ScenarioConfig(),
+            OperationCounters(), sampling)
+        assert exact_only.shots == 0 and exact_only.certified
+        assert len(sampling) == 1
 
     def test_detects_wrong_sign(self):
         state = zero_state(2)
         obs = (PauliString.from_label("ZI"), PauliString.from_label("IZ"))
         result = certify_constraint(
-            state, obs, -1, labels=("a", "b"), constraint_id=1,
-            shots=50, master_seed=9)
+            state, obs, -1, labels=("a", "b"), constraint_id=1)
         assert not result.certified
-        assert result.violations == 50
+        assert result.expectation == pytest.approx(1.0)
+        assert result.shots == 0 and result.violations == 0
 
 
 class TestSamplingMachinery:
@@ -372,6 +397,35 @@ class TestSamplingMachinery:
                     vec = (np.eye(8) + v * m) @ vec / 2
                 assert prob == pytest.approx(
                     float(np.vdot(vec, vec).real), abs=1e-10)
+
+    def test_premeasurement_step_matches_dense(self):
+        rng = np.random.default_rng(41)
+        system = PauliString.from_label("YII")
+        pm = Premeasurement(PauliString.from_label("XII"), 2, "bob")
+        record = PauliString.from_label("IZI")
+        mats = [op(3, {0: "Y"}), None, op(3, {1: "Z"})]
+        unitary = premeasure_unitary(3, op(3, {0: "X"}), 2)
+        for _ in range(5):
+            amps = np.zeros(8, dtype=complex)
+            amps[:4] = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            amps /= np.linalg.norm(amps)
+            dist = dict(_sequential_outcome_distribution(amps, (system, pm, record)))
+            assert sum(dist.values()) == pytest.approx(1.0, abs=1e-10)
+            for (v, w), prob in dist.items():
+                vec = (np.eye(8) + v * mats[0]) @ amps / 2
+                vec = (np.eye(8) + w * mats[2]) @ (unitary @ vec) / 2
+                assert prob == pytest.approx(float(np.vdot(vec, vec).real), abs=1e-10)
+
+    def test_premeasurement_step_needs_cleared_memory(self):
+        pm = Premeasurement(PauliString.from_label("XII"), 2, "bob")
+        dirty = np.zeros(8, dtype=complex)
+        dirty[0b100] = 1.0  # memory qubit 2 already set
+        with pytest.raises(ProtocolError):
+            _sequential_outcome_distribution(
+                dirty, (PauliString.from_label("ZII"), pm))
+        with pytest.raises(ProtocolError):
+            cpl_check(StateVector(3, dirty), PauliString.from_label("ZII"), "A",
+                      1, pm)
 
     def test_draw_outcome_counts(self):
         dist = [((1,), 0.25), ((-1,), 0.75)]

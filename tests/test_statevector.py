@@ -1,4 +1,8 @@
-"""State preparation, gates, Born-rule measurement, reduced densities."""
+"""State preparation, Born-rule measurement, expectations and fidelity.
+
+Measurement is the exact outcome tree of the scenarios module; the tests
+here pin its single-observable behaviour.
+"""
 from math import sqrt
 
 import numpy as np
@@ -6,23 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import expect, ghz_amps, op, random_state
-from relfacts.errors import InternalConsistencyError, ProtocolError, ResourceError
-from relfacts.pauli import PauliString, PauliSum
+from oracle import ghz_amps, op, random_state
+from relfacts.errors import ProtocolError, ResourceError
+from relfacts.pauli import PauliString
+from relfacts.scenarios import _draw_outcome_counts, _sequential_outcome_distribution
 from relfacts.statevector import (
-    GateMatrix,
     StateVector,
-    apply_gate,
     apply_pauli,
-    cnot,
-    density_fidelity,
     expectation,
     fidelity,
-    hadamard,
-    measure,
-    pauli_gate,
     prepare_ghz,
-    reduced_density,
     zero_state,
 )
 
@@ -65,54 +62,6 @@ class TestStateVector:
         assert state.probability_of_bit(1) == pytest.approx(1.0)
 
 
-class TestGates:
-    def test_hadamard(self):
-        state = apply_gate(zero_state(1), hadamard(), (0,))
-        np.testing.assert_allclose(state.amplitudes, [INV_SQRT2, INV_SQRT2], atol=1e-15)
-
-    def test_single_qubit_target_position(self):
-        state = apply_gate(zero_state(2), pauli_gate("X"), (1,))
-        assert state.amplitudes[0b10] == 1.0
-
-    def test_cnot_truth_table(self):
-        cx = cnot()
-        # control = targets[0] = qubit 0; |q1 q0> = |01> -> |11>
-        state = apply_gate(sv([0, 1, 0, 0]), cx, (0, 1))
-        assert state.amplitudes[0b11] == 1.0
-        # control clear: |10> unchanged
-        state = apply_gate(sv([0, 0, 1, 0]), cx, (0, 1))
-        assert state.amplitudes[0b10] == 1.0
-        # reversed roles: control = qubit 1
-        state = apply_gate(sv([0, 0, 1, 0]), cx, (1, 0))
-        assert state.amplitudes[0b11] == 1.0
-
-    def test_gate_validation(self):
-        with pytest.raises(ValueError):
-            GateMatrix("bad", np.array([[1.0, 0.0], [1.0, 0.0]]))
-        with pytest.raises(ValueError):
-            GateMatrix("odd", np.eye(3))
-        with pytest.raises(ValueError):
-            apply_gate(zero_state(2), cnot(), (0,))
-        with pytest.raises(ValueError):
-            apply_gate(zero_state(2), cnot(), (1, 1))
-        with pytest.raises(ValueError):
-            apply_gate(zero_state(2), hadamard(), (5,))
-
-    def test_random_unitaries_preserve_norm_100_cases(self):
-        rng = np.random.default_rng(424242)
-        for _ in range(100):
-            num_qubits = int(rng.integers(1, 5))
-            arity = int(rng.integers(1, min(num_qubits, 2) + 1))
-            dim = 1 << arity
-            raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            q, _ = np.linalg.qr(raw)
-            gate = GateMatrix("rand", q)
-            targets = tuple(rng.choice(num_qubits, size=arity, replace=False))
-            state = StateVector(num_qubits, random_state(rng, num_qubits))
-            out = apply_gate(state, gate, targets)
-            assert abs(out.norm() - 1.0) < 1e-10
-
-
 class TestPrepareGhz:
     def test_three_qubit_amplitudes(self):
         state = prepare_ghz(zero_state(3), (0, 1, 2))
@@ -131,7 +80,7 @@ class TestPrepareGhz:
         assert expectation(state, PauliString.from_label("ZZI")) == pytest.approx(1.0)
 
     def test_preconditions(self):
-        dirty = apply_gate(zero_state(3), pauli_gate("X"), (1,))
+        dirty = sv([0, 0, 1, 0, 0, 0, 0, 0])  # qubit 1 excited
         with pytest.raises(ProtocolError):
             prepare_ghz(dirty, (0, 1, 2))
         with pytest.raises(ValueError):
@@ -150,56 +99,26 @@ class TestExpectationAndApply:
             out.amplitudes, -op(3, {0: "X", 1: "Z", 2: "Y"}) @ state.amplitudes,
             atol=1e-12)
 
-    def test_apply_pauli_rejects_sums(self):
-        s = PauliSum([(INV_SQRT2, PauliString.from_label("X")),
-                      (INV_SQRT2, PauliString.from_label("Z"))])
-        with pytest.raises(ValueError):
-            apply_pauli(zero_state(1), s)
-
-    def test_expectation_requires_involution(self):
-        bad = PauliSum([(1.0, PauliString.from_label("X")),
-                        (1.0, PauliString.from_label("Z"))])
-        with pytest.raises(ValueError):
-            expectation(zero_state(1), bad)
+    def test_expectation_register_mismatch(self):
         with pytest.raises(ValueError):
             expectation(zero_state(2), PauliString.from_label("X"))
-
-    def test_expectation_of_sum_matches_dense(self):
-        rng = np.random.default_rng(5)
-        s = PauliSum([(INV_SQRT2, PauliString.from_label("X")),
-                      (INV_SQRT2, PauliString.from_label("Z"))])
-        m = INV_SQRT2 * (op(1, {0: "X"}) + op(1, {0: "Z"}))
-        for _ in range(20):
-            amps = random_state(rng, 1)
-            assert expectation(StateVector(1, amps), s) == pytest.approx(
-                expect(amps, m), abs=1e-12)
+        with pytest.raises(ValueError):
+            apply_pauli(zero_state(2), PauliString.from_label("X"))
 
 
 class TestMeasure:
-    def test_certain_branch_skips_rng(self):
-        state = prepare_ghz(zero_state(3), (0, 1, 2))
-
-        class Boom:
-            def random(self):
-                raise AssertionError("draw consumed on a certain branch")
-
-        out = measure(state, PauliString.from_label("XXX"), Boom())
-        assert out.value == 1
-        assert out.probability == pytest.approx(1.0)
-
     def test_born_frequencies(self):
-        state = apply_gate(zero_state(1), hadamard(), (0,))
-        rng = np.random.default_rng(17)
-        values = [measure(state, PauliString.from_label("Z"), rng).value
-                  for _ in range(400)]
-        plus = values.count(1)
-        assert 140 <= plus <= 260  # 5 sigma around 200
+        dist = _sequential_outcome_distribution(
+            sv([INV_SQRT2, INV_SQRT2]).amplitudes, (PauliString.from_label("Z"),))
+        counts = dict(_draw_outcome_counts(dist, 400, np.random.default_rng(17)))
+        assert 140 <= counts[(1,)] <= 260  # 5 sigma around 200
+        assert counts[(1,)] + counts[(-1,)] == 400
 
     def test_determinism_same_seed(self):
-        state = apply_gate(zero_state(2), hadamard(), (0,))
-        obs = PauliString.from_label("ZI")
-        a = [measure(state, obs, np.random.default_rng(3)).value for _ in range(20)]
-        b = [measure(state, obs, np.random.default_rng(3)).value for _ in range(20)]
+        amps = sv([INV_SQRT2, INV_SQRT2, 0, 0]).amplitudes
+        dist = _sequential_outcome_distribution(amps, (PauliString.from_label("ZI"),))
+        a = _draw_outcome_counts(dist, 20, np.random.default_rng(3))
+        b = _draw_outcome_counts(dist, 20, np.random.default_rng(3))
         assert a == b
 
     @given(st.integers(0, 2**32 - 1))
@@ -210,76 +129,24 @@ class TestMeasure:
         factors = tuple(rng.choice(list("IXYZ"), size=num_qubits))
         obs = PauliString(num_qubits, factors)
         state = StateVector(num_qubits, random_state(rng, num_qubits))
-        out = measure(state, obs, rng)
-        p_plus = out.probability if out.value == 1 else 1.0 - out.probability
+        dist = dict(_sequential_outcome_distribution(state.amplitudes, (obs,)))
+        p_plus = dist.get((1,), 0.0)
         assert expectation(state, obs) == pytest.approx(2 * p_plus - 1, abs=1e-10)
 
     def test_repeat_readout_agrees(self):
-        rng = np.random.default_rng(8)
-        state = apply_gate(zero_state(1), hadamard(), (0,))
         obs = PauliString.from_label("Z")
-        first = measure(state, obs, rng)
-        second = measure(first.state, obs, rng)
-        assert second.value == first.value
-        assert second.probability == pytest.approx(1.0)
+        dist = dict(_sequential_outcome_distribution(
+            sv([INV_SQRT2, INV_SQRT2]).amplitudes, (obs, obs)))
+        assert set(dist) == {(1, 1), (-1, -1)}
+        assert dist[(1, 1)] == pytest.approx(0.5, abs=1e-12)
 
 
 class TestFidelityAndDensity:
     def test_fidelity_examples(self):
-        plus = apply_gate(zero_state(1), hadamard(), (0,))
-        one = apply_gate(zero_state(1), pauli_gate("X"), (0,))
+        plus = sv([INV_SQRT2, INV_SQRT2])
+        one = sv([0, 1])
         assert fidelity(zero_state(1), zero_state(1)) == pytest.approx(1.0)
         assert fidelity(zero_state(1), one) == pytest.approx(0.0)
         assert fidelity(zero_state(1), plus) == pytest.approx(0.5)
         with pytest.raises(ValueError):
             fidelity(zero_state(1), zero_state(2))
-
-    def test_reduced_density_ghz(self):
-        state = prepare_ghz(zero_state(3), (0, 1, 2))
-        one = reduced_density(state, (0,))
-        np.testing.assert_allclose(one, np.eye(2) / 2, atol=1e-12)
-        purity = float(np.trace(one @ one).real)
-        assert purity == pytest.approx(0.5)
-        two = reduced_density(state, (0, 2))
-        np.testing.assert_allclose(two, np.diag([0.5, 0, 0, 0.5]), atol=1e-12)
-
-    def test_reduced_density_index_order(self):
-        # |q1 q0> = |0 1>: qubit 0 is excited, qubit 1 is not.
-        state = sv([0, 1, 0, 0])
-        np.testing.assert_allclose(
-            reduced_density(state, (0,)), np.diag([0.0, 1.0]), atol=1e-15)
-        np.testing.assert_allclose(
-            reduced_density(state, (1,)), np.diag([1.0, 0.0]), atol=1e-15)
-        # subset[0] is the least significant row bit
-        np.testing.assert_allclose(
-            np.diag(reduced_density(state, (0, 1))),
-            [0.0, 1.0, 0.0, 0.0], atol=1e-15)
-
-    def test_reduced_density_properties(self):
-        rng = np.random.default_rng(31)
-        for _ in range(10):
-            state = StateVector(4, random_state(rng, 4))
-            rho = reduced_density(state, (1, 3))
-            assert float(np.trace(rho).real) == pytest.approx(1.0)
-            np.testing.assert_allclose(rho, rho.conj().T, atol=1e-12)
-            eigs = np.linalg.eigvalsh(rho)
-            assert eigs.min() > -1e-12
-
-    def test_reduced_density_guards(self):
-        state = zero_state(14)
-        with pytest.raises(ResourceError):
-            reduced_density(state, tuple(range(13)))
-        with pytest.raises(ValueError):
-            reduced_density(zero_state(2), ())
-        with pytest.raises(ValueError):
-            reduced_density(zero_state(2), (0, 0))
-        with pytest.raises(ValueError):
-            reduced_density(zero_state(2), (4,))
-
-    def test_density_fidelity(self):
-        state = prepare_ghz(zero_state(2), (0, 1))
-        rho = np.outer(state.amplitudes, state.amplitudes.conj())
-        assert density_fidelity(rho, state) == pytest.approx(1.0)
-        assert density_fidelity(np.eye(4) / 4, state) == pytest.approx(0.25)
-        with pytest.raises(ValueError):
-            density_fidelity(np.eye(2) / 2, state)
