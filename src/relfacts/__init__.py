@@ -57,7 +57,6 @@ from .statevector import (
     ALG_TOL,
     PHYS_TOL,
     StateVector,
-    apply_pauli,
     expectation,
     fidelity,
     prepare_ghz,
@@ -90,7 +89,6 @@ __all__ = [
     "StageSnapshot",
     "StateVector",
     "analyze",
-    "apply_pauli",
     "certify_constraint",
     "child_generator",
     "commutes",

@@ -138,16 +138,6 @@ class RelativeFact:
         if self.value not in (None, 1, -1):
             raise ValueError(f"fact value must be +1, -1 or None, got {self.value!r}")
 
-    def as_dict(self) -> dict:
-        return {
-            "owner": self.owner,
-            "label": self.label,
-            "qubit": self.qubit,
-            "stage": self.stage,
-            "value": self.value,
-            "status": self.status,
-        }
-
 
 class Ledger:
     """Ordered collection of relative facts with disturbance tracking."""

@@ -6,11 +6,17 @@ deterministic operation counting, never wall-clock, so that identical
 (command, flags) produce byte-identical output; wall-clock belongs on
 stderr. JSON is emitted with sorted keys and floats normalized to 12
 significant digits.
+
+Report keys are the field names of the result dataclasses (ScenarioConfig,
+OperationCounters, ConstraintResult, SampleTally, CplResult, RelativeFact,
+...): canonicalize serializes any dataclass field by field. Renaming a field
+therefore changes the schema, and the pinned hashes in tests/test_golden.py
+catch it.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -40,11 +46,16 @@ def canonicalize(value):
         return {str(k): canonicalize(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [canonicalize(v) for v in value]
+    if is_dataclass(value) and not isinstance(value, type):
+        return {f.name: canonicalize(getattr(value, f.name)) for f in fields(value)}
     raise TypeError(f"cannot canonicalize {type(value).__name__}")
 
 
 @dataclass(frozen=True)
 class ReportDocument:
+    """One report. The results tree may still hold result dataclasses;
+    as_dict() canonicalizes the whole document."""
+
     command: str
     config: dict
     results: dict
@@ -52,48 +63,64 @@ class ReportDocument:
     timing: dict
 
     def as_dict(self) -> dict:
-        return canonicalize({
-            "schema_version": SCHEMA_VERSION,
-            "command": self.command,
-            "config": self.config,
-            "results": self.results,
-            "verdict": self.verdict,
-            "timing": self.timing,
-        })
+        return dict(canonicalize(self), schema_version=SCHEMA_VERSION)
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\n"
 
 
+# ScenarioReport fields that are not results: the document carries config,
+# counters and passed in their own blocks, and the snapshots and ledger facts
+# go out as "stages" and "ledger".
+_NOT_RESULTS = ("snapshots", "ledger_facts", "config", "counters", "passed")
+
+
+def _stage_summary(snap, limit: int = 8) -> dict:
+    """A stage's norm, its `limit` heaviest amplitudes (ties by index) and
+    its facts; the full state stays out of the report."""
+    amps = snap.state.amplitudes
+    leading = []
+    for i in np.argsort(-np.abs(amps) ** 2, kind="stable")[:limit]:
+        if abs(amps[i]) <= 1e-9:
+            break
+        leading.append([int(i), [float(amps[i].real), float(amps[i].imag)]])
+    return {
+        "index": snap.index,
+        "label": snap.label,
+        "norm": snap.state.norm(),
+        "leading_amplitudes": leading,
+        "facts": snap.facts,
+    }
+
+
+def _scenario_results(report) -> dict:
+    body = {f.name: getattr(report, f.name)
+            for f in fields(report) if f.name not in _NOT_RESULTS}
+    body["stages"] = [_stage_summary(s) for s in report.snapshots]
+    body["ledger"] = report.ledger_facts
+    return body
+
+
 def from_scenario(command: str, report) -> ReportDocument:
-    body = report.as_dict()
-    config = body.pop("config")
-    timing = body.pop("counters")
-    passed = body.pop("passed")
     return ReportDocument(
-        command=command, config=config, results=body,
-        verdict="PASS" if passed else "FAIL", timing=timing)
+        command=command, config=canonicalize(report.config),
+        results=_scenario_results(report),
+        verdict="PASS" if report.passed else "FAIL",
+        timing=canonicalize(report.counters))
 
 
 def from_cdr_suite(command: str, reports: Sequence) -> ReportDocument:
-    experiments = []
+    config = {}
     timing: dict = {}
-    all_passed = True
-    config = None
     for rep in reports:
-        body = rep.as_dict()
-        rep_config = body.pop("config")
-        if config is None:
-            config = dict(rep_config, experiment_id="all")
-        counters = body.pop("counters")
-        for key, val in counters.items():
-            timing[key] = timing.get(key, 0) + val
-        all_passed = all_passed and body.pop("passed")
-        experiments.append(body)
+        config = config or dict(canonicalize(rep.config), experiment_id="all")
+        for f in fields(rep.counters):
+            timing[f.name] = timing.get(f.name, 0) + getattr(rep.counters, f.name)
     return ReportDocument(
-        command=command, config=config or {},
-        results={"experiments": experiments},
-        verdict="PASS" if all_passed else "FAIL", timing=timing)
+        command=command, config=config,
+        results={"experiments": [_scenario_results(rep) for rep in reports]},
+        verdict="PASS" if all(rep.passed for rep in reports) else "FAIL",
+        timing=timing)
 
 
 def from_parity(command: str, analysis: dict, config: dict) -> ReportDocument:

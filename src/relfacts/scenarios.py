@@ -68,7 +68,9 @@ BOB_MEMORY = (6, 7, 8)
 
 DEFAULT_TOLERANCE = 1e-9
 # Exact products lie in [-1, 1] and a disturbed one reads 0, so a tolerance
-# of 0.5 or more would let wrong physics pass.
+# of 0.5 or more would let wrong physics pass. For the same reason a value
+# counts as disturbed only when it lies farther than this from the intact
+# one: anything closer could still pass certification.
 MAX_TOLERANCE = 0.5
 
 BOB_MODES = ("lmz-lifted", "cdr-reversal")
@@ -120,15 +122,6 @@ class ScenarioConfig:
         if not 0 <= self.master_seed < 2**64:
             raise ValueError(f"master_seed must be in [0, 2^64), got {self.master_seed}")
 
-    def as_dict(self) -> dict:
-        return {
-            "bob_mode": self.bob_mode,
-            "experiment_id": self.experiment_id,
-            "shots": self.shots,
-            "master_seed": self.master_seed,
-            "tolerance": self.tolerance,
-        }
-
 
 @dataclass
 class OperationCounters:
@@ -139,14 +132,6 @@ class OperationCounters:
     projective_measurements: int = 0
     exact_expectations: int = 0
     sampled_shots: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "unitary_applications": self.unitary_applications,
-            "projective_measurements": self.projective_measurements,
-            "exact_expectations": self.exact_expectations,
-            "sampled_shots": self.sampled_shots,
-        }
 
 
 @dataclass(frozen=True)
@@ -172,22 +157,6 @@ class ConstraintResult:
     violations: int
     certified: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "constraint_id": self.constraint_id,
-            "kind": self.kind,
-            "labels": list(self.labels),
-            "stage": self.stage,
-            "expected": self.expected,
-            "expectation": self.expectation,
-            "tolerance": self.tolerance,
-            "shots": self.shots,
-            "products_plus": self.products_plus,
-            "products_minus": self.products_minus,
-            "violations": self.violations,
-            "certified": self.certified,
-        }
-
 
 @dataclass(frozen=True)
 class MarginalSummary:
@@ -195,14 +164,6 @@ class MarginalSummary:
     plus_count: int
     frequency: float
     within_band: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "plus_count": self.plus_count,
-            "frequency": self.frequency,
-            "within_band": self.within_band,
-        }
 
 
 @dataclass(frozen=True)
@@ -221,31 +182,6 @@ class SampleTally:
     violations: int
     marginals: tuple
     all_products_expected: bool
-
-    def outcome_counts_product(self, value: int) -> int:
-        """Number of shots whose joint outcome multiplies to `value`."""
-        total = 0
-        for key, count in self.outcome_counts.items():
-            product = 1
-            for ch in key:
-                product *= 1 if ch == "+" else -1
-            if product == value:
-                total += count
-        return total
-
-    def as_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "constraint_id": self.constraint_id,
-            "stage": self.stage,
-            "record_labels": list(self.record_labels),
-            "expected_product": self.expected_product,
-            "shots": self.shots,
-            "outcome_counts": dict(sorted(self.outcome_counts.items())),
-            "violations": self.violations,
-            "marginals": [m.as_dict() for m in self.marginals],
-            "all_products_expected": self.all_products_expected,
-        }
 
 
 @dataclass(frozen=True)
@@ -270,29 +206,13 @@ class CplResult:
     premise_certified: bool
     violation_demonstrated: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "system_label": self.system_label,
-            "record_label": self.record_label,
-            "record_qubit": self.record_qubit,
-            "disturbance_label": self.disturbance_label,
-            "shots": self.shots,
-            "intact_expectation": self.intact_expectation,
-            "intact_matches": self.intact_matches,
-            "disturbed_expectation": self.disturbed_expectation,
-            "disturbed_matches": self.disturbed_matches,
-            "operator_product_after": self.operator_product_after,
-            "premise_certified": self.premise_certified,
-            "violation_demonstrated": self.violation_demonstrated,
-        }
-
 
 @dataclass
 class ScenarioReport:
     """Everything one flow certifies, plus the stage-by-stage evidence.
 
-    `snapshots` keeps the full states for programmatic use and is excluded
-    from serialization; as_dict() emits summaries only.
+    `snapshots` keeps the full states for programmatic use; the report
+    module serializes a summary of each stage instead.
     """
 
     scenario: str
@@ -310,43 +230,6 @@ class ScenarioReport:
     sampling: list
     counters: OperationCounters
     passed: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "experiment_id": self.experiment_id,
-            "config": self.config.as_dict(),
-            "stages": [_stage_summary(s) for s in self.snapshots],
-            "ledger": [f.as_dict() for f in self.ledger_facts],
-            "constraints": [c.as_dict() for c in self.constraints],
-            "commutation": self.commutation,
-            "final_certificate": self.final_certificate,
-            "disturbed_diagnostic": self.disturbed_diagnostic,
-            "restoration": self.restoration,
-            "coexisting_records": self.coexisting_records,
-            "cpl": self.cpl.as_dict() if self.cpl is not None else None,
-            "sampling": [t.as_dict() for t in self.sampling],
-            "counters": self.counters.as_dict(),
-            "passed": self.passed,
-        }
-
-
-def _stage_summary(snap: StageSnapshot, limit: int = 8) -> dict:
-    amps = snap.state.amplitudes
-    weights = np.abs(amps) ** 2
-    order = sorted(range(amps.size), key=lambda i: (-weights[i], i))
-    leading = []
-    for i in order[:limit]:
-        if abs(amps[i]) <= 1e-9:
-            break
-        leading.append([int(i), [float(amps[i].real), float(amps[i].imag)]])
-    return {
-        "index": snap.index,
-        "label": snap.label,
-        "norm": snap.state.norm(),
-        "leading_amplitudes": leading,
-        "facts": [f.as_dict() for f in snap.facts],
-    }
 
 
 # -- protocol building blocks ------------------------------------------------
@@ -486,23 +369,14 @@ def certify_constraint(state: StateVector,
             raise ProtocolError(
                 f"observables {la} and {lb} do not commute; "
                 "simultaneous certification is undefined")
-    amps = state.amplitudes
-    acc = amps
-    for obs in reversed(observables):
-        if obs.num_qubits != state.num_qubits:
-            raise ValueError("observable register does not match the state")
-        acc = obs.apply_to_array(acc)
-    val = complex(np.vdot(amps, acc))
-    if abs(val.imag) > PHYS_TOL:
-        raise InternalConsistencyError(
-            f"product expectation came out complex: {val!r}")
+    val = expectation(state, product_of(observables))
     if counters is not None:
         counters.exact_expectations += 1
     return ConstraintResult(
         constraint_id=constraint_id, kind=kind, labels=labels, stage=stage,
-        expected=expected, expectation=float(val.real), tolerance=tolerance,
+        expected=expected, expectation=val, tolerance=tolerance,
         shots=0, products_plus=0, products_minus=0, violations=0,
-        certified=abs(val.real - expected) <= tolerance)
+        certified=abs(val - expected) <= tolerance)
 
 
 def sample_records(state: StateVector,
@@ -615,7 +489,7 @@ def cpl_check(state: StateVector,
         operator_product_after=operator_after,
         premise_certified=(abs(exact[0] - 1.0) <= tolerance
                            and matches[0] == shots),
-        violation_demonstrated=(1.0 - exact[1]) > 0.1)
+        violation_demonstrated=(1.0 - exact[1]) > MAX_TOLERANCE)
 
 
 def _commutation_survey(specs: Sequence[ConstraintSpec],
@@ -730,10 +604,13 @@ def _certify_records(state: StateVector, constraint_id: int, stage: str,
         master_seed=config.master_seed, target_index=constraint_id,
         counters=counters)
     sampling.append(tally)
+    # Every shot's product is +1 or -1, and the violations are the shots
+    # whose product differs from the expected sign.
+    matching = tally.shots - tally.violations
     return replace(
         result, shots=tally.shots,
-        products_plus=tally.outcome_counts_product(1),
-        products_minus=tally.outcome_counts_product(-1),
+        products_plus=matching if expected == 1 else tally.violations,
+        products_minus=tally.violations if expected == 1 else matching,
         violations=tally.violations,
         certified=result.certified and tally.violations == 0)
 
@@ -830,7 +707,7 @@ def run_lmz(config: Optional[ScenarioConfig] = None) -> ScenarioReport:
         "early_expectation": early_val,
         "final_expectation": final_val,
         "gap": abs(final_val - early_val),
-        "gap_exceeds_half": abs(final_val - early_val) > 0.5,
+        "gap_exceeds_half": abs(final_val - early_val) > MAX_TOLERANCE,
         "record_statuses": disturbed_statuses,
     }
 

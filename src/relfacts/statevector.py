@@ -97,14 +97,6 @@ def prepare_ghz(state: StateVector, qubits) -> StateVector:
     return StateVector(state.num_qubits, out)
 
 
-def apply_pauli(state: StateVector, op: PauliString) -> StateVector:
-    """The state P|psi>, including the sign of P."""
-    if op.num_qubits != state.num_qubits:
-        raise ValueError(
-            f"operator on {op.num_qubits} qubits, state on {state.num_qubits}")
-    return StateVector(state.num_qubits, op.apply_to_array(state.amplitudes))
-
-
 def expectation(state: StateVector, op: PauliString) -> float:
     """<psi| P |psi> for a Pauli string. Guaranteed real and in [-1, 1] up
     to PHYS_TOL; violations raise InternalConsistencyError."""

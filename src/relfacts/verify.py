@@ -21,6 +21,7 @@ from .report import build_check_document, build_run_document, render_text
 from .scenarios import (
     ALICE_MEMORY,
     BOB_MEMORY,
+    MAX_TOLERANCE,
     NUM_QUBITS,
     SYSTEM_QUBITS,
     ScenarioConfig,
@@ -181,7 +182,7 @@ def run_all_checks(full_shots: int = FULL_SHOTS) -> tuple:
         drop = result.intact_expectation - result.disturbed_expectation
         ok = (result.premise_certified
               and result.intact_matches == full_shots
-              and drop > 0.1
+              and drop > MAX_TOLERANCE
               and result.violation_demonstrated)
         return ok, (
             f"intact agreement {result.intact_matches}/{full_shots} "

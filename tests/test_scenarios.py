@@ -8,6 +8,7 @@ from oracle import expect, ghz_amps, op, premeasure_unitary
 from relfacts.errors import ProtocolError
 from relfacts.observers import Premeasurement, premeasure
 from relfacts.pauli import PauliString
+from relfacts.report import from_scenario
 from relfacts.scenarios import (
     ALICE_MEMORY,
     BOB_MEMORY,
@@ -30,7 +31,6 @@ from relfacts.scenarios import (
 )
 from relfacts.statevector import (
     StateVector,
-    apply_pauli,
     expectation,
     fidelity,
     prepare_ghz,
@@ -270,7 +270,9 @@ class TestLmzSampled:
 
     def test_deterministic_rerun(self, lmz_sampled):
         again = run_lmz(ScenarioConfig(shots=500, master_seed=3))
-        assert again.as_dict() == lmz_sampled.as_dict()
+        command = "run lmz --shots 500 --seed 3"
+        assert (from_scenario(command, again).to_json()
+                == from_scenario(command, lmz_sampled).to_json())
 
     def test_different_seed_changes_counts(self, lmz_sampled):
         other = run_lmz(ScenarioConfig(shots=500, master_seed=4))
@@ -461,8 +463,8 @@ class TestSamplingMachinery:
 class TestFlippedSharedState:
     def test_all_four_constraints_fail(self):
         state = prepare_ghz(zero_state(NUM_QUBITS), SYSTEM_QUBITS)
-        state = apply_pauli(
-            state, PauliString.single(NUM_QUBITS, SYSTEM_QUBITS[0], "Z"))
+        state = StateVector(NUM_QUBITS, PauliString.single(
+            NUM_QUBITS, SYSTEM_QUBITS[0], "Z").apply_to_array(state.amplitudes))
         pms = alice_premeasurements()
         for pm in pms:
             state = premeasure(state, pm)
@@ -576,7 +578,9 @@ class TestCdr:
     def test_deterministic_rerun(self, cdr_suite_sampled):
         again = run_cdr(ScenarioConfig(
             bob_mode="cdr-reversal", experiment_id=2, shots=500, master_seed=5))
-        assert again.as_dict() == cdr_suite_sampled[1].as_dict()
+        command = "run cdr --experiment 2 --shots 500 --seed 5"
+        assert (from_scenario(command, again).to_json()
+                == from_scenario(command, cdr_suite_sampled[1]).to_json())
 
     def test_reversed_state_matches_dense(self, cdr_suite_sampled):
         # experiment 2 reverses pair 1 only; rebuild with dense unitaries

@@ -16,7 +16,6 @@ from relfacts.pauli import PauliString
 from relfacts.scenarios import _draw_outcome_counts, _sequential_outcome_distribution
 from relfacts.statevector import (
     StateVector,
-    apply_pauli,
     expectation,
     fidelity,
     prepare_ghz,
@@ -90,20 +89,20 @@ class TestPrepareGhz:
 
 
 class TestExpectationAndApply:
-    def test_apply_pauli_matches_dense(self):
+    def test_apply_to_array_matches_dense(self):
         rng = np.random.default_rng(99)
         state = StateVector(3, random_state(rng, 3))
         p = PauliString.from_label("XZY", sign=-1)
-        out = apply_pauli(state, p)
+        out = p.apply_to_array(state.amplitudes)
         np.testing.assert_allclose(
-            out.amplitudes, -op(3, {0: "X", 1: "Z", 2: "Y"}) @ state.amplitudes,
+            out, -op(3, {0: "X", 1: "Z", 2: "Y"}) @ state.amplitudes,
             atol=1e-12)
 
     def test_expectation_register_mismatch(self):
         with pytest.raises(ValueError):
             expectation(zero_state(2), PauliString.from_label("X"))
         with pytest.raises(ValueError):
-            apply_pauli(zero_state(2), PauliString.from_label("X"))
+            PauliString.from_label("X").apply_to_array(zero_state(2).amplitudes)
 
 
 class TestMeasure:
