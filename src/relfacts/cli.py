@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from pathlib import Path
 from typing import Optional
 
@@ -21,7 +20,7 @@ from .report import (
     render_text,
 )
 from .rng import MAX_SEED
-from .scenarios import MAX_TOLERANCE
+from .scenarios import MAX_SHOTS, MAX_TOLERANCE
 from .verify import run_all_checks
 
 
@@ -45,7 +44,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="which reversal experiment to run (cdr only)")
     run_p.add_argument(
         "--shots", type=int, default=0,
-        help="sampled repetitions per target (0 = exact certification only)")
+        help="sampled repetitions per target, at most "
+             f"{MAX_SHOTS:g} (0 = exact certification only)")
     run_p.add_argument("--seed", type=int, default=0, help="master random seed")
     run_p.add_argument(
         "--tolerance", type=float, default=1e-9,
@@ -97,8 +97,8 @@ def _emit(doc: ReportDocument, fmt: str, out: Optional[Path]) -> int:
 
 
 def _cmd_run(args) -> int:
-    if args.shots < 0:
-        return _usage_error("--shots must be >= 0")
+    if not 0 <= args.shots <= MAX_SHOTS:
+        return _usage_error(f"--shots must lie in [0, {MAX_SHOTS:g}]")
     if not 0 <= args.seed <= MAX_SEED:
         return _usage_error("--seed must be in [0, 2^64)")
     if not 0 < args.tolerance < MAX_TOLERANCE:

@@ -10,7 +10,7 @@ observable perfectly until some later operation fails to commute with it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np

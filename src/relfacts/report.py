@@ -21,6 +21,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .scenarios import (
+    MAX_TOLERANCE,
+    ScenarioConfig,
+    run_cdr,
+    run_cdr_suite,
+    run_lmz,
+)
+
 SCHEMA_VERSION = "1"
 
 
@@ -146,8 +154,6 @@ def build_run_document(scenario: str, experiment: Optional[str], shots: int,
     """Run a scenario from primitive flags and wrap it as a document. The
     command echo is rebuilt from the flags, so identical flags always yield
     identical documents."""
-    from .scenarios import ScenarioConfig, run_cdr, run_cdr_suite, run_lmz
-
     if scenario == "lmz":
         command = f"run lmz --shots {shots} --seed {seed} --tolerance {tolerance:g}"
         report = run_lmz(ScenarioConfig(
@@ -242,7 +248,8 @@ def _render_scenario_body(results: dict) -> list:
             f"disturbed records: {'*'.join(diag['records'])} went from "
             f"{_fmt(diag['early_expectation'])} at {diag['early_stage']} to "
             f"{_fmt(diag['final_expectation'])} at the final stage "
-            f"(gap {_fmt(diag['gap'])}, exceeds 0.5: {_fmt(diag['gap_exceeds_half'])})")
+            f"(gap {_fmt(diag['gap'])}, exceeds {MAX_TOLERANCE:g}: "
+            f"{_fmt(diag['gap_exceeds_half'])})")
         lines.append("")
     restoration = results.get("restoration")
     if restoration:

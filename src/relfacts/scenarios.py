@@ -25,9 +25,10 @@ tree.
 
 Randomness: every sampled draw comes from rng.child_generator(master_seed,
 stream, scope), with streams STREAM_SAMPLE (scope = target index) and
-STREAM_CPL (scope = variant). Shots inside one scope consume the stream
-sequentially, so identical (seed, flags) reproduce identical reports byte
-for byte.
+STREAM_CPL (scope = variant). Each scope draws its shots' outcome counts
+with one multinomial over the tree's probabilities, so the cost does not
+grow with the shot count, and identical (seed, flags) reproduce identical
+reports byte for byte.
 """
 from __future__ import annotations
 
@@ -72,6 +73,9 @@ DEFAULT_TOLERANCE = 1e-9
 # counts as disturbed only when it lies farther than this from the intact
 # one: anything closer could still pass certification.
 MAX_TOLERANCE = 0.5
+# Shots per target are drawn as one multinomial whose count must fit a
+# signed 64-bit integer.
+MAX_SHOTS = 10**18
 
 BOB_MODES = ("lmz-lifted", "cdr-reversal")
 
@@ -94,7 +98,7 @@ class ScenarioConfig:
 
     experiment_id selects one of the four reversal experiments and must be
     present exactly when bob_mode is "cdr-reversal". shots = 0 disables
-    sampling, leaving only exact Born-rule certification.
+    sampling, leaving only exact Born-rule certification; at most MAX_SHOTS.
     """
 
     bob_mode: str = "lmz-lifted"
@@ -114,8 +118,8 @@ class ScenarioConfig:
                 f"got {self.experiment_id!r}")
         if not needs_experiment and self.experiment_id is not None:
             raise ValueError("experiment_id is only meaningful in cdr-reversal mode")
-        if self.shots < 0:
-            raise ValueError(f"shots must be >= 0, got {self.shots}")
+        if not 0 <= self.shots <= MAX_SHOTS:
+            raise ValueError(f"shots must lie in [0, {MAX_SHOTS:g}], got {self.shots}")
         if not 0 < self.tolerance < MAX_TOLERANCE:
             raise ValueError(
                 f"tolerance must lie in (0, {MAX_TOLERANCE:g}), got {self.tolerance}")
@@ -330,12 +334,10 @@ def _sequential_outcome_distribution(amplitudes: np.ndarray,
 
 def _draw_outcome_counts(dist: list, shots: int, rng: np.random.Generator) -> list:
     """Sample `shots` outcomes from a [(values, p), ...] distribution with
-    one uniform draw per shot. Returns [(values, count), ...]."""
-    cumulative = np.cumsum([p for _, p in dist])
-    draws = rng.random(shots)
-    picks = np.minimum(
-        np.searchsorted(cumulative, draws, side="right"), len(dist) - 1)
-    counts = np.bincount(picks, minlength=len(dist))
+    one multinomial draw, exact in law and O(outcomes) in time and memory.
+    Returns [(values, count), ...]."""
+    probs = np.array([p for _, p in dist])
+    counts = rng.multinomial(shots, probs / probs.sum())
     return [(values, int(c)) for (values, _), c in zip(dist, counts)]
 
 
@@ -392,7 +394,7 @@ def sample_records(state: StateVector,
                    counters: Optional[OperationCounters] = None) -> SampleTally:
     """Repeatedly read the listed (label, qubit) records in order and tally
     joint outcomes, products, and per-record marginals. Shots are drawn
-    from the exact readout-cascade distribution, one uniform per shot."""
+    from the exact readout-cascade distribution."""
     counts: dict = {}
     violations = 0
     plus_counts = [0] * len(records)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import time
 from itertools import combinations
-from typing import Optional
 
 import numpy as np
 

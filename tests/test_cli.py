@@ -4,6 +4,7 @@ import json
 import pytest
 
 from relfacts.cli import main
+from relfacts.scenarios import MAX_SHOTS
 
 
 class TestRunCommand:
@@ -66,6 +67,13 @@ class TestRunCommand:
         assert capsys.readouterr().out == ""
         assert json.loads(path.read_text())["verdict"] == "PASS"
 
+    def test_max_shots_passes(self, capsys):
+        rc = main(["run", "lmz", "--shots", str(MAX_SHOTS)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert f"sampled_shots={6 * MAX_SHOTS}" in out
+        assert "verdict: PASS" in out
+
     def test_unreachable_tolerance_fails(self, capsys):
         rc = main(["run", "lmz", "--tolerance", "1e-18"])
         out = capsys.readouterr().out
@@ -86,6 +94,7 @@ class TestUsageErrors:
         ["run", "lmz", "--tolerance", "0.5"],
         ["run", "cdr", "--experiment", "all", "--tolerance", "3"],
         ["run", "lmz", "--tolerance", "inf"],
+        ["run", "lmz", "--shots", str(MAX_SHOTS + 1)],
     ])
     def test_returns_2(self, argv, capsys):
         assert main(argv) == 2

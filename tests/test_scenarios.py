@@ -13,6 +13,7 @@ from relfacts.scenarios import (
     ALICE_MEMORY,
     BOB_MEMORY,
     CONSTRAINT_SIGNS,
+    MAX_SHOTS,
     NUM_QUBITS,
     SYSTEM_QUBITS,
     OperationCounters,
@@ -66,6 +67,7 @@ class TestScenarioConfig:
         {"tolerance": 0.5},
         {"tolerance": 3.0},
         {"tolerance": float("inf")},
+        {"shots": MAX_SHOTS + 1},
     ])
     def test_rejections(self, kwargs):
         with pytest.raises(ValueError):
@@ -437,6 +439,26 @@ class TestSamplingMachinery:
         assert 182 <= counts[(1,)] <= 318  # 5 sigma around 250
         again = dict(_draw_outcome_counts(dist, 1000, np.random.default_rng(5)))
         assert counts == again
+
+    def test_draw_outcome_counts_law(self):
+        dist = [((1, 1), 0.1), ((1, -1), 0.0), ((-1, 1), 0.6), ((-1, -1), 0.3)]
+        shots = 10**6
+        for seed in range(3):
+            counts = dict(_draw_outcome_counts(dist, shots, np.random.default_rng(seed)))
+            assert list(counts) == [values for values, _ in dist]
+            assert sum(counts.values()) == shots
+            assert counts[(1, -1)] == 0
+            for values, p in dist:
+                sigma = np.sqrt(shots * p * (1 - p))
+                assert abs(counts[values] - p * shots) <= 5 * sigma
+
+    def test_shot_cost_does_not_grow_with_shots(self):
+        # One draw per shot would need exabytes here.
+        report = run_lmz(ScenarioConfig(shots=MAX_SHOTS, master_seed=3))
+        assert report.passed
+        assert all(t.violations == 0 for t in report.sampling)
+        assert report.cpl.intact_matches == MAX_SHOTS
+        assert report.counters.sampled_shots == 6 * MAX_SHOTS
 
     def test_sample_records_deterministic(self, lmz_exact):
         final = lmz_exact.snapshots[4].state
