@@ -198,7 +198,7 @@ def test_acceptance_09_byte_identical_reports():
 
 
 def test_acceptance_10_full_sweep_within_budget():
-    rows, elapsed = run_all_checks()
+    rows, elapsed, _ = run_all_checks()
     ok = (len(rows) == 10
           and all(row["passed"] for row in rows)
           and elapsed < TIME_BUDGET_SECONDS)

@@ -1,5 +1,8 @@
 """CLI contract: exit codes, output formats, byte-level determinism."""
 import json
+import os
+import re
+from contextlib import redirect_stderr
 
 import pytest
 
@@ -183,3 +186,14 @@ class TestVerifyCommand:
         assert len(doc["results"]["checks"]) == 10
         assert [row["id"] for row in doc["results"]["checks"]] == list(range(1, 11))
         assert all(row["passed"] for row in doc["results"]["checks"])
+
+    def test_per_check_times_stay_out_of_the_report(self, tmp_path, capsys):
+        paths = [tmp_path / f"verify-{i}.json" for i in (1, 2)]
+        argv = ["verify", "--all", "--format", "json", "--out"]
+        with open(os.devnull, "w") as devnull, redirect_stderr(devnull):
+            assert main(argv + [str(paths[0])]) == 0
+        assert main(argv + [str(paths[1])]) == 0
+        err = capsys.readouterr().err
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        ids = re.findall(r"^  check (\d\d): \d+\.\d{3} s  \S", err, re.MULTILINE)
+        assert ids == [f"{i:02d}" for i in range(1, 11)]

@@ -1,13 +1,18 @@
 """Mutation checks: wrong physics must turn the verdict to FAIL.
 
-Each mutant patches one piece of relfacts.scenarios. Every CLI run of a
-flow that uses the mutated piece must exit 1 with verdict FAIL, at the
-default tolerance and at the largest accepted one.
+Each flow mutant patches one piece of relfacts.scenarios. Every CLI run of
+a flow that uses the mutated piece must exit 1 with verdict FAIL, at the
+default tolerance and at the largest accepted one. Each verify mutant must
+fail acceptance row 2 (the commutation structure) and make `verify --all`
+exit 1.
 """
+import json
+
 import pytest
 
-from relfacts import scenarios
+from relfacts import scenarios, verify
 from relfacts.cli import main
+from relfacts.pauli import PauliString
 
 LMZ = ["run", "lmz"]
 CDR = ["run", "cdr", "--experiment", "all"]
@@ -60,3 +65,33 @@ def test_alice_premeasures_x_fails_both_flows(tolerance, monkeypatch, capsys):
     original = scenarios.alice_premeasurements
     monkeypatch.setattr(scenarios, "alice_premeasurements", lambda: original("X"))
     assert_fails((LMZ, CDR), tolerance, capsys)
+
+
+def assert_verify_row_2_fails(capsys):
+    assert main(["verify", "--all", "--format", "json"]) == 1
+    rows = json.loads(capsys.readouterr().out)["results"]["checks"]
+    row = next(r for r in rows if r["id"] == 2)
+    assert row["passed"] is False
+    return row
+
+
+def test_memory_x_readouts_fail_verify(monkeypatch, capsys):
+    # X readouts commute with Bob's lifted X_sys X_mem, so the same-pair
+    # anticommutator is no longer zero.
+    monkeypatch.setattr(verify, "record_readout_observables", lambda: tuple(
+        PauliString.single(scenarios.NUM_QUBITS, m, "X") for m in scenarios.ALICE_MEMORY))
+    row = assert_verify_row_2_fails(capsys)
+    assert "anticommutator norm 0.000e+00" not in row["detail"]
+
+
+def test_non_monomial_dense_matrix_fails_verify(monkeypatch, capsys):
+    original = PauliString.dense_matrix
+
+    def crowded_first_column(self):
+        matrix = original(self)
+        matrix[:, 0] = 1
+        return matrix
+
+    monkeypatch.setattr(PauliString, "dense_matrix", crowded_first_column)
+    row = assert_verify_row_2_fails(capsys)
+    assert "not monomial" in row["detail"]
