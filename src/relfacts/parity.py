@@ -6,7 +6,9 @@ equation: prod_{j in S} v_j = r  <=>  sum_{j in S} x_j = (0 if r=+1 else 1)
 mod 2. Satisfiability, witnesses, solution counts, and unsatisfiability
 certificates (a subset of constraints whose formal product is an empty
 left-hand side equal to -1) all come out of Gauss-Jordan elimination over
-GF(2), with rows carried as Python ints used as bit masks.
+GF(2), with rows carried as Python ints used as bit masks. Exhaustive
+enumeration, the solver's independent cross-check, counts without
+elimination by joining the two halves of the variables (meet in the middle).
 """
 from __future__ import annotations
 
@@ -175,34 +177,80 @@ class EnumerationResult:
     assignments: Optional[tuple]
 
 
+_KEY_BITS = 64
+_KEY_POSITIONS = np.arange(_KEY_BITS, dtype=np.uint64)
+
+
+def _parity_keys(masks: np.ndarray, width: int) -> np.ndarray:
+    """Row i, for i < 2^width, packs the parity of (i & masks[k]) for every
+    k into bit k % 64 of word k // 64 (at least one word).
+
+    Each block of 64 masks is one broadcast AND and one shift-xor fold, so
+    temporaries stay at 2^width x 64 entries however many masks there are.
+    """
+    idx = np.arange(1 << width, dtype=np.uint64)[:, None]
+    shifts = [np.uint64(1 << i) for i in reversed(range((width - 1).bit_length()))]
+    keys = np.zeros((1 << width, max(1, -(-len(masks) // _KEY_BITS))), dtype=np.uint64)
+    for word in range(keys.shape[1]):
+        block = idx & masks[word * _KEY_BITS:(word + 1) * _KEY_BITS]
+        for shift in shifts:
+            block ^= block >> shift
+        block &= np.uint64(1)
+        block <<= _KEY_POSITIONS[:block.shape[1]]
+        keys[:, word] = np.bitwise_or.reduce(block, axis=1)
+    return keys
+
+
 def enumerate_assignments(system: ConstraintSystem,
                           return_assignments: bool = False) -> EnumerationResult:
-    """Exhaustively test all 2^n assignments (guarded to n <= 20)."""
+    """Count the assignments satisfying every constraint, over all 2^n of
+    them (guarded to n <= 20), without elimination.
+
+    Meet in the middle (Horowitz & Sahni, 1974): assignment index
+    x = hi << low | lo, with low = n // 2 and bit j of x set when
+    universe[j] is -1. Each constraint's parity splits as
+    parity(x & mask) = parity(lo & mask_lo) xor parity(hi & mask_hi), so x
+    satisfies the system iff key_lo(lo) xor rhs_bits == key_hi(hi), where a
+    key packs one half's parities, one bit per constraint. The keys of both
+    halves are grouped with np.unique, and the count sums, over the high
+    halves, the number of low halves in the same group. Time and memory are
+    O(2^(n/2) * ceil(m/64)) for m constraints; no array of 2^n entries is
+    built. `tested` is 2^n, the number of assignments the count covers.
+
+    With return_assignments, the satisfying assignments are listed in
+    ascending index order, taken from the same join.
+    """
     n = system.num_variables
     if n > ENUMERATE_MAX_VARIABLES:
         raise ResourceError(
             f"{n} variables exceeds the {ENUMERATE_MAX_VARIABLES}-variable "
             "enumeration guard")
-    idx = np.arange(1 << n, dtype=np.uint32)
-    ok = np.ones(1 << n, dtype=bool)
-    for constraint in system.constraints:
-        mask, bit = system._row(constraint)
-        v = idx & np.uint32(mask)
-        v ^= v >> np.uint32(16)
-        v ^= v >> np.uint32(8)
-        v ^= v >> np.uint32(4)
-        v ^= v >> np.uint32(2)
-        v ^= v >> np.uint32(1)
-        ok &= (v & np.uint32(1)) == np.uint32(bit)
-    count = int(np.count_nonzero(ok))
+    low = n // 2
+    rows = [system._row(c) for c in system.constraints]
+    masks = np.array([mask for mask, _ in rows], dtype=np.uint64)
+    rhs = sum(bit << k for k, (_, bit) in enumerate(rows))
+    lo_keys = _parity_keys(masks & np.uint64((1 << low) - 1), low)
+    lo_keys ^= np.array(
+        [(rhs >> (word * _KEY_BITS)) & ((1 << _KEY_BITS) - 1)
+         for word in range(lo_keys.shape[1])], dtype=np.uint64)
+    hi_keys = _parity_keys(masks >> np.uint64(low), n - low)
+    keys = np.concatenate([lo_keys, hi_keys])
+    rows_as_bytes = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))
+    distinct, groups = np.unique(rows_as_bytes.ravel(), return_inverse=True)
+    lo_groups, hi_groups = groups[:1 << low], groups[1 << low:]
+    lo_counts = np.bincount(lo_groups, minlength=len(distinct))
+    count = int(lo_counts[hi_groups].sum())
     assignments = None
     if return_assignments:
-        rows = []
-        for i in idx[ok]:
-            rows.append({
-                v: (-1 if (int(i) >> j) & 1 else 1)
-                for j, v in enumerate(system.universe)})
-        assignments = tuple(rows)
+        # Low halves sorted by group, ascending within each group.
+        order = np.argsort(lo_groups, kind="stable")
+        ends = np.cumsum(lo_counts)
+        indices = [(hi << low) | int(lo)
+                   for hi, group in enumerate(hi_groups)
+                   for lo in order[ends[group] - lo_counts[group]:ends[group]]]
+        assignments = tuple(
+            {v: (-1 if (i >> j) & 1 else 1) for j, v in enumerate(system.universe)}
+            for i in indices)
     return EnumerationResult(count=count, tested=1 << n, assignments=assignments)
 
 
@@ -312,8 +360,10 @@ def analyze(system: ConstraintSystem) -> dict:
         },
         "solve": {
             "satisfiable": solve.satisfiable,
-            "witness": dict(sorted(solve.witness.items())) if solve.witness else None,
-            "certificate": list(solve.certificate) if solve.certificate else None,
+            "witness": (None if solve.witness is None
+                        else dict(sorted(solve.witness.items()))),
+            "certificate": (None if solve.certificate is None
+                            else list(solve.certificate)),
             "rank": solve.rank,
             "num_solutions": solve.num_solutions,
         },

@@ -167,7 +167,14 @@ def run_all_checks(full_shots: int = FULL_SHOTS) -> tuple:
             if not (result.satisfiable and all(sub.check(result.witness))):
                 return False, f"subsystem without ({drop}) reported unsatisfiable"
             counts.append(enum.count)
-        return (all(c == 8 for c in counts),
+        # Every system above keeps its count when all signs flip. This one
+        # has 2 solutions and its flip has none, so an enumeration that
+        # misreads the right-hand sides fails here.
+        asymmetric = parity.ConstraintSystem.from_constraints(
+            parity.ParityConstraint.of(pair, 1)
+            for pair in (("x1", "x2"), ("x2", "x3"), ("x1", "x3")))
+        return (all(c == 8 for c in counts)
+                and parity.enumerate_assignments(asymmetric).count == 2,
                 f"solution counts without each constraint: {counts}")
 
     def check_reversal_per_shot():

@@ -157,6 +157,18 @@ class TestCheckAssignments:
         assert rc == 0  # the analysis itself is sound; UNSAT is a finding
         assert doc["results"]["solve"]["certificate"] == [1, 2]
 
+    def test_comment_only_file_is_the_empty_system(self, tmp_path, capsys):
+        path = tmp_path / "system.txt"
+        path.write_text("# no constraints yet\n\n")
+        argv = ["check-assignments", "--constraints", str(path)]
+        assert main(argv + ["--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["results"]["solve"]["satisfiable"] is True
+        assert doc["results"]["solve"]["witness"] == {}
+        assert doc["results"]["enumeration"] == {"count": 1, "tested": 1}
+        assert main(argv + ["--format", "text"]) == 0
+        assert "satisfiable: yes (1 of 1 assignments)" in capsys.readouterr().out
+
     def test_parse_error_reports_line(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
         path.write_text("x = 1\nx*y\n")

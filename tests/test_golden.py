@@ -4,10 +4,14 @@ The hashes were generated from the reports of an earlier release, so a
 refactor that changes any byte of a report, in either format, fails here.
 The hashes of the sampled reports (--shots 1000 --seed 7) date from the
 release that draws each target's shot counts with one multinomial.
+The two planted 20-variable constraint files under tests/data/ (one
+satisfiable, one contradictory) are read by a relative path, which each
+report prints, so the test runs from the repository root.
 The determinism checks elsewhere run the same code twice and cannot see a
 change across versions.
 """
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -66,11 +70,20 @@ GOLDEN = {
         "05a4342ac62383a38bcd472860186ca631b9e5df9a16dc341e8dd9829f4917fc",
     ("check-assignments --builtin ghz", "text"):
         "04dddc2f4c410dc40788de8cce43ab23c7b8484ad57eb793ddeb32fa3f8057c7",
+    ("check-assignments --constraints tests/data/planted-20-sat.txt", "json"):
+        "695ddb1e3bc846a9cdd4b84724aaed04655e5b55870f3bc47a1a76b22dfb9a0a",
+    ("check-assignments --constraints tests/data/planted-20-sat.txt", "text"):
+        "24cf8b05e7530df8106d46b8e25658024f3462d71d4f78f18b6eb31d8819a27b",
+    ("check-assignments --constraints tests/data/planted-20-unsat.txt", "json"):
+        "2cb43096af52cb4f765cadd143e41240e92f113e534d28107001f4d16701fec6",
+    ("check-assignments --constraints tests/data/planted-20-unsat.txt", "text"):
+        "e9bba58cfdb67f31c0248461b404633ee009cabb47e8d32d040cc9231fd00ff6",
 }
 
 
 @pytest.mark.parametrize("command,fmt", sorted(GOLDEN))
-def test_report_bytes_match_golden_hash(command, fmt, tmp_path):
+def test_report_bytes_match_golden_hash(command, fmt, tmp_path, monkeypatch):
+    monkeypatch.chdir(Path(__file__).resolve().parent.parent)
     path = tmp_path / f"report.{fmt}"
     assert main(command.split() + ["--format", fmt, "--out", str(path)]) == 0
     digest = hashlib.sha256(path.read_bytes()).hexdigest()

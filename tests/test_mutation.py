@@ -3,14 +3,14 @@
 Each flow mutant patches one piece of relfacts.scenarios. Every CLI run of
 a flow that uses the mutated piece must exit 1 with verdict FAIL, at the
 default tolerance and at the largest accepted one. Each verify mutant must
-fail acceptance row 2 (the commutation structure) and make `verify --all`
-exit 1.
+make `verify --all` exit 1 and fail the acceptance row that judges the
+mutated piece.
 """
 import json
 
 import pytest
 
-from relfacts import scenarios, verify
+from relfacts import parity, scenarios, verify
 from relfacts.cli import main
 from relfacts.pauli import PauliString
 
@@ -67,10 +67,10 @@ def test_alice_premeasures_x_fails_both_flows(tolerance, monkeypatch, capsys):
     assert_fails((LMZ, CDR), tolerance, capsys)
 
 
-def assert_verify_row_2_fails(capsys):
+def assert_verify_row_fails(row_id, capsys):
     assert main(["verify", "--all", "--format", "json"]) == 1
     rows = json.loads(capsys.readouterr().out)["results"]["checks"]
-    row = next(r for r in rows if r["id"] == 2)
+    row = next(r for r in rows if r["id"] == row_id)
     assert row["passed"] is False
     return row
 
@@ -80,7 +80,7 @@ def test_memory_x_readouts_fail_verify(monkeypatch, capsys):
     # anticommutator is no longer zero.
     monkeypatch.setattr(verify, "record_readout_observables", lambda: tuple(
         PauliString.single(scenarios.NUM_QUBITS, m, "X") for m in scenarios.ALICE_MEMORY))
-    row = assert_verify_row_2_fails(capsys)
+    row = assert_verify_row_fails(2, capsys)
     assert "anticommutator norm 0.000e+00" not in row["detail"]
 
 
@@ -93,5 +93,22 @@ def test_non_monomial_dense_matrix_fails_verify(monkeypatch, capsys):
         return matrix
 
     monkeypatch.setattr(PauliString, "dense_matrix", crowded_first_column)
-    row = assert_verify_row_2_fails(capsys)
+    row = assert_verify_row_fails(2, capsys)
     assert "not monomial" in row["detail"]
+
+
+def test_sign_flipped_enumeration_fails_verify(monkeypatch, capsys):
+    # The GHZ system and its three-constraint subsystems keep their counts
+    # under a global sign flip; row 4's asymmetric system does not.
+    original = parity.enumerate_assignments
+
+    def flipped_rhs(system, return_assignments=False):
+        flipped = parity.ConstraintSystem(
+            tuple(parity.ParityConstraint(c.variables, -c.rhs)
+                  for c in system.constraints),
+            system.universe)
+        return original(flipped, return_assignments)
+
+    monkeypatch.setattr(parity, "enumerate_assignments", flipped_rhs)
+    row = assert_verify_row_fails(4, capsys)
+    assert row["detail"] == "solution counts without each constraint: [8, 8, 8, 8]"

@@ -1,4 +1,6 @@
 """GF(2) satisfiability: solver, enumeration, certificates, parsing."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,38 @@ class TestSolver:
                 assert product_identity(sys_, result.certificate).is_contradiction
 
 
+def random_system(rng, n, m, planted):
+    """m random constraints over v0..v(n-1); planted ones share a hidden
+    solution, the others take random signs."""
+    universe = tuple(f"v{i}" for i in range(n))
+    hidden = rng.choice([1, -1], size=n)
+    specs = []
+    for _ in range(m):
+        picks = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+        rhs = int(np.prod(hidden[picks])) if planted else int(rng.choice([1, -1]))
+        specs.append((tuple(universe[j] for j in picks), rhs))
+    return system_of(*specs, universe=universe)
+
+
+def ascending_solutions(sys_):
+    """Satisfying assignments in ascending index order, where bit j of the
+    index sets universe[j] to -1."""
+    n = sys_.num_variables
+    assignments = (
+        {v: -1 if (i >> j) & 1 else 1 for j, v in enumerate(sys_.universe)}
+        for i in range(1 << n))
+    return [a for a in assignments if all(sys_.check(a))]
+
+
+# (n, m): every n from 0 to 12 with no constraints, a few, and 9-20 (a key
+# wider than one byte), plus more than 64 constraints (two key words).
+PROPERTY_CASES = sorted(
+    {(n, 0) for n in range(13)}
+    | {(n, 1 + n % 8) for n in range(13)}
+    | {(n, 9 + (7 * n) % 12) for n in range(13)}
+    | {(5, 65), (8, 70), (11, 130)})
+
+
 class TestEnumeration:
     def test_listing(self):
         sys_ = system_of((("x", "y"), -1))
@@ -140,6 +174,54 @@ class TestEnumeration:
         sys_ = ConstraintSystem((), universe)
         with pytest.raises(ResourceError):
             enumerate_assignments(sys_)
+
+    @pytest.mark.parametrize("planted", [False, True])
+    @pytest.mark.parametrize("n,m", PROPERTY_CASES)
+    def test_count_and_listing_match_brute_force(self, n, m, planted):
+        rng = np.random.default_rng([n, m, planted])
+        sys_ = random_system(rng, n, m, planted)
+        enum = enumerate_assignments(sys_, return_assignments=True)
+        expected = ascending_solutions(sys_)
+        assert enum.count == brute_force_count(
+            [(c.variables, c.rhs) for c in sys_.constraints], sys_.universe)
+        assert enum.count == len(expected)
+        assert list(enum.assignments) == expected
+        assert enum.tested == 1 << n
+        if planted or m == 0:
+            assert enum.count > 0
+
+    def test_no_constraints_count_every_assignment(self):
+        sys_ = ConstraintSystem((), tuple(f"v{i}" for i in range(20)))
+        assert enumerate_assignments(sys_).count == 1 << 20
+
+    @pytest.mark.parametrize("n", [18, 19, 20])
+    @pytest.mark.parametrize("m", [12, 20, 70])
+    def test_large_planted_systems_match_solver(self, n, m):
+        rng = np.random.default_rng([n, m])
+        sys_ = random_system(rng, n, m, planted=True)
+        contradictory = system_of(
+            *[(c.variables, c.rhs) for c in sys_.constraints],
+            (sys_.constraints[0].variables ^ sys_.constraints[1].variables,
+             -sys_.constraints[0].rhs * sys_.constraints[1].rhs),
+            universe=sys_.universe)
+        counts = []
+        for system in (sys_, contradictory):
+            enum = enumerate_assignments(system)
+            assert enum.count == satisfiable(system).num_solutions
+            assert enum.tested == 1 << n
+            counts.append(enum.count)
+        assert counts[0] > 0 and counts[1] == 0
+
+    def test_twenty_variables_take_under_a_byte_per_assignment(self):
+        sys_ = random_system(np.random.default_rng(20), 20, 20, planted=True)
+        enumerate_assignments(sys_)
+        tracemalloc.start()
+        try:
+            enumerate_assignments(sys_)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestRecordSystem:
