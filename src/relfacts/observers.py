@@ -16,8 +16,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ProtocolError
-from .pauli import PauliString, commutes
-from .statevector import PHYS_TOL, StateVector
+from .pauli import PauliString, _apply_tables, commutes
+from .statevector import PHYS_TOL, StateVector, _masked_indices
 
 FACT_STATUSES = ("current", "disturbed", "erased")
 
@@ -49,10 +49,10 @@ def _premeasure_array(amps: np.ndarray, pm: Premeasurement) -> np.ndarray:
     o_amps = pm.observable.apply_to_array(amps)
     plus = (amps + o_amps) / 2.0
     minus = (amps - o_amps) / 2.0
-    idx = np.arange(amps.size, dtype=np.uint32)
-    out = plus
-    out[idx ^ np.uint32(1 << pm.memory)] += minus
-    return out
+    # X on the memory qubit as a gather: the sources of +X_m, whose phases are all 1.
+    flipped, _ = _apply_tables(pm.observable.num_qubits, 1 << pm.memory, 0, 1)
+    plus += minus[flipped]
+    return plus
 
 
 def _require_cleared_memory(amps: np.ndarray, pm: Premeasurement,
@@ -60,7 +60,8 @@ def _require_cleared_memory(amps: np.ndarray, pm: Premeasurement,
     """Raise ProtocolError unless the memory qubit reads 0 with certainty.
     `weight` is the squared norm of `amps`, so that unnormalized branches
     of an outcome tree are judged by their conditional probability."""
-    excited = (np.arange(amps.size) >> pm.memory) & 1 == 1
+    bit = 1 << pm.memory
+    excited = _masked_indices(pm.observable.num_qubits, bit, bit)
     if float(np.sum(np.abs(amps[excited]) ** 2)) > PHYS_TOL * weight:
         raise ProtocolError(
             f"memory qubit {pm.memory} is not in |0>; "

@@ -13,7 +13,7 @@ premeasurement yields a string again.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import mul
 from typing import Iterable, Mapping
 
@@ -24,6 +24,10 @@ from .errors import ResourceError
 VALID_FACTORS = ("I", "X", "Y", "Z")
 
 DENSE_MATRIX_MAX_QUBITS = 12
+
+# Keys kept per memoised table builder: at 12 qubits one key holds at most
+# 96 KiB, so a builder never holds more than 24 MiB.
+_MEMO_KEYS = 256
 
 # Single-qubit products: f*g = (i ** power) * result.
 _SINGLE_PRODUCT = {
@@ -132,9 +136,11 @@ class PauliString:
     def apply_to_array(self, amplitudes: np.ndarray) -> np.ndarray:
         """Return P @ amplitudes without building a dense matrix.
 
-        Vectorized over the index register: the X/Y mask determines the bit
-        flips, the Y/Z mask determines the (-1) phases, and the Y count fixes
-        a global power of i.
+        The X/Y mask fixes which index each output amplitude is read from,
+        the Y/Z mask its (-1) phase, and the sign and Y count a global power
+        of i. Both tables come from `_apply_tables`, memoised per register
+        size, masks and sign, so a repeated string costs one gather and one
+        multiply.
         """
         n = self.num_qubits
         if amplitudes.shape != (1 << n,):
@@ -142,20 +148,13 @@ class PauliString:
                 f"amplitude array of length {amplitudes.shape} does not match {n} qubits")
         flip_mask = 0
         phase_mask = 0
-        y_count = 0
         for q, f in enumerate(self.factors):
             if f in ("X", "Y"):
                 flip_mask |= 1 << q
             if f in ("Y", "Z"):
                 phase_mask |= 1 << q
-            if f == "Y":
-                y_count += 1
-        idx = np.arange(1 << n, dtype=np.uint32)
-        signs = _masked_parity_signs(idx, phase_mask)
-        global_phase = self.sign * (1j ** (y_count % 4))
-        out = np.empty_like(amplitudes)
-        out[idx ^ np.uint32(flip_mask)] = (global_phase * signs) * amplitudes
-        return out
+        sources, phases = _apply_tables(n, flip_mask, phase_mask, self.sign)
+        return phases * amplitudes[sources]
 
     def dense_matrix(self) -> np.ndarray:
         """Explicit 2^n x 2^n matrix; guarded to small n."""
@@ -173,15 +172,48 @@ class PauliString:
         return self.label()
 
 
-def _masked_parity_signs(idx: np.ndarray, mask: int) -> np.ndarray:
-    """(-1) ** popcount(idx & mask), vectorized via parity folding."""
-    v = idx & np.uint32(mask)
-    v ^= v >> np.uint32(16)
-    v ^= v >> np.uint32(8)
-    v ^= v >> np.uint32(4)
-    v ^= v >> np.uint32(2)
-    v ^= v >> np.uint32(1)
-    return 1.0 - 2.0 * (v & np.uint32(1))
+def _register_tables(build):
+    """Memoise `build(num_qubits, *key)`, which returns an index or phase
+    array over the 2^n basis indices of a register, or a tuple of them, and
+    make every array read-only so that all callers can share it.
+
+    Only registers of at most DENSE_MATRIX_MAX_QUBITS qubits are memoised,
+    and at most _MEMO_KEYS keys per builder, so the resident tables stay
+    bounded whatever the input; larger registers call the builder afresh.
+    """
+    def frozen(num_qubits: int, *key):
+        tables = build(num_qubits, *key)
+        for table in tables if isinstance(tables, tuple) else (tables,):
+            table.setflags(write=False)
+        return tables
+
+    memo = lru_cache(maxsize=_MEMO_KEYS)(frozen)
+
+    def tables(num_qubits: int, *key):
+        if num_qubits > DENSE_MATRIX_MAX_QUBITS:
+            return frozen(num_qubits, *key)
+        return memo(num_qubits, *key)
+
+    tables.cache_info = memo.cache_info
+    tables.cache_clear = memo.cache_clear
+    return tables
+
+
+@_register_tables
+def _apply_tables(num_qubits: int, flip_mask: int, phase_mask: int, sign: int) -> tuple:
+    """(sources, phases) with (P @ a)[j] = phases[j] * a[sources[j]].
+
+    P maps basis index i to i ^ flip_mask with phase
+    sign * i**(Y count) * (-1)**popcount(i & phase_mask), where the Y count
+    is popcount(flip_mask & phase_mask); the phase is read at the source.
+    """
+    sources = np.arange(1 << num_qubits) ^ flip_mask
+    parity = sources & phase_mask
+    for shift in (16, 8, 4, 2, 1):  # fold to bit 0; indices stay below 2^32
+        parity ^= parity >> shift
+    y_count = bin(flip_mask & phase_mask).count("1")
+    global_phase = sign * (1j ** (y_count % 4))
+    return sources, global_phase * (1.0 - 2.0 * (parity & 1))
 
 
 def _phased_product(p: PauliString, q: PauliString) -> tuple:

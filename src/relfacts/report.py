@@ -4,8 +4,11 @@ One report schema serves every subcommand: a command echo, the effective
 config, a results tree, a PASS/FAIL verdict, and a timing block. Timing is
 deterministic operation counting, never wall-clock, so that identical
 (command, flags) produce byte-identical output; wall-clock belongs on
-stderr. JSON is emitted with sorted keys and floats normalized to 12
-significant digits.
+stderr. Floats are normalized to 12 significant digits, and the JSON bytes
+equal json.dumps(tree, sort_keys=True, indent=2) of the canonical tree.
+They come from one recursive writer in this module: with `indent` set,
+json.dumps on CPython 3.12 and earlier leaves its C encoder for the
+pure-Python one, which takes about twice as long on a report.
 
 Report keys are the field names of the result dataclasses (ScenarioConfig,
 OperationCounters, ConstraintResult, SampleTally, CplResult, RelativeFact,
@@ -15,8 +18,9 @@ catch it.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields, is_dataclass
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,6 +35,8 @@ from .scenarios import (
 
 SCHEMA_VERSION = "1"
 
+_INFINITY = float("inf")
+
 
 def round_float(x: float) -> float:
     """Normalize to 12 significant digits; kills representation jitter
@@ -40,23 +46,80 @@ def round_float(x: float) -> float:
 
 def canonicalize(value):
     """Recursively convert to canonical JSON-ready primitives."""
-    if isinstance(value, bool):
+    # Exact types first: they are nearly every value of a report. Their
+    # subclasses, numpy scalars and complex values take the isinstance rules.
+    kind = type(value)
+    if kind is float:
+        return round_float(value)
+    if kind is str or kind is int or kind is bool or value is None:
         return value
+    if kind is dict:
+        return {str(k): canonicalize(v) for k, v in value.items()}
+    if kind is list or kind is tuple:
+        return [canonicalize(v) for v in value]
     if isinstance(value, (np.floating, float)):
         return round_float(float(value))
     if isinstance(value, (np.integer, int)):
         return int(value)
     if isinstance(value, complex):
         return [round_float(value.real), round_float(value.imag)]
-    if isinstance(value, str) or value is None:
+    if isinstance(value, str):
         return value
     if isinstance(value, dict):
         return {str(k): canonicalize(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [canonicalize(v) for v in value]
-    if is_dataclass(value) and not isinstance(value, type):
-        return {f.name: canonicalize(getattr(value, f.name)) for f in fields(value)}
+    names = _field_names(kind)
+    if names is not None:
+        return {name: canonicalize(getattr(value, name)) for name in names}
     raise TypeError(f"cannot canonicalize {type(value).__name__}")
+
+
+@lru_cache(maxsize=None)
+def _field_names(kind: type):
+    """A dataclass's field names in declaration order; None for any other
+    type. Keyed by class, so the memo grows with the program's types only."""
+    return tuple(f.name for f in fields(kind)) if is_dataclass(kind) else None
+
+
+def _json_text(value, newline: str) -> str:
+    """The JSON of a canonical tree, as json.dumps(value, sort_keys=True,
+    indent=2) writes it; `newline` is the line break and indent that close
+    a container at this depth. Each container is joined as soon as it is
+    written, so few pieces are alive at once."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is float:
+        if value != value:
+            return "NaN"
+        if value == _INFINITY:
+            return "Infinity"
+        if value == -_INFINITY:
+            return "-Infinity"
+        return float.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if kind is int:
+        return int.__repr__(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = [f"{encode_basestring_ascii(key)}: {_json_text(value[key], inner)}"
+                 for key in sorted(value)]
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        items = [_json_text(item, inner) for item in value]
+        return f"[{inner}{(',' + inner).join(items)}{newline}]"
+    raise TypeError(f"not a canonical JSON value: {kind.__name__}")
 
 
 @dataclass(frozen=True)
@@ -74,7 +137,7 @@ class ReportDocument:
         return dict(canonicalize(self), schema_version=SCHEMA_VERSION)
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\n"
+        return _json_text(self.as_dict(), "\n") + "\n"
 
 
 # ScenarioReport fields that are not results: the document carries config,
@@ -328,14 +391,16 @@ def render_text(doc: ReportDocument) -> str:
                 lines.append(f"  [{r['id']}] {r['detail']}")
         lines.append("")
     elif "solve" in results:
-        lines.append("constraints:")
-        for i, text in enumerate(results["system"]["constraints"], 1):
+        constraints = results["system"]["constraints"]
+        lines.append("constraints:" if constraints else "constraints: none")
+        for i, text in enumerate(constraints, 1):
             lines.append(f"  ({i}) {text}")
         solve = results["solve"]
         lines.append("")
         if solve["satisfiable"]:
             witness = " ".join(
-                f"{k}={v:+d}" for k, v in sorted(solve["witness"].items()))
+                f"{k}={v:+d}" for k, v in sorted(solve["witness"].items())
+            ) or "(empty assignment)"
             lines.append(
                 f"satisfiable: yes ({solve['num_solutions']} of "
                 f"{results['enumeration']['tested'] if results.get('enumeration') else 2 ** len(results['system']['universe'])}"

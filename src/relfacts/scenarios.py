@@ -617,7 +617,7 @@ def _certify_records(state: StateVector, constraint_id: int, stage: str,
         certified=result.certified and tally.violations == 0)
 
 
-def run_lmz(config: Optional[ScenarioConfig] = None) -> ScenarioReport:
+def run_lmz(config: ScenarioConfig) -> ScenarioReport:
     """Single-experiment flow: Alice's friends record, Bob addresses lifted
     observables, every certification lives in one pipeline.
 
@@ -626,7 +626,6 @@ def run_lmz(config: Optional[ScenarioConfig] = None) -> ScenarioReport:
     right after the matching Bob premeasurement alone, since later Bob steps
     disturb the records the mixed products need.
     """
-    config = config or ScenarioConfig()
     if config.bob_mode != "lmz-lifted":
         raise ValueError("run_lmz needs a config with bob_mode='lmz-lifted'")
     counters = OperationCounters()

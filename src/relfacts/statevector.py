@@ -18,7 +18,7 @@ from math import sqrt
 import numpy as np
 
 from .errors import InternalConsistencyError, ProtocolError, ResourceError
-from .pauli import PauliString
+from .pauli import PauliString, _register_tables
 
 PHYS_TOL = 1e-10
 ALG_TOL = 1e-12
@@ -55,9 +55,14 @@ class StateVector:
         """Probability that a Z measurement of `qubit` yields 1."""
         if not 0 <= qubit < self.num_qubits:
             raise ValueError(f"qubit {qubit} out of range")
-        idx = np.arange(1 << self.num_qubits)
-        sel = (idx >> qubit) & 1 == 1
-        return float(np.sum(np.abs(self.amplitudes[sel]) ** 2))
+        excited = _masked_indices(self.num_qubits, 1 << qubit, 1 << qubit)
+        return float(np.sum(np.abs(self.amplitudes[excited]) ** 2))
+
+
+@_register_tables
+def _masked_indices(num_qubits: int, mask: int, value: int) -> np.ndarray:
+    """The basis indices i of a register with i & mask == value, ascending."""
+    return np.flatnonzero((np.arange(1 << num_qubits) & mask) == value)
 
 
 def zero_state(num_qubits: int) -> StateVector:
@@ -90,10 +95,10 @@ def prepare_ghz(state: StateVector, qubits) -> StateVector:
                 f"qubit {q} is not in |0>; preparation requires a cleared register")
     mask = sum(1 << q for q in qubits)
     amps = state.amplitudes
-    cleared = np.flatnonzero((np.arange(amps.size) & mask) == 0)
+    cleared = _masked_indices(state.num_qubits, mask, 0)
     out = np.zeros_like(amps)
     out[cleared] = amps[cleared] * (1.0 / sqrt(2.0))
-    out[cleared | mask] = out[cleared]
+    out[_masked_indices(state.num_qubits, mask, mask)] = out[cleared]
     return StateVector(state.num_qubits, out)
 
 

@@ -235,7 +235,8 @@ def run_all_checks(full_shots: int = FULL_SHOTS) -> tuple:
         ok = (result.premise_certified
               and result.intact_matches == full_shots
               and drop > MAX_TOLERANCE
-              and result.violation_demonstrated)
+              and result.violation_demonstrated
+              and abs(result.operator_product_after - 1.0) <= 1e-9)
         return ok, (
             f"intact agreement {result.intact_matches}/{full_shots} "
             f"(expectation {result.intact_expectation:+.6f}); disturbed "

@@ -167,7 +167,11 @@ class TestCheckAssignments:
         assert doc["results"]["solve"]["witness"] == {}
         assert doc["results"]["enumeration"] == {"count": 1, "tested": 1}
         assert main(argv + ["--format", "text"]) == 0
-        assert "satisfiable: yes (1 of 1 assignments)" in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        assert "satisfiable: yes (1 of 1 assignments)" in lines
+        assert "constraints: none" in lines
+        assert "witness: (empty assignment)" in lines
+        assert [line for line in lines if line != line.rstrip()] == []
 
     def test_parse_error_reports_line(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"

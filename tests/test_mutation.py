@@ -112,3 +112,16 @@ def test_sign_flipped_enumeration_fails_verify(monkeypatch, capsys):
     monkeypatch.setattr(parity, "enumerate_assignments", flipped_rhs)
     row = assert_verify_row_fails(4, capsys)
     assert row["detail"] == "solution counts without each constraint: [8, 8, 8, 8]"
+
+
+def test_sign_flipped_products_fail_verify(monkeypatch, capsys):
+    # Triple products cancel the flip, so the four certified constraints
+    # still hold; the same-time product after Bob's premeasurement reads -1.
+    original = PauliString.__mul__
+
+    def flipped(self, other):
+        product = original(self, other)
+        return product.with_sign(-product.sign)
+
+    monkeypatch.setattr(PauliString, "__mul__", flipped)
+    assert_verify_row_fails(8, capsys)

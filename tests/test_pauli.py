@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 
 from oracle import MATS, op_label, random_state
 from relfacts.errors import ResourceError
-from relfacts.pauli import PauliString, commutes, product_of
+from relfacts.pauli import (
+    DENSE_MATRIX_MAX_QUBITS,
+    PauliString,
+    _apply_tables,
+    commutes,
+    product_of,
+)
+from relfacts.statevector import _masked_indices
 
 FACTORS = "IXYZ"
 
@@ -137,16 +144,36 @@ class TestApply:
         z = PauliString.from_label("Z", sign=-1)
         np.testing.assert_allclose(z.apply_to_array(one), one, atol=1e-15)
 
-    @given(st.integers(1, 5), st.integers(0, 2**32 - 1))
+    @given(st.integers(1, 6), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_apply_matches_dense(self, num_qubits, seed):
+        # The first call builds the tables, the second reads them back.
         rng = np.random.default_rng(seed)
         factors = tuple(rng.choice(list(FACTORS), size=num_qubits))
         sign = int(rng.choice([1, -1]))
         p = PauliString(num_qubits, factors, sign)
         amps = random_state(rng, num_qubits)
-        np.testing.assert_allclose(
-            p.apply_to_array(amps), dense(p) @ amps, atol=1e-12)
+        _apply_tables.cache_clear()
+        first = p.apply_to_array(amps)
+        assert _apply_tables.cache_info().misses == 1
+        again = p.apply_to_array(amps)
+        assert _apply_tables.cache_info().hits == 1
+        np.testing.assert_allclose(first, dense(p) @ amps, atol=1e-12)
+        np.testing.assert_array_equal(again, first)
+
+    def test_every_string_matches_dense_from_the_memo(self):
+        # Every string of a register shares one memo, so a key that misses
+        # a mask or the sign would hand one string another's tables.
+        rng = np.random.default_rng(11)
+        for num_qubits in (1, 2, 3):
+            amps = random_state(rng, num_qubits)
+            strings = list(all_strings(num_qubits, signs=(1, -1)))
+            _apply_tables.cache_clear()
+            for _ in range(2):
+                for p in strings:
+                    np.testing.assert_allclose(
+                        p.apply_to_array(amps), dense(p) @ amps, atol=1e-12)
+            assert _apply_tables.cache_info().hits == len(strings)
 
     def test_double_apply_is_identity_200_cases(self):
         rng = np.random.default_rng(20240917)
@@ -157,3 +184,28 @@ class TestApply:
             amps = random_state(rng, num_qubits)
             twice = p.apply_to_array(p.apply_to_array(amps))
             np.testing.assert_allclose(twice, amps, atol=1e-12)
+
+
+class TestMemoisedTables:
+    @pytest.mark.parametrize("build, key", [
+        (_apply_tables, (3, 0b011, 0b110, -1)),
+        (_masked_indices, (3, 0b010, 0b010)),
+        (_apply_tables, (DENSE_MATRIX_MAX_QUBITS + 1, 1, 1, 1)),
+    ])
+    def test_tables_are_read_only(self, build, key):
+        tables = build(*key)
+        for table in tables if isinstance(tables, tuple) else (tables,):
+            with pytest.raises(ValueError):
+                table[0] = table[1]
+
+    def test_large_registers_are_not_memoised(self):
+        n = DENSE_MATRIX_MAX_QUBITS + 2
+        p = PauliString.from_label("XYZ" + "I" * (n - 3), sign=-1)
+        amps = np.zeros(1 << n, dtype=complex)
+        amps[0] = 1.0
+        size = _apply_tables.cache_info().currsize
+        out = p.apply_to_array(amps)
+        assert _apply_tables.cache_info().currsize == size
+        expected = np.zeros(1 << n, dtype=complex)
+        expected[0b011] = -1j  # -X0 Y1 Z2 |000> = -(i)|011>
+        np.testing.assert_array_equal(out, expected)
