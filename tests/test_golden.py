@@ -7,6 +7,8 @@ release that draws each target's shot counts with one multinomial.
 The two planted 20-variable constraint files under tests/data/ (one
 satisfiable, one contradictory) are read by a relative path, which each
 report prints, so the test runs from the repository root.
+The `verify --all` report holds no wall-clock value, so its bytes are
+pinned too; the sweep's times go to stderr.
 The determinism checks elsewhere run the same code twice and cannot see a
 change across versions.
 """
@@ -78,6 +80,10 @@ GOLDEN = {
         "2cb43096af52cb4f765cadd143e41240e92f113e534d28107001f4d16701fec6",
     ("check-assignments --constraints tests/data/planted-20-unsat.txt", "text"):
         "e9bba58cfdb67f31c0248461b404633ee009cabb47e8d32d040cc9231fd00ff6",
+    ("verify --all", "json"):
+        "4f05294a20f8dc359f630f2e34befc4fc896180c88b82c10a666886c3e670117",
+    ("verify --all", "text"):
+        "24e50bf0d60b87e0781f1dec5dcad572f1ec4aeabd50c987e521a7ff0092d756",
 }
 
 
