@@ -133,10 +133,11 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    rows, elapsed, check_seconds = run_all_checks()
+    rows, elapsed, timings = run_all_checks()
     print(f"acceptance sweep took {elapsed:.2f} s", file=sys.stderr)
-    for row, seconds in zip(rows, check_seconds):
-        print(f"  check {row['id']:02d}: {seconds:.3f} s  {row['claim']}",
+    claims = {f"check {row['id']:02d}": f"  {row['claim']}" for row in rows}
+    for label, seconds in timings:
+        print(f"  {label}: {seconds:.3f} s{claims.get(label, '')}",
               file=sys.stderr)
     doc = from_verify("verify --all", rows)
     return _emit(doc, args.fmt, args.out)

@@ -728,6 +728,7 @@ def run_lmz(config: ScenarioConfig) -> ScenarioReport:
         and disturbed_diagnostic["gap_exceeds_half"]
         and cpl.premise_certified
         and cpl.violation_demonstrated
+        and abs(cpl.operator_product_after - 1.0) <= config.tolerance
         and all(t.all_products_expected for t in sampling)
         and all(m.within_band for t in sampling for m in t.marginals))
     return ScenarioReport(

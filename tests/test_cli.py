@@ -213,3 +213,13 @@ class TestVerifyCommand:
         assert paths[0].read_bytes() == paths[1].read_bytes()
         ids = re.findall(r"^  check (\d\d): \d+\.\d{3} s  \S", err, re.MULTILINE)
         assert ids == [f"{i:02d}" for i in range(1, 11)]
+        # Each piece of evidence is timed once, on its own line, just before
+        # the first check that reads it; a check line times only its judge.
+        labels = re.findall(
+            r"^  (evidence \w+|check \d\d): \d+\.\d{3} s", err, re.MULTILINE)
+        assert labels == [
+            "evidence lmz", "evidence cdr", "check 01", "evidence monomials",
+            "check 02", "evidence ghz_analysis", "check 03",
+            "evidence subsystems", "check 04", "check 05",
+            "evidence round_trips", "check 06", "check 07", "check 08",
+            "evidence reruns", "check 09", "check 10"]

@@ -114,7 +114,8 @@ def test_sign_flipped_enumeration_fails_verify(monkeypatch, capsys):
     assert row["detail"] == "solution counts without each constraint: [8, 8, 8, 8]"
 
 
-def test_sign_flipped_products_fail_verify(monkeypatch, capsys):
+@pytest.fixture
+def sign_flipped_products(monkeypatch):
     # Triple products cancel the flip, so the four certified constraints
     # still hold; the same-time product after Bob's premeasurement reads -1.
     original = PauliString.__mul__
@@ -124,4 +125,12 @@ def test_sign_flipped_products_fail_verify(monkeypatch, capsys):
         return product.with_sign(-product.sign)
 
     monkeypatch.setattr(PauliString, "__mul__", flipped)
+
+
+@pytest.mark.parametrize("tolerance", TOLERANCES)
+def test_sign_flipped_products_fail_lmz(tolerance, sign_flipped_products, capsys):
+    assert_fails((LMZ,), tolerance, capsys)
+
+
+def test_sign_flipped_products_fail_verify(sign_flipped_products, capsys):
     assert_verify_row_fails(8, capsys)

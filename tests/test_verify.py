@@ -1,9 +1,17 @@
-"""Monomial arithmetic of verify check 2 against dense matrix products."""
+"""The acceptance sweep: monomial arithmetic of check 2 against dense
+matrix products, every judge on hand-built evidence (each conjunct of a
+pass condition made false on its own), and the runner that builds each
+piece of evidence once."""
+import copy
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from relfacts import verify
+from relfacts.cli import main
 from relfacts.pauli import PauliString, commutes
-from relfacts.verify import _bracket_norm, _monomial, _monomial_product
+from relfacts.verify import FULL_SHOTS, _bracket_norm, _monomial, _monomial_product
 
 NUM_QUBITS = 9
 
@@ -61,3 +69,263 @@ def test_non_monomial_matrix_raises(column):
     matrix[:, 2] = column
     with pytest.raises(ValueError, match="not monomial"):
         _monomial(matrix)
+
+
+def passes(judge, *evidence):
+    passed, detail = judge(*evidence)
+    assert isinstance(detail, str)
+    return passed
+
+
+def constraint(cid, kind, expectation, **fields):
+    return SimpleNamespace(
+        constraint_id=cid, kind=kind, expectation=expectation, **fields)
+
+
+SIGNS = {1: 1, 2: -1, 3: -1, 4: -1}
+
+
+def exact_flows():
+    lmz = SimpleNamespace(constraints=[
+        constraint(cid, kind, sign) for kind in ("operator", "record")
+        for cid, sign in SIGNS.items()])
+    cdr = [SimpleNamespace(constraints=[
+        constraint(cid, kind, SIGNS[cid]) for kind in ("operator", "record")])
+        for cid in SIGNS]
+    return lmz, cdr
+
+
+def test_exact_products_pass_on_twelve_exact_expectations():
+    assert verify._exact_products(*exact_flows()) == (
+        True, "12 product expectations, max deviation 0.000e+00")
+
+
+def test_exact_products_need_twelve_expectations():
+    lmz, cdr = exact_flows()
+    cdr[3].constraints.pop()
+    assert verify._exact_products(lmz, cdr) == (
+        False, "11 product expectations, max deviation 0.000e+00")
+
+
+def test_exact_products_fail_beyond_1e_9():
+    lmz, cdr = exact_flows()
+    cdr[2].constraints[1].expectation += 2e-9
+    assert not passes(verify._exact_products, lmz, cdr)
+
+
+def pauli_monomial(label):
+    return _monomial(PauliString.from_label(label).dense_matrix())
+
+
+@pytest.mark.parametrize("products, pairs, expected", [
+    (("ZZ", "XX", "YY"), (("XI", "ZI"), ("IY", "IZ")), True),
+    (("ZZ", "XI"), (("XI", "ZI"),), False),    # two products anticommute
+    (("ZZ", "XX"), (("XI", "XI"),), False),    # a pair commutes
+])
+def test_commutation_judges_both_norms(products, pairs, expected):
+    evidence = ([pauli_monomial(p) for p in products],
+                [tuple(map(pauli_monomial, pair)) for pair in pairs])
+    assert passes(verify._commutation, evidence) is expected
+
+
+GHZ_ANALYSIS = {
+    "solve": {"satisfiable": False, "certificate": [1, 2, 3, 4]},
+    "enumeration": {"count": 0, "tested": 64},
+    "product_identity": {"is_contradiction": True},
+    "consistent": True,
+}
+
+
+def altered(base, path, value):
+    changed = copy.deepcopy(base)
+    *parents, key = path
+    target = changed
+    for parent in parents:
+        target = target[parent]
+    target[key] = value
+    return changed
+
+
+def test_no_assignment_passes_on_the_ghz_analysis():
+    assert verify._no_assignment(GHZ_ANALYSIS) == (
+        True, "0/64 assignments satisfy all four; certificate {1,2,3,4}")
+
+
+@pytest.mark.parametrize("path, value", [
+    (("solve", "satisfiable"), True),
+    (("solve", "certificate"), [1, 2, 3]),
+    (("enumeration", "count"), 1),
+    (("enumeration", "tested"), 32),
+    (("product_identity", "is_contradiction"), False),
+    (("consistent",), False),
+])
+def test_no_assignment_fails_on_each_conjunct(path, value):
+    assert not passes(verify._no_assignment, altered(GHZ_ANALYSIS, path, value))
+
+
+SUBSYSTEM = {"solve": {"satisfiable": True},
+             "consistency": {"witness_verified": True},
+             "enumeration": {"count": 8}}
+
+
+def subsystems(index=None, path=(), value=None):
+    """Four eight-solution subsystems, then the two-solution asymmetric
+    system; entry `index` altered at `path`."""
+    analyses = [SUBSYSTEM] * 4 + [{"enumeration": {"count": 2}}]
+    if index is not None:
+        analyses[index] = altered(analyses[index], path, value)
+    return analyses
+
+
+def test_three_of_four_passes_on_four_eight_solution_subsystems():
+    assert verify._three_of_four(subsystems()) == (
+        True, "solution counts without each constraint: [8, 8, 8, 8]")
+
+
+@pytest.mark.parametrize("index, path, value, detail", [
+    (1, ("solve", "satisfiable"), False, "subsystem without (2) reported unsatisfiable"),
+    (3, ("consistency", "witness_verified"), False,
+     "subsystem without (4) reported unsatisfiable"),
+    (0, ("enumeration", "count"), 7, "solution counts without each constraint: [7, 8, 8, 8]"),
+    (4, ("enumeration", "count"), 0, "solution counts without each constraint: [8, 8, 8, 8]"),
+])
+def test_three_of_four_fails_on_each_conjunct(index, path, value, detail):
+    assert verify._three_of_four(subsystems(index, path, value)) == (False, detail)
+
+
+def cdr_suite():
+    """Four clean reversal reports; experiment 1 restores the register."""
+    return [SimpleNamespace(
+        experiment_id=cid, passed=True,
+        restoration={"kind": "full", "fidelity": 1.0} if cid == 1 else {},
+        constraints=[
+            constraint(cid, "operator", SIGNS[cid]),
+            constraint(cid, "record", SIGNS[cid], violations=0, shots=FULL_SHOTS)])
+        for cid in SIGNS]
+
+
+def test_reversal_per_shot_passes_on_four_clean_experiments():
+    assert verify._reversal_per_shot(cdr_suite()) == (
+        True, f"4 experiments x {FULL_SHOTS} shots, every sampled product correct")
+
+
+@pytest.mark.parametrize("experiment, field, value, detail", [
+    (2, "violations", 1, f"experiment 2: 1 violations in {FULL_SHOTS} shots"),
+    (3, "shots", FULL_SHOTS - 1, f"experiment 3: 0 violations in {FULL_SHOTS - 1} shots"),
+    (4, "passed", False, "experiment 4 report failed"),
+])
+def test_reversal_per_shot_fails_on_each_conjunct(experiment, field, value, detail):
+    cdr = cdr_suite()
+    report = cdr[experiment - 1]
+    setattr(report if field == "passed" else report.constraints[1], field, value)
+    assert verify._reversal_per_shot(cdr) == (False, detail)
+
+
+def test_reversal_per_shot_needs_all_four_experiments():
+    assert not passes(verify._reversal_per_shot, cdr_suite()[:3])
+
+
+@pytest.mark.parametrize("worst, restored, expected", [
+    (1.0, 1.0, True),
+    (1.0 - 1e-12, 1.0 - 1e-12, True),    # the bound itself passes
+    (1.0 - 1e-11, 1.0, False),
+    (1.0, 1.0 - 1e-11, False),
+])
+def test_reversal_identity_judges_round_trips_and_restoration(worst, restored, expected):
+    cdr = cdr_suite()
+    cdr[0].restoration["fidelity"] = restored
+    round_trips = [1.0] * 99 + [worst]
+    passed, detail = verify._reversal_identity(round_trips, cdr)
+    assert passed is expected
+    assert "over 100 random cases" in detail
+
+
+DIAGNOSTIC = {
+    "early_expectation": -1.0, "final_expectation": 0.0, "gap": 1.0,
+    "gap_exceeds_half": True,
+    "record_statuses": {"A2": "disturbed", "A3": "disturbed"},
+}
+
+
+@pytest.mark.parametrize("path, value, expected", [
+    ((), None, True),
+    (("gap_exceeds_half",), False, False),
+    (("early_expectation",), -0.99, False),
+    (("record_statuses", "A2"), "current", False),
+    (("record_statuses", "A3"), "erased", False),
+])
+def test_disturbed_records_fail_on_each_conjunct(path, value, expected):
+    diag = altered(DIAGNOSTIC, path, value) if path else DIAGNOSTIC
+    lmz = SimpleNamespace(disturbed_diagnostic=diag)
+    assert passes(verify._disturbed_records, lmz) is expected
+
+
+CPL = {
+    "premise_certified": True, "intact_matches": FULL_SHOTS,
+    "intact_expectation": 1.0, "disturbed_expectation": 0.0,
+    "violation_demonstrated": True, "operator_product_after": 1.0,
+}
+
+
+@pytest.mark.parametrize("field, value, expected", [
+    (None, None, True),
+    ("premise_certified", False, False),
+    ("intact_matches", FULL_SHOTS - 1, False),
+    ("disturbed_expectation", 0.6, False),
+    ("disturbed_expectation", 0.5, False),    # the drop must exceed 0.5
+    ("violation_demonstrated", False, False),
+    ("operator_product_after", -1.0, False),
+])
+def test_record_agreement_fails_on_each_conjunct(field, value, expected):
+    cpl = dict(CPL) if field is None else {**CPL, field: value}
+    lmz = SimpleNamespace(cpl=SimpleNamespace(**cpl))
+    assert passes(verify._record_agreement, lmz) is expected
+
+
+@pytest.mark.parametrize("second, detail", [
+    (("json", "text"), "scenario and constraint reports byte-identical across reruns"),
+    (("JSON", "text"), "JSON mismatch for lmz seed 7"),
+    (("json", "TEXT"), "text mismatch for lmz seed 7"),
+])
+def test_determinism_names_the_first_mismatch(second, detail):
+    reruns = [("lmz seed 7", ("json", "text"), second)]
+    assert verify._determinism(reruns) == (second == ("json", "text"), detail)
+
+
+def test_budget_is_strict():
+    assert passes(verify._budget, verify.TIME_BUDGET_SECONDS - 0.01)
+    assert not passes(verify._budget, verify.TIME_BUDGET_SECONDS)
+
+
+def counting(monkeypatch, name, calls):
+    original = getattr(verify, name)
+
+    def counted(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(verify, name, counted)
+
+
+def test_one_sweep_runs_each_flow_once(monkeypatch):
+    calls = {}
+    for name in ("run_lmz", "run_cdr_suite"):
+        counting(monkeypatch, name, calls)
+    rows, _, timings = verify.run_all_checks()
+    assert all(row["passed"] for row in rows)
+    assert calls == {"run_lmz": 1, "run_cdr_suite": 1}
+    built = [label for label, _ in timings if label.startswith("evidence ")]
+    assert len(built) == len(set(built))
+
+
+def test_failing_evidence_fails_only_the_rows_that_need_it(monkeypatch, capsys):
+    def broken(**kwargs):
+        raise RuntimeError("suite unavailable")
+
+    monkeypatch.setattr(verify, "run_cdr_suite", broken)
+    rows, _, _ = verify.run_all_checks()
+    assert [row["id"] for row in rows] == list(range(1, 11))
+    failed = {row["id"]: row["detail"] for row in rows if not row["passed"]}
+    assert failed == dict.fromkeys((1, 5, 6), "raised RuntimeError: suite unavailable")
+    assert main(["verify", "--all"]) == 1
+    assert "verdict: FAIL" in capsys.readouterr().out
