@@ -20,7 +20,9 @@ Each mutant lands in one class:
   identical  every report byte and exit code held.
 
 `output` and `identical` are survivors and are listed one per line. The
-sweep takes minutes, so no test suite runs it:
+sweep exits 1 if any `output` survivor remains; `identical` survivors are
+listed for review and do not fail it. The sweep takes minutes, so no test
+suite runs it:
 
     python scripts/mutation_sweep.py --modules verify --tests tests/test_verify.py
 """
@@ -183,7 +185,7 @@ def main() -> int:
     args = parser.parse_args()
 
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    rows, survivors = [], []
+    rows, survivors, changed_output = [], [], 0
     with tempfile.TemporaryDirectory(prefix="relfacts-mutants-") as tmp:
         copy = Path(tmp)
         ignore = shutil.ignore_patterns("__pycache__")
@@ -195,6 +197,7 @@ def main() -> int:
             counts, found = sweep(module, copy, env, args.tests)
             rows.append((module, sum(counts.values()), *counts.values()))
             survivors += found
+            changed_output += counts["output"]
 
     print("| module | mutants | changed an exit code | failed --tests "
           "| output changed, still PASS | output byte-identical |")
@@ -205,7 +208,7 @@ def main() -> int:
     print(f"survivors: {len(survivors)}")
     for line in survivors:
         print(f"  {line}")
-    return 0
+    return 1 if changed_output else 0
 
 
 if __name__ == "__main__":

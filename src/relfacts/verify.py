@@ -74,15 +74,34 @@ def _bracket_norm(a: tuple, b: tuple, sign: int) -> float:
     return float(np.sqrt(squares.sum()))
 
 
+def _single_monomials() -> dict:
+    """Monomial of each single-qubit factor, read back from its explicit
+    2x2 matrix."""
+    return {f: _monomial(PauliString.from_label(f).dense_matrix()) for f in "IXYZ"}
+
+
+def _kron_monomial(p: PauliString, singles: dict) -> tuple:
+    """Monomial of p as the kron of its factors' monomials `singles`, built
+    in monomial form: 2^n entries, the same rows and values as reading back
+    p's dense 2^n x 2^n matrix. Qubit n-1 varies slowest, as in dense_matrix."""
+    rows, values = np.zeros(1, dtype=np.int64), np.array([p.sign], dtype=complex)
+    for f in reversed(p.factors):
+        r, v = singles[f]
+        rows = (rows[:, None] * 2 + r[None, :]).ravel()
+        values = (values[:, None] * v[None, :]).ravel()
+    return rows, values
+
+
 def _monomials() -> tuple:
     """(products, pairs): the four constraint products and each (lifted
-    direct, record readout) pair as monomials read back from explicit
-    kron-built matrices, so independent of pauli.commutes and its phases."""
+    direct, record readout) pair as monomial krons of the explicit
+    single-qubit matrices, so independent of pauli.commutes and its phases."""
+    singles = _single_monomials()
     bhats = lifted_direct_observables(alice_premeasurements())
     ahats = record_readout_observables()
-    products = [_monomial(product_of(spec.observables).dense_matrix())
+    products = [_kron_monomial(product_of(spec.observables), singles)
                 for spec in constraint_table(bhats, ahats)]
-    pairs = [(_monomial(b.dense_matrix()), _monomial(a.dense_matrix()))
+    pairs = [(_kron_monomial(b, singles), _kron_monomial(a, singles))
              for b, a in zip(bhats, ahats)]
     return products, pairs
 
@@ -131,7 +150,8 @@ def _reruns() -> list:
 
 def _without_states(report):
     """The report without its stage snapshots: no judge reads those full
-    states, and while they are held they add to check 2's dense-matrix peak."""
+    states, and holding them for the whole sweep would raise its memory
+    peak by a third."""
     return dataclasses.replace(report, snapshots=[])
 
 
@@ -198,15 +218,44 @@ def _three_of_four(subsystems) -> tuple:
             f"solution counts without each constraint: {counts}")
 
 
+def _tally_fault(tally) -> str:
+    """How a sampled tally contradicts itself, or "" if it does not: its
+    outcome counts must sum to its shots, and the counts of the keys whose
+    sign product differs from the expected one must sum to its violations."""
+    counts = tally.outcome_counts
+    counted = sum(counts.values())
+    if counted != tally.shots:
+        return f"outcome counts sum to {counted} of {tally.shots} shots"
+    wrong = sum(n for key, n in counts.items()
+                if (-1) ** key.count("-") != tally.expected_product)
+    if wrong != tally.violations:
+        return f"outcome keys hold {wrong} violations, the tally {tally.violations}"
+    return ""
+
+
 def _reversal_per_shot(cdr) -> tuple:
     for rep in cdr:
+        exp = f"experiment {rep.experiment_id}"
         record = next(c for c in rep.constraints if c.kind == "record")
         if record.violations != 0 or record.shots != FULL_SHOTS:
             return False, (
-                f"experiment {rep.experiment_id}: {record.violations} "
-                f"violations in {record.shots} shots")
+                f"{exp}: {record.violations} violations in {record.shots} shots")
+        # The shots whose product matches lie on the expected sign's side.
+        matching = record.shots - record.violations
+        split = ((matching, record.violations) if record.expected == 1
+                 else (record.violations, matching))
+        if (record.products_plus, record.products_minus) != split:
+            return False, (
+                f"{exp}: record row counts {record.products_plus} products +1 "
+                f"and {record.products_minus} -1 in {record.shots} shots")
+        if not rep.sampling:
+            return False, f"{exp}: no sampled tally"
+        for tally in rep.sampling:
+            fault = _tally_fault(tally)
+            if fault:
+                return False, f"{exp}: {fault}"
         if not rep.passed:
-            return False, f"experiment {rep.experiment_id} report failed"
+            return False, f"{exp} report failed"
     return len(cdr) == 4, (
         f"4 experiments x {FULL_SHOTS} shots, every sampled product correct")
 

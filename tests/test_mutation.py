@@ -6,6 +6,7 @@ default tolerance and at the largest accepted one. Each verify mutant must
 make `verify --all` exit 1 and fail the acceptance row that judges the
 mutated piece.
 """
+import dataclasses
 import json
 
 import pytest
@@ -134,3 +135,33 @@ def test_sign_flipped_products_fail_lmz(tolerance, sign_flipped_products, capsys
 
 def test_sign_flipped_products_fail_verify(sign_flipped_products, capsys):
     assert_verify_row_fails(8, capsys)
+
+
+def test_flipped_outcome_keys_fail_verify(monkeypatch, capsys):
+    # Every key of a three-record tally flips, so each key's own product
+    # contradicts the expected sign while the tally still counts 0 violations.
+    original = scenarios.sample_records
+    flip = str.maketrans("+-", "-+")
+
+    def flipped_keys(state, **kwargs):
+        tally = original(state, **kwargs)
+        return dataclasses.replace(tally, outcome_counts={
+            key.translate(flip): n for key, n in tally.outcome_counts.items()})
+
+    monkeypatch.setattr(scenarios, "sample_records", flipped_keys)
+    row = assert_verify_row_fails(5, capsys)
+    assert row["detail"] == (
+        f"experiment 1: outcome keys hold {verify.FULL_SHOTS} violations, the tally 0")
+
+
+def test_swapped_record_products_fail_verify(monkeypatch, capsys):
+    original = scenarios._certify_records
+
+    def swapped(*args, **kwargs):
+        result = original(*args, **kwargs)
+        return dataclasses.replace(result, products_plus=result.products_minus,
+                                   products_minus=result.products_plus)
+
+    monkeypatch.setattr(scenarios, "_certify_records", swapped)
+    row = assert_verify_row_fails(5, capsys)
+    assert row["detail"].startswith("experiment 1: record row counts 0 products +1")

@@ -1,8 +1,11 @@
-"""The acceptance sweep: monomial arithmetic of check 2 against dense
-matrix products, every judge on hand-built evidence (each conjunct of a
+"""The acceptance sweep: check 2's monomial kron against the dense
+read-back and its monomial arithmetic against dense matrix products, every
+judge on hand-built evidence (each conjunct of a
 pass condition made false on its own), and the runner that builds each
 piece of evidence once."""
 import copy
+import tracemalloc
+from itertools import product
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +14,9 @@ import pytest
 from relfacts import verify
 from relfacts.cli import main
 from relfacts.pauli import PauliString, commutes
-from relfacts.verify import FULL_SHOTS, _bracket_norm, _monomial, _monomial_product
+from relfacts.verify import (
+    FULL_SHOTS, _bracket_norm, _kron_monomial, _monomial, _monomial_product,
+    _single_monomials)
 
 NUM_QUBITS = 9
 
@@ -58,6 +63,53 @@ def test_generic_monomials_match_dense(seed):
     for sign in (-1, +1):
         dense = np.linalg.norm(a @ b + sign * (b @ a))
         assert abs(_bracket_norm(ma, mb, sign) - dense) <= 1e-12
+
+
+def _random_strings(seed):
+    """Two random strings of each size from 1 to 10 qubits, one per sign."""
+    rng = np.random.default_rng(seed)
+    return [PauliString(n, tuple(rng.choice(list("IXYZ"), n)), sign)
+            for n in range(1, 11) for sign in (1, -1)]
+
+
+ALL_TWO_QUBIT = [PauliString.from_label(a + b) for a in "IXYZ" for b in "IXYZ"]
+
+
+@pytest.mark.parametrize("p", (
+    [pytest.param(p, id=f"random{p}") for p in _random_strings(seed=9)]
+    + [pytest.param(p, id=f"all{p}") for p in ALL_TWO_QUBIT]))
+def test_kron_monomial_equals_the_dense_readback(p):
+    rows, values = _kron_monomial(p, _single_monomials())
+    dense_rows, dense_values = _monomial(p.dense_matrix())
+    assert np.array_equal(rows, dense_rows)
+    assert np.array_equal(values, dense_values)
+
+
+def test_sweep_builds_dense_matrices_of_single_qubits_only(monkeypatch):
+    sizes = []
+    original = PauliString.dense_matrix
+
+    def recorded(self):
+        sizes.append(self.num_qubits)
+        return original(self)
+
+    monkeypatch.setattr(PauliString, "dense_matrix", recorded)
+    rows, _, _ = verify.run_all_checks()
+    assert all(row["passed"] for row in rows)
+    assert sizes == [1, 1, 1, 1]
+
+
+def test_sweep_peak_memory_stays_below_one_and_a_half_mb():
+    # One dense 512x512 complex matrix alone takes 4 MB.
+    verify.run_all_checks()    # fills the memoised tables first
+    tracemalloc.start()
+    try:
+        rows, _, _ = verify.run_all_checks()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(row["passed"] for row in rows)
+    assert peak < 1.5e6
 
 
 @pytest.mark.parametrize("column", [
@@ -193,6 +245,16 @@ def test_three_of_four_fails_on_each_conjunct(index, path, value, detail):
     assert verify._three_of_four(subsystems(index, path, value)) == (False, detail)
 
 
+def clean_tally(sign):
+    """A three-record tally of FULL_SHOTS shots spread over the four keys
+    whose sign product is `sign`."""
+    keys = [key for key in map("".join, product("+-", repeat=3))
+            if (-1) ** key.count("-") == sign]
+    return SimpleNamespace(
+        expected_product=sign, shots=FULL_SHOTS, violations=0,
+        outcome_counts=dict.fromkeys(keys, FULL_SHOTS // 4))
+
+
 def cdr_suite():
     """Four clean reversal reports; experiment 1 restores the register."""
     return [SimpleNamespace(
@@ -200,7 +262,11 @@ def cdr_suite():
         restoration={"kind": "full", "fidelity": 1.0} if cid == 1 else {},
         constraints=[
             constraint(cid, "operator", SIGNS[cid]),
-            constraint(cid, "record", SIGNS[cid], violations=0, shots=FULL_SHOTS)])
+            constraint(cid, "record", SIGNS[cid], expected=SIGNS[cid],
+                       violations=0, shots=FULL_SHOTS,
+                       products_plus=FULL_SHOTS if SIGNS[cid] == 1 else 0,
+                       products_minus=0 if SIGNS[cid] == 1 else FULL_SHOTS)],
+        sampling=[clean_tally(SIGNS[cid])])
         for cid in SIGNS]
 
 
@@ -218,6 +284,54 @@ def test_reversal_per_shot_fails_on_each_conjunct(experiment, field, value, deta
     cdr = cdr_suite()
     report = cdr[experiment - 1]
     setattr(report if field == "passed" else report.constraints[1], field, value)
+    assert verify._reversal_per_shot(cdr) == (False, detail)
+
+
+def swap_products(report):
+    record = report.constraints[1]
+    record.products_plus, record.products_minus = record.products_minus, record.products_plus
+
+
+def move_one_product(report):
+    report.constraints[1].products_plus -= 1
+    report.constraints[1].products_minus += 1
+
+
+def drop_one_count(report):
+    counts = report.sampling[0].outcome_counts
+    counts[next(iter(counts))] -= 1
+
+
+def flip_keys(report):
+    tally = report.sampling[0]
+    flip = str.maketrans("+-", "-+")
+    tally.outcome_counts = {
+        key.translate(flip): n for key, n in tally.outcome_counts.items()}
+
+
+def miscount_violations(report):
+    report.sampling[0].violations = 1
+
+
+def drop_tallies(report):
+    report.sampling = []
+
+
+@pytest.mark.parametrize("experiment, alter, detail", [
+    (2, swap_products,
+     f"experiment 2: record row counts {FULL_SHOTS} products +1 and 0 -1 in {FULL_SHOTS} shots"),
+    (1, move_one_product,
+     f"experiment 1: record row counts {FULL_SHOTS - 1} products +1 and 1 -1 in {FULL_SHOTS} shots"),
+    (3, drop_one_count,
+     f"experiment 3: outcome counts sum to {FULL_SHOTS - 1} of {FULL_SHOTS} shots"),
+    (4, flip_keys, f"experiment 4: outcome keys hold {FULL_SHOTS} violations, the tally 0"),
+    (1, flip_keys, f"experiment 1: outcome keys hold {FULL_SHOTS} violations, the tally 0"),
+    (2, miscount_violations, "experiment 2: outcome keys hold 0 violations, the tally 1"),
+    (3, drop_tallies, "experiment 3: no sampled tally"),
+], ids=lambda v: v.__name__ if callable(v) else None)
+def test_reversal_per_shot_checks_the_tallies_it_relies_on(experiment, alter, detail):
+    cdr = cdr_suite()
+    alter(cdr[experiment - 1])
     assert verify._reversal_per_shot(cdr) == (False, detail)
 
 
