@@ -19,7 +19,7 @@ catch it.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, is_dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
@@ -125,7 +125,9 @@ def _json_text(value, newline: str) -> str:
 @dataclass(frozen=True)
 class ReportDocument:
     """One report. The results tree may still hold result dataclasses;
-    as_dict() canonicalizes the whole document."""
+    as_dict() canonicalizes the whole document, once per document, and
+    returns that same tree on every call, for to_json() and render_text()
+    alike. Callers must not modify it."""
 
     command: str
     config: dict
@@ -133,8 +135,12 @@ class ReportDocument:
     verdict: str
     timing: dict
 
-    def as_dict(self) -> dict:
+    @cached_property
+    def _canonical(self) -> dict:
         return dict(canonicalize(self), schema_version=SCHEMA_VERSION)
+
+    def as_dict(self) -> dict:
+        return self._canonical
 
     def to_json(self) -> str:
         return _json_text(self.as_dict(), "\n") + "\n"
@@ -212,31 +218,34 @@ def from_verify(command: str, rows: Sequence[dict]) -> ReportDocument:
         timing={"checks_run": len(rows)})
 
 
-def build_run_document(scenario: str, experiment: Optional[str], shots: int,
-                       seed: int, tolerance: float) -> ReportDocument:
-    """Run a scenario from primitive flags and wrap it as a document. The
-    command echo is rebuilt from the flags, so identical flags always yield
-    identical documents."""
+def run_flow(scenario: str, experiment: Optional[str], shots: int,
+             seed: int, tolerance: float) -> tuple:
+    """(command echo, flow result) for primitive run flags: the list of four
+    reports for `cdr --experiment all`, one ScenarioReport otherwise. The
+    echo is rebuilt from the flags, so identical flags always yield
+    identical echoes."""
+    flags = f"--shots {shots} --seed {seed} --tolerance {tolerance:g}"
     if scenario == "lmz":
-        command = f"run lmz --shots {shots} --seed {seed} --tolerance {tolerance:g}"
-        report = run_lmz(ScenarioConfig(
+        return f"run lmz {flags}", run_lmz(ScenarioConfig(
             shots=shots, master_seed=seed, tolerance=tolerance))
-        return from_scenario(command, report)
     if scenario != "cdr":
         raise ValueError(f"unknown scenario {scenario!r}")
     if experiment == "all":
-        command = (f"run cdr --experiment all --shots {shots} "
-                   f"--seed {seed} --tolerance {tolerance:g}")
-        return from_cdr_suite(
-            command,
-            run_cdr_suite(shots=shots, master_seed=seed, tolerance=tolerance))
+        return f"run cdr --experiment all {flags}", run_cdr_suite(
+            shots=shots, master_seed=seed, tolerance=tolerance)
     exp = int(experiment)
-    command = (f"run cdr --experiment {exp} --shots {shots} "
-               f"--seed {seed} --tolerance {tolerance:g}")
-    report = run_cdr(ScenarioConfig(
+    return f"run cdr --experiment {exp} {flags}", run_cdr(ScenarioConfig(
         bob_mode="cdr-reversal", experiment_id=exp, shots=shots,
         master_seed=seed, tolerance=tolerance))
-    return from_scenario(command, report)
+
+
+def build_run_document(scenario: str, experiment: Optional[str], shots: int,
+                       seed: int, tolerance: float) -> ReportDocument:
+    """Run a scenario from primitive flags and wrap it as a document."""
+    command, result = run_flow(scenario, experiment, shots, seed, tolerance)
+    if scenario == "cdr" and experiment == "all":
+        return from_cdr_suite(command, result)
+    return from_scenario(command, result)
 
 
 def build_check_document(command: str, system, config: dict) -> ReportDocument:

@@ -18,15 +18,17 @@ the relevant records and lets Bob measure directly. Both reproduce the same
 four expectations, while the parity module shows no fixed +/-1 assignment
 to {A_k, B_k} satisfies all four at once.
 
-Every sequence of readouts, in both flows, goes through one exact outcome
-tree (_sequential_outcome_distribution). Exact certifications of a product
-use the operator product on the state; sampled evidence is drawn from the
-tree.
+Exact certifications of a product use the operator product on the state.
+Sampled record readouts are commuting Z's on distinct memory qubits, so
+their joint distribution is the |amplitude|^2 mass of the basis states,
+binned on the record bits in one pass (_z_readout_distribution). The
+two-time agreement puts a premeasurement between its two readouts and goes
+through the exact outcome tree (_sequential_outcome_distribution).
 
 Randomness: every sampled draw comes from rng.child_generator(master_seed,
 stream, scope), with streams STREAM_SAMPLE (scope = target index) and
 STREAM_CPL (scope = variant). Each scope draws its shots' outcome counts
-with one multinomial over the tree's probabilities, so the cost does not
+with one multinomial over the exact probabilities, so the cost does not
 grow with the shot count, and identical (seed, flags) reproduce identical
 reports byte for byte.
 """
@@ -332,6 +334,35 @@ def _sequential_outcome_distribution(amplitudes: np.ndarray,
     return dist
 
 
+def _z_readout_distribution(amplitudes: np.ndarray, qubits: Sequence[int]) -> list:
+    """Joint distribution of Z readouts of `qubits`, in order, equal to
+    _sequential_outcome_distribution's for those Z steps.
+
+    A Z readout keeps each basis state or drops it, so p(v1..vm) is the
+    |amplitude|^2 mass of the basis states whose bits read v1..vm, with +1
+    for bit 0. One weighted bincount keyed on those bits, first readout as
+    the most significant bit, gives them in the tree's leaf order (+1 before
+    -1 at every step). Outcomes of probability <= ALG_TOL are dropped, as
+    the tree prunes them, and the rest must sum to 1 within PHYS_TOL.
+    Returns [(values, p), ...].
+    """
+    index = np.arange(amplitudes.size)
+    keys = np.zeros(amplitudes.size, dtype=np.intp)
+    for q in qubits:
+        keys = (keys << 1) | ((index >> q) & 1)
+    weights = np.square(amplitudes.real) + np.square(amplitudes.imag)
+    probs = np.bincount(keys, weights=weights, minlength=1 << len(qubits))
+    shifts = range(len(qubits) - 1, -1, -1)
+    dist = [
+        (tuple(1 - 2 * ((key >> s) & 1) for s in shifts), p)
+        for key, p in enumerate(probs.tolist()) if p > ALG_TOL]
+    total = sum(p for _, p in dist)
+    if abs(total - 1.0) > PHYS_TOL:
+        raise InternalConsistencyError(
+            f"Z readout probabilities sum to {total!r}")
+    return dist
+
+
 def _draw_outcome_counts(dist: list, shots: int, rng: np.random.Generator) -> list:
     """Sample `shots` outcomes from a [(values, p), ...] distribution with
     one multinomial draw, exact in law and O(outcomes) in time and memory.
@@ -394,16 +425,14 @@ def sample_records(state: StateVector,
                    counters: Optional[OperationCounters] = None) -> SampleTally:
     """Repeatedly read the listed (label, qubit) records in order and tally
     joint outcomes, products, and per-record marginals. Shots are drawn
-    from the exact readout-cascade distribution."""
+    from the exact joint distribution of the Z readouts."""
     counts: dict = {}
     violations = 0
     plus_counts = [0] * len(records)
     if shots > 0:
         rng = child_generator(master_seed, STREAM_SAMPLE, target_index)
-        observables = tuple(
-            PauliString.single(state.num_qubits, qubit, "Z")
-            for _, qubit in records)
-        dist = _sequential_outcome_distribution(state.amplitudes, observables)
+        dist = _z_readout_distribution(
+            state.amplitudes, [qubit for _, qubit in records])
         for values, count in _draw_outcome_counts(dist, shots, rng):
             if count == 0:
                 continue
@@ -617,6 +646,36 @@ def _certify_records(state: StateVector, constraint_id: int, stage: str,
         certified=result.certified and tally.violations == 0)
 
 
+def _sampling_holds(constraints: Sequence[ConstraintResult],
+                    sampling: Sequence[SampleTally]) -> bool:
+    """Whether a flow's sampled evidence certifies its products and agrees
+    with itself.
+
+    Each tally has no violation and every marginal in its band. Read back
+    from its own outcome keys, its counts sum to its shots, the keys of the
+    wrong sign product hold exactly its violations, and each marginal's
+    plus_count is the count of the keys with "+" at its position. Each
+    certification splits its shots into products_plus and products_minus
+    with the violations on the side opposite the expected sign.
+    """
+    for tally in sampling:
+        counts = tally.outcome_counts
+        odd = tally.expected_product == -1
+        wrong = sum(n for key, n in counts.items() if (key.count("-") % 2 == 1) != odd)
+        if not (tally.all_products_expected
+                and sum(counts.values()) == tally.shots
+                and wrong == tally.violations):
+            return False
+        for pos, marginal in enumerate(tally.marginals):
+            plus = sum(n for key, n in counts.items() if key[pos] == "+")
+            if not (marginal.within_band and marginal.plus_count == plus):
+                return False
+    return all(
+        c.products_plus + c.products_minus == c.shots
+        and (c.products_minus if c.expected == 1 else c.products_plus) == c.violations
+        for c in constraints)
+
+
 def run_lmz(config: ScenarioConfig) -> ScenarioReport:
     """Single-experiment flow: Alice's friends record, Bob addresses lifted
     observables, every certification lives in one pipeline.
@@ -729,8 +788,7 @@ def run_lmz(config: ScenarioConfig) -> ScenarioReport:
         and cpl.premise_certified
         and cpl.violation_demonstrated
         and abs(cpl.operator_product_after - 1.0) <= config.tolerance
-        and all(t.all_products_expected for t in sampling)
-        and all(m.within_band for t in sampling for m in t.marginals))
+        and _sampling_holds(constraints, sampling))
     return ScenarioReport(
         scenario="lmz", experiment_id=None, config=config,
         snapshots=snapshots, ledger_facts=ledger.snapshot(),
@@ -828,8 +886,7 @@ def run_cdr(config: ScenarioConfig) -> ScenarioReport:
         all(c.certified for c in constraints)
         and restoration["restored"]
         and coexisting_records["records_match_constraint"]
-        and all(t.all_products_expected for t in sampling)
-        and all(m.within_band for t in sampling for m in t.marginals))
+        and _sampling_holds(constraints, sampling))
     return ScenarioReport(
         scenario="cdr", experiment_id=exp, config=config,
         snapshots=snapshots, ledger_facts=ledger.snapshot(),

@@ -3,10 +3,13 @@
 Each check certifies one physics or toolchain claim end to end and reports
 a pass/fail row. The evidence a check reads (a flow's report, a parity
 analysis, monomial matrices) is built once per sweep, on first use, and
-its judge returns (passed, detail) from that evidence alone. The rows are
-deterministic; the final row checks the whole sweep against a 5-second
-budget. The CLI prints the sweep's wall time, then the time of each piece
-of evidence and of each judge, to stderr.
+its judge returns (passed, detail) from that evidence alone. The lmz flow,
+the reversal suite and the GHZ analysis are each built through the same
+path as their CLI report and rendered in both formats; check 9 builds each
+of those reports once more from the same flags and compares the bytes. The
+rows are deterministic; the final row checks the whole sweep against a
+5-second budget. The CLI prints the sweep's wall time, then the time of
+each piece of evidence and of each judge, to stderr.
 """
 from __future__ import annotations
 
@@ -20,21 +23,34 @@ from . import parity
 from .observers import Premeasurement, premeasure, reverse
 from .pauli import PauliString, product_of
 from .rng import STREAM_SCRIPT, child_generator
-from .report import build_check_document, build_run_document, render_text
+from .report import (
+    build_check_document,
+    build_run_document,
+    from_cdr_suite,
+    from_parity,
+    from_scenario,
+    render_text,
+    run_flow,
+)
 from .scenarios import (
+    DEFAULT_TOLERANCE,
     MAX_TOLERANCE,
-    ScenarioConfig,
     alice_premeasurements,
     constraint_table,
     lifted_direct_observables,
     record_readout_observables,
-    run_cdr_suite,
-    run_lmz,
 )
 from .statevector import StateVector, fidelity
 
 FULL_SHOTS = 10000
 TIME_BUDGET_SECONDS = 5.0
+
+# The flags of the three reports check 9 builds twice. The first build of
+# each is also the evidence the other checks read.
+LMZ_FLAGS = ("lmz", None, FULL_SHOTS, 13, DEFAULT_TOLERANCE)
+CDR_FLAGS = ("cdr", "all", FULL_SHOTS, 11, DEFAULT_TOLERANCE)
+GHZ_COMMAND = "check-assignments --builtin ghz"
+GHZ_CONFIG = {"builtin": "ghz"}
 
 
 def _monomial(matrix: np.ndarray) -> tuple:
@@ -134,18 +150,17 @@ def _round_trips() -> list:
     return fidelities
 
 
-def _reruns() -> list:
-    """(label, first, second) per report built twice from identical flags;
-    first and second hold its JSON and text renderings."""
-    builds = {
-        "lmz seed 7": lambda: build_run_document("lmz", None, 50, 7, 1e-9),
-        "cdr seed 7": lambda: build_run_document("cdr", "all", 50, 7, 1e-9),
-        "check-assignments --builtin ghz": lambda: build_check_document(
-            "check-assignments --builtin ghz", parity.ghz_record_system(),
-            {"builtin": "ghz"}),
-    }
-    return [(label, *((doc.to_json(), render_text(doc)) for doc in (build(), build())))
-            for label, build in builds.items()]
+@dataclasses.dataclass(frozen=True)
+class _Rendered:
+    """Evidence that is also the first build of a check-9 pair: the result
+    the judges read, and its report's (JSON, text) renderings."""
+
+    result: object
+    rendered: tuple
+
+
+def _render(doc) -> tuple:
+    return doc.to_json(), render_text(doc)
 
 
 def _without_states(report):
@@ -155,13 +170,41 @@ def _without_states(report):
     return dataclasses.replace(report, snapshots=[])
 
 
+def _lmz() -> _Rendered:
+    command, report = run_flow(*LMZ_FLAGS)
+    return _Rendered(_without_states(report), _render(from_scenario(command, report)))
+
+
+def _cdr() -> _Rendered:
+    command, reports = run_flow(*CDR_FLAGS)
+    return _Rendered([_without_states(r) for r in reports],
+                     _render(from_cdr_suite(command, reports)))
+
+
+def _ghz_analysis() -> _Rendered:
+    analysis = parity.analyze(parity.ghz_record_system())
+    return _Rendered(analysis, _render(from_parity(GHZ_COMMAND, analysis, GHZ_CONFIG)))
+
+
+def _reruns() -> list:
+    """(command, (JSON, text)) of the second build of each check-9 pair, in
+    the order lmz, cdr, GHZ analysis, from the first builds' flags."""
+    docs = (
+        lambda: build_run_document(*LMZ_FLAGS),
+        lambda: build_run_document(*CDR_FLAGS),
+        lambda: build_check_document(
+            GHZ_COMMAND, parity.ghz_record_system(), GHZ_CONFIG),
+    )
+    return [(doc.command, _render(doc)) for doc in (build() for build in docs)]
+
+
 # The sampled flows serve every check that reads them: their expectations,
 # restoration and disturbed diagnostic equal those of the 0-shot flows.
 _EVIDENCE = {
-    "lmz": lambda: _without_states(run_lmz(ScenarioConfig(shots=FULL_SHOTS, master_seed=13))),
-    "cdr": lambda: [_without_states(r) for r in run_cdr_suite(shots=FULL_SHOTS, master_seed=11)],
+    "lmz": _lmz,
+    "cdr": _cdr,
     "monomials": _monomials,
-    "ghz_analysis": lambda: parity.analyze(parity.ghz_record_system()),
+    "ghz_analysis": _ghz_analysis,
     "subsystems": _subsystems,
     "round_trips": _round_trips,
     "reruns": _reruns,
@@ -171,8 +214,8 @@ _EVIDENCE = {
 def _exact_products(lmz, cdr) -> tuple:
     # Not read from scenarios.CONSTRAINT_SIGNS: a wrong sign there fails here.
     expected = {1: 1, 2: -1, 3: -1, 4: -1}
-    constraints = [c for c in lmz.constraints if c.kind == "operator"]
-    constraints += [c for rep in cdr for c in rep.constraints]
+    constraints = [c for c in lmz.result.constraints if c.kind == "operator"]
+    constraints += [c for rep in cdr.result for c in rep.constraints]
     deviations = [abs(c.expectation - expected[c.constraint_id]) for c in constraints]
     worst = max(deviations)
     return (worst <= 1e-9 and len(deviations) >= 12,
@@ -190,7 +233,8 @@ def _commutation(monomials) -> tuple:
             f"max same-pair anticommutator norm {worst_anti:.3e}")
 
 
-def _no_assignment(analysis) -> tuple:
+def _no_assignment(ghz_analysis) -> tuple:
+    analysis = ghz_analysis.result
     solve = analysis["solve"]
     enum = analysis["enumeration"]
     ok = (not solve["satisfiable"]
@@ -220,8 +264,11 @@ def _three_of_four(subsystems) -> tuple:
 
 def _tally_fault(tally) -> str:
     """How a sampled tally contradicts itself, or "" if it does not: its
-    outcome counts must sum to its shots, and the counts of the keys whose
-    sign product differs from the expected one must sum to its violations."""
+    outcome counts must sum to its shots, the counts of the keys whose sign
+    product differs from the expected one must sum to its violations, and
+    each marginal's plus_count must be the count of the keys with "+" at
+    its position. Written apart from the flows' own check of their tallies,
+    so that one fault cannot pass both."""
     counts = tally.outcome_counts
     counted = sum(counts.values())
     if counted != tally.shots:
@@ -230,11 +277,24 @@ def _tally_fault(tally) -> str:
                 if (-1) ** key.count("-") != tally.expected_product)
     if wrong != tally.violations:
         return f"outcome keys hold {wrong} violations, the tally {tally.violations}"
+    for pos, marginal in enumerate(tally.marginals):
+        plus = sum(n for key, n in counts.items() if key[pos] == "+")
+        if plus != marginal.plus_count:
+            return (f"outcome keys hold {plus} +1 readouts of {marginal.label}, "
+                    f"its marginal {marginal.plus_count}")
     return ""
 
 
+def _tallies_fault(report) -> str:
+    """The first fault among a sampled report's tallies, or "" if it has
+    tallies and none contradicts itself."""
+    if not report.sampling:
+        return "no sampled tally"
+    return next(filter(None, map(_tally_fault, report.sampling)), "")
+
+
 def _reversal_per_shot(cdr) -> tuple:
-    for rep in cdr:
+    for rep in cdr.result:
         exp = f"experiment {rep.experiment_id}"
         record = next(c for c in rep.constraints if c.kind == "record")
         if record.violations != 0 or record.shots != FULL_SHOTS:
@@ -248,28 +308,25 @@ def _reversal_per_shot(cdr) -> tuple:
             return False, (
                 f"{exp}: record row counts {record.products_plus} products +1 "
                 f"and {record.products_minus} -1 in {record.shots} shots")
-        if not rep.sampling:
-            return False, f"{exp}: no sampled tally"
-        for tally in rep.sampling:
-            fault = _tally_fault(tally)
-            if fault:
-                return False, f"{exp}: {fault}"
+        fault = _tallies_fault(rep)
+        if fault:
+            return False, f"{exp}: {fault}"
         if not rep.passed:
             return False, f"{exp} report failed"
-    return len(cdr) == 4, (
+    return len(cdr.result) == 4, (
         f"4 experiments x {FULL_SHOTS} shots, every sampled product correct")
 
 
 def _reversal_identity(round_trips, cdr) -> tuple:
     worst = min(round_trips)
-    restored = cdr[0].restoration["fidelity"]
+    restored = cdr.result[0].restoration["fidelity"]
     return (worst >= 1.0 - 1e-12 and restored >= 1.0 - 1e-12,
             f"min round-trip fidelity {worst:.15f} over {len(round_trips)} "
             f"random cases; full restoration fidelity {restored:.15f}")
 
 
 def _disturbed_records(lmz) -> tuple:
-    diag = lmz.disturbed_diagnostic
+    diag = lmz.result.disturbed_diagnostic
     statuses = diag["record_statuses"]
     ok = (diag["gap_exceeds_half"]
           and abs(diag["early_expectation"] + 1.0) <= 1e-9
@@ -282,7 +339,12 @@ def _disturbed_records(lmz) -> tuple:
 
 
 def _record_agreement(lmz) -> tuple:
-    cpl = lmz.cpl
+    # The agreement's shots are drawn beside the record tallies, so a
+    # tally that contradicts itself fails this row too.
+    fault = _tallies_fault(lmz.result)
+    if fault:
+        return False, f"lmz: {fault}"
+    cpl = lmz.result.cpl
     drop = cpl.intact_expectation - cpl.disturbed_expectation
     ok = (cpl.premise_certified
           and cpl.intact_matches == FULL_SHOTS
@@ -295,12 +357,14 @@ def _record_agreement(lmz) -> tuple:
         f"expectation {cpl.disturbed_expectation:+.6f}, drop {drop:.6f}")
 
 
-def _determinism(reruns) -> tuple:
-    for label, first, second in reruns:
-        for fmt, a, b in zip(("JSON", "text"), first, second):
+def _determinism(lmz, cdr, ghz_analysis, reruns) -> tuple:
+    # Each rerun's second build is judged against the first build that the
+    # other rows read.
+    for first, (label, second) in zip((lmz, cdr, ghz_analysis), reruns):
+        for fmt, a, b in zip(("JSON", "text"), first.rendered, second):
             if a != b:
                 return False, f"{fmt} mismatch for {label}"
-    return True, "scenario and constraint reports byte-identical across reruns"
+    return len(reruns) == 3, "scenario and constraint reports byte-identical across reruns"
 
 
 def _budget(elapsed) -> tuple:
@@ -318,7 +382,7 @@ _CHECKS = (
     (6, "reversal is an exact inverse and restores the register", ("round_trips", "cdr"), _reversal_identity),
     (7, "later operations break the mixed record product", ("lmz",), _disturbed_records),
     (8, "record agreement is certain intact and collapses when disturbed", ("lmz",), _record_agreement),
-    (9, "identical flags reproduce byte-identical reports", ("reruns",), _determinism),
+    (9, "identical flags reproduce byte-identical reports", ("lmz", "cdr", "ghz_analysis", "reruns"), _determinism),
     (10, f"full sweep completes within {TIME_BUDGET_SECONDS:g} s", ("elapsed",), _budget),
 )
 

@@ -2,7 +2,9 @@
 
 Each flow mutant patches one piece of relfacts.scenarios. Every CLI run of
 a flow that uses the mutated piece must exit 1 with verdict FAIL, at the
-default tolerance and at the largest accepted one. Each verify mutant must
+default tolerance and at the largest accepted one; a miscounted tally,
+which no tolerance forgives, at 200 shots and the default tolerance only.
+Each verify mutant must
 make `verify --all` exit 1 and fail the acceptance row that judges the
 mutated piece.
 """
@@ -137,7 +139,8 @@ def test_sign_flipped_products_fail_verify(sign_flipped_products, capsys):
     assert_verify_row_fails(8, capsys)
 
 
-def test_flipped_outcome_keys_fail_verify(monkeypatch, capsys):
+@pytest.fixture
+def flipped_outcome_keys(monkeypatch):
     # Every key of a three-record tally flips, so each key's own product
     # contradicts the expected sign while the tally still counts 0 violations.
     original = scenarios.sample_records
@@ -149,12 +152,10 @@ def test_flipped_outcome_keys_fail_verify(monkeypatch, capsys):
             key.translate(flip): n for key, n in tally.outcome_counts.items()})
 
     monkeypatch.setattr(scenarios, "sample_records", flipped_keys)
-    row = assert_verify_row_fails(5, capsys)
-    assert row["detail"] == (
-        f"experiment 1: outcome keys hold {verify.FULL_SHOTS} violations, the tally 0")
 
 
-def test_swapped_record_products_fail_verify(monkeypatch, capsys):
+@pytest.fixture
+def swapped_record_products(monkeypatch):
     original = scenarios._certify_records
 
     def swapped(*args, **kwargs):
@@ -163,5 +164,43 @@ def test_swapped_record_products_fail_verify(monkeypatch, capsys):
                                    products_minus=result.products_plus)
 
     monkeypatch.setattr(scenarios, "_certify_records", swapped)
+
+
+@pytest.fixture
+def swapped_marginals(monkeypatch):
+    # Each record's +1 count becomes its -1 count; every frequency, and so
+    # every 5-sigma band, is left as drawn.
+    original = scenarios.sample_records
+
+    def swapped(state, **kwargs):
+        tally = original(state, **kwargs)
+        return dataclasses.replace(tally, marginals=tuple(
+            dataclasses.replace(m, plus_count=tally.shots - m.plus_count)
+            for m in tally.marginals))
+
+    monkeypatch.setattr(scenarios, "sample_records", swapped)
+
+
+# Each flow checks its own tallies against their outcome keys.
+@pytest.mark.parametrize("mutant", [
+    "flipped_outcome_keys", "swapped_record_products", "swapped_marginals"])
+@pytest.mark.parametrize("argv", [LMZ, CDR], ids=["lmz", "cdr"])
+def test_miscounted_tallies_fail_both_flows(mutant, argv, request, capsys):
+    request.getfixturevalue(mutant)
+    assert_fails((argv + ["--shots", "200"],), None, capsys)
+
+
+def test_flipped_outcome_keys_fail_verify(flipped_outcome_keys, capsys):
+    row = assert_verify_row_fails(5, capsys)
+    assert row["detail"] == (
+        f"experiment 1: outcome keys hold {verify.FULL_SHOTS} violations, the tally 0")
+
+
+def test_swapped_record_products_fail_verify(swapped_record_products, capsys):
     row = assert_verify_row_fails(5, capsys)
     assert row["detail"].startswith("experiment 1: record row counts 0 products +1")
+
+
+def test_swapped_marginals_fail_verify(swapped_marginals, capsys):
+    row = assert_verify_row_fails(5, capsys)
+    assert row["detail"].startswith("experiment 1: outcome keys hold ")

@@ -3,9 +3,11 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracle import expect, ghz_amps, op, premeasure_unitary
-from relfacts.errors import ProtocolError
+from relfacts.errors import InternalConsistencyError, ProtocolError
 from relfacts.observers import Premeasurement, premeasure
 from relfacts.pauli import PauliString
 from relfacts.report import from_scenario
@@ -21,6 +23,7 @@ from relfacts.scenarios import (
     _certify_records,
     _draw_outcome_counts,
     _sequential_outcome_distribution,
+    _z_readout_distribution,
     alice_premeasurements,
     certify_constraint,
     cpl_check,
@@ -401,6 +404,27 @@ class TestSamplingMachinery:
                     vec = (np.eye(8) + v * m) @ vec / 2
                 assert prob == pytest.approx(
                     float(np.vdot(vec, vec).real), abs=1e-10)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_z_readouts_bincount_equals_the_tree(self, seed):
+        # Random 1..9-qubit states, 1..5 Z readouts with repeats allowed.
+        rng = np.random.default_rng(seed)
+        num_qubits = int(rng.integers(1, 10))
+        qubits = [int(q) for q in rng.integers(0, num_qubits, int(rng.integers(1, 6)))]
+        amps = (rng.standard_normal(1 << num_qubits)
+                + 1j * rng.standard_normal(1 << num_qubits))
+        amps /= np.linalg.norm(amps)
+        binned = _z_readout_distribution(amps, qubits)
+        tree = _sequential_outcome_distribution(
+            amps, [PauliString.single(num_qubits, q, "Z") for q in qubits])
+        assert [values for values, _ in binned] == [values for values, _ in tree]
+        for (_, p), (_, q) in zip(binned, tree):
+            assert abs(p - q) <= 1e-15
+
+    def test_z_readouts_check_their_sum(self):
+        with pytest.raises(InternalConsistencyError, match="sum to"):
+            _z_readout_distribution(np.array([1.0, 1.0]), [0])
 
     def test_premeasurement_step_matches_dense(self):
         rng = np.random.default_rng(41)

@@ -2,8 +2,10 @@
 read-back and its monomial arithmetic against dense matrix products, every
 judge on hand-built evidence (each conjunct of a
 pass condition made false on its own), and the runner that builds each
-piece of evidence once."""
+piece of evidence once and each report of check 9 twice."""
 import copy
+import dataclasses
+import json
 import tracemalloc
 from itertools import product
 from types import SimpleNamespace
@@ -11,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from relfacts import verify
+from relfacts import parity, report, verify
 from relfacts.cli import main
 from relfacts.pauli import PauliString, commutes
 from relfacts.verify import (
@@ -137,6 +139,11 @@ def constraint(cid, kind, expectation, **fields):
 SIGNS = {1: 1, 2: -1, 3: -1, 4: -1}
 
 
+def built(result, rendered=("json", "text")):
+    """Hand-built evidence that is also the first build of a check-9 pair."""
+    return verify._Rendered(result, rendered)
+
+
 def exact_flows():
     lmz = SimpleNamespace(constraints=[
         constraint(cid, kind, sign) for kind in ("operator", "record")
@@ -148,21 +155,21 @@ def exact_flows():
 
 
 def test_exact_products_pass_on_twelve_exact_expectations():
-    assert verify._exact_products(*exact_flows()) == (
+    assert verify._exact_products(*map(built, exact_flows())) == (
         True, "12 product expectations, max deviation 0.000e+00")
 
 
 def test_exact_products_need_twelve_expectations():
     lmz, cdr = exact_flows()
     cdr[3].constraints.pop()
-    assert verify._exact_products(lmz, cdr) == (
+    assert verify._exact_products(built(lmz), built(cdr)) == (
         False, "11 product expectations, max deviation 0.000e+00")
 
 
 def test_exact_products_fail_beyond_1e_9():
     lmz, cdr = exact_flows()
     cdr[2].constraints[1].expectation += 2e-9
-    assert not passes(verify._exact_products, lmz, cdr)
+    assert not passes(verify._exact_products, built(lmz), built(cdr))
 
 
 def pauli_monomial(label):
@@ -199,7 +206,7 @@ def altered(base, path, value):
 
 
 def test_no_assignment_passes_on_the_ghz_analysis():
-    assert verify._no_assignment(GHZ_ANALYSIS) == (
+    assert verify._no_assignment(built(GHZ_ANALYSIS)) == (
         True, "0/64 assignments satisfy all four; certificate {1,2,3,4}")
 
 
@@ -212,7 +219,7 @@ def test_no_assignment_passes_on_the_ghz_analysis():
     (("consistent",), False),
 ])
 def test_no_assignment_fails_on_each_conjunct(path, value):
-    assert not passes(verify._no_assignment, altered(GHZ_ANALYSIS, path, value))
+    assert not passes(verify._no_assignment, built(altered(GHZ_ANALYSIS, path, value)))
 
 
 SUBSYSTEM = {"solve": {"satisfiable": True},
@@ -247,12 +254,14 @@ def test_three_of_four_fails_on_each_conjunct(index, path, value, detail):
 
 def clean_tally(sign):
     """A three-record tally of FULL_SHOTS shots spread over the four keys
-    whose sign product is `sign`."""
+    whose sign product is `sign`; each record reads +1 in half of them."""
     keys = [key for key in map("".join, product("+-", repeat=3))
             if (-1) ** key.count("-") == sign]
     return SimpleNamespace(
         expected_product=sign, shots=FULL_SHOTS, violations=0,
-        outcome_counts=dict.fromkeys(keys, FULL_SHOTS // 4))
+        outcome_counts=dict.fromkeys(keys, FULL_SHOTS // 4),
+        marginals=[SimpleNamespace(label=f"R{pos}", plus_count=FULL_SHOTS // 2)
+                   for pos in (1, 2, 3)])
 
 
 def cdr_suite():
@@ -271,7 +280,7 @@ def cdr_suite():
 
 
 def test_reversal_per_shot_passes_on_four_clean_experiments():
-    assert verify._reversal_per_shot(cdr_suite()) == (
+    assert verify._reversal_per_shot(built(cdr_suite())) == (
         True, f"4 experiments x {FULL_SHOTS} shots, every sampled product correct")
 
 
@@ -284,7 +293,7 @@ def test_reversal_per_shot_fails_on_each_conjunct(experiment, field, value, deta
     cdr = cdr_suite()
     report = cdr[experiment - 1]
     setattr(report if field == "passed" else report.constraints[1], field, value)
-    assert verify._reversal_per_shot(cdr) == (False, detail)
+    assert verify._reversal_per_shot(built(cdr)) == (False, detail)
 
 
 def swap_products(report):
@@ -313,6 +322,10 @@ def miscount_violations(report):
     report.sampling[0].violations = 1
 
 
+def miscount_marginal(report):
+    report.sampling[0].marginals[1].plus_count -= 1
+
+
 def drop_tallies(report):
     report.sampling = []
 
@@ -328,15 +341,18 @@ def drop_tallies(report):
     (1, flip_keys, f"experiment 1: outcome keys hold {FULL_SHOTS} violations, the tally 0"),
     (2, miscount_violations, "experiment 2: outcome keys hold 0 violations, the tally 1"),
     (3, drop_tallies, "experiment 3: no sampled tally"),
+    (4, miscount_marginal,
+     f"experiment 4: outcome keys hold {FULL_SHOTS // 2} +1 readouts of R2, "
+     f"its marginal {FULL_SHOTS // 2 - 1}"),
 ], ids=lambda v: v.__name__ if callable(v) else None)
 def test_reversal_per_shot_checks_the_tallies_it_relies_on(experiment, alter, detail):
     cdr = cdr_suite()
     alter(cdr[experiment - 1])
-    assert verify._reversal_per_shot(cdr) == (False, detail)
+    assert verify._reversal_per_shot(built(cdr)) == (False, detail)
 
 
 def test_reversal_per_shot_needs_all_four_experiments():
-    assert not passes(verify._reversal_per_shot, cdr_suite()[:3])
+    assert not passes(verify._reversal_per_shot, built(cdr_suite()[:3]))
 
 
 @pytest.mark.parametrize("worst, restored, expected", [
@@ -349,7 +365,7 @@ def test_reversal_identity_judges_round_trips_and_restoration(worst, restored, e
     cdr = cdr_suite()
     cdr[0].restoration["fidelity"] = restored
     round_trips = [1.0] * 99 + [worst]
-    passed, detail = verify._reversal_identity(round_trips, cdr)
+    passed, detail = verify._reversal_identity(round_trips, built(cdr))
     assert passed is expected
     assert "over 100 random cases" in detail
 
@@ -371,7 +387,7 @@ DIAGNOSTIC = {
 def test_disturbed_records_fail_on_each_conjunct(path, value, expected):
     diag = altered(DIAGNOSTIC, path, value) if path else DIAGNOSTIC
     lmz = SimpleNamespace(disturbed_diagnostic=diag)
-    assert passes(verify._disturbed_records, lmz) is expected
+    assert passes(verify._disturbed_records, built(lmz)) is expected
 
 
 CPL = {
@@ -379,6 +395,13 @@ CPL = {
     "intact_expectation": 1.0, "disturbed_expectation": 0.0,
     "violation_demonstrated": True, "operator_product_after": 1.0,
 }
+
+
+def lmz_with_cpl(**cpl):
+    """An lmz report with one clean tally per constraint and the given cpl."""
+    return SimpleNamespace(
+        cpl=SimpleNamespace(**cpl),
+        sampling=[clean_tally(sign) for sign in SIGNS.values()])
 
 
 @pytest.mark.parametrize("field, value, expected", [
@@ -392,8 +415,21 @@ CPL = {
 ])
 def test_record_agreement_fails_on_each_conjunct(field, value, expected):
     cpl = dict(CPL) if field is None else {**CPL, field: value}
-    lmz = SimpleNamespace(cpl=SimpleNamespace(**cpl))
-    assert passes(verify._record_agreement, lmz) is expected
+    assert passes(verify._record_agreement, built(lmz_with_cpl(**cpl))) is expected
+
+
+@pytest.mark.parametrize("alter, detail", [
+    (drop_one_count, f"lmz: outcome counts sum to {FULL_SHOTS - 1} of {FULL_SHOTS} shots"),
+    (flip_keys, f"lmz: outcome keys hold {FULL_SHOTS} violations, the tally 0"),
+    (miscount_marginal,
+     f"lmz: outcome keys hold {FULL_SHOTS // 2} +1 readouts of R2, "
+     f"its marginal {FULL_SHOTS // 2 - 1}"),
+    (drop_tallies, "lmz: no sampled tally"),
+], ids=lambda v: v.__name__ if callable(v) else None)
+def test_record_agreement_checks_the_lmz_tallies(alter, detail):
+    lmz = lmz_with_cpl(**CPL)
+    alter(lmz)
+    assert verify._record_agreement(built(lmz)) == (False, detail)
 
 
 @pytest.mark.parametrize("second, detail", [
@@ -402,8 +438,24 @@ def test_record_agreement_fails_on_each_conjunct(field, value, expected):
     (("json", "TEXT"), "text mismatch for lmz seed 7"),
 ])
 def test_determinism_names_the_first_mismatch(second, detail):
-    reruns = [("lmz seed 7", ("json", "text"), second)]
-    assert verify._determinism(reruns) == (second == ("json", "text"), detail)
+    firsts = [built(None) for _ in range(3)]
+    reruns = [("lmz seed 7", second), ("cdr", ("json", "text")), ("ghz", ("json", "text"))]
+    assert verify._determinism(*firsts, reruns) == (second == ("json", "text"), detail)
+
+
+@pytest.mark.parametrize("pair", range(3))
+def test_determinism_compares_each_first_build_with_its_rerun(pair):
+    firsts = [built(None) for _ in range(3)]
+    firsts[pair] = built(None, ("json", "other text"))
+    reruns = [(label, ("json", "text")) for label in ("lmz", "cdr", "ghz")]
+    assert verify._determinism(*firsts, reruns) == (
+        False, f"text mismatch for {reruns[pair][0]}")
+
+
+def test_determinism_needs_all_three_reruns():
+    firsts = [built(None) for _ in range(3)]
+    reruns = [(label, ("json", "text")) for label in ("lmz", "cdr")]
+    assert not passes(verify._determinism, *firsts, reruns)
 
 
 def test_budget_is_strict():
@@ -411,35 +463,72 @@ def test_budget_is_strict():
     assert not passes(verify._budget, verify.TIME_BUDGET_SECONDS)
 
 
-def counting(monkeypatch, name, calls):
-    original = getattr(verify, name)
+def counting(monkeypatch, modules, name, calls, count=lambda *args: True):
+    """Count the calls of `name` for which `count(*args)` holds, through
+    the binding of each of `modules` that has one."""
+    for module in modules:
+        if not hasattr(module, name):
+            continue
+        original = getattr(module, name)
 
-    def counted(*args, **kwargs):
-        calls[name] = calls.get(name, 0) + 1
-        return original(*args, **kwargs)
+        def counted(*args, original=original, **kwargs):
+            if count(*args):
+                calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
 
-    monkeypatch.setattr(verify, name, counted)
+        monkeypatch.setattr(module, name, counted)
 
 
-def test_one_sweep_runs_each_flow_once(monkeypatch):
-    calls = {}
+def test_one_sweep_builds_each_report_twice_and_canonicalizes_it_once(monkeypatch):
+    calls, documents = {}, []
     for name in ("run_lmz", "run_cdr_suite"):
-        counting(monkeypatch, name, calls)
+        counting(monkeypatch, (verify, report), name, calls)
+    ghz = parity.ghz_record_system()
+    counting(monkeypatch, (parity,), "analyze", calls, lambda system: system == ghz)
+    original = report.canonicalize
+
+    def canonicalize(value):
+        if isinstance(value, report.ReportDocument):
+            documents.append(value)
+        return original(value)
+
+    monkeypatch.setattr(report, "canonicalize", canonicalize)
     rows, _, timings = verify.run_all_checks()
     assert all(row["passed"] for row in rows)
-    assert calls == {"run_lmz": 1, "run_cdr_suite": 1}
+    assert calls == {"run_lmz": 2, "run_cdr_suite": 2, "analyze": 2}
+    # lmz, cdr and the GHZ analysis, twice each; each canonicalized once
+    # although it is rendered as JSON and as text.
+    assert len(documents) == 6
+    assert len({id(doc) for doc in documents}) == 6
     built = [label for label, _ in timings if label.startswith("evidence ")]
     assert len(built) == len(set(built))
+
+
+def test_a_differing_second_build_fails_row_9(monkeypatch, capsys):
+    original, calls = report.run_lmz, []
+
+    def second_differs(config):
+        result = original(config)
+        calls.append(config)
+        if len(calls) == 2:
+            result.cpl = dataclasses.replace(result.cpl, intact_matches=0)
+        return result
+
+    monkeypatch.setattr(report, "run_lmz", second_differs)
+    assert main(["verify", "--all", "--format", "json"]) == 1
+    rows = json.loads(capsys.readouterr().out)["results"]["checks"]
+    failed = {row["id"]: row["detail"] for row in rows if not row["passed"]}
+    assert failed == {9: "JSON mismatch for run lmz --shots 10000 --seed 13 --tolerance 1e-09"}
 
 
 def test_failing_evidence_fails_only_the_rows_that_need_it(monkeypatch, capsys):
     def broken(**kwargs):
         raise RuntimeError("suite unavailable")
 
-    monkeypatch.setattr(verify, "run_cdr_suite", broken)
+    monkeypatch.setattr(report, "run_cdr_suite", broken)
     rows, _, _ = verify.run_all_checks()
     assert [row["id"] for row in rows] == list(range(1, 11))
     failed = {row["id"]: row["detail"] for row in rows if not row["passed"]}
-    assert failed == dict.fromkeys((1, 5, 6), "raised RuntimeError: suite unavailable")
+    assert failed == dict.fromkeys((1, 5, 6, 9), "raised RuntimeError: suite unavailable")
     assert main(["verify", "--all"]) == 1
     assert "verdict: FAIL" in capsys.readouterr().out
