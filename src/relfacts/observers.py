@@ -7,6 +7,10 @@ P_pm = (1 +/- O)/2. U is Hermitian, unitary, and self-inverse, so the same
 operation both writes and unwrites a record. After premeasuring onto a
 cleared memory, O x Z_m has expectation exactly +1: the record tracks the
 observable perfectly until some later operation fails to commute with it.
+
+The array kernels below take a (..., 2^n) stack of amplitude rows and act
+on each row of the last axis, so a batch of states costs one gather per
+step; premeasure and reverse wrap them for a single StateVector.
 """
 from __future__ import annotations
 
@@ -45,24 +49,30 @@ class Premeasurement:
 
 
 def _premeasure_array(amps: np.ndarray, pm: Premeasurement) -> np.ndarray:
-    """(P_plus + X_m P_minus) applied to raw amplitudes."""
+    """(P_plus + X_m P_minus) applied to each row of a (..., 2^n) stack of
+    raw amplitudes."""
     o_amps = pm.observable.apply_to_array(amps)
     plus = (amps + o_amps) / 2.0
     minus = (amps - o_amps) / 2.0
     # X on the memory qubit as a gather: the sources of +X_m, whose phases are all 1.
     flipped, _ = _apply_tables(pm.observable.num_qubits, 1 << pm.memory, 0, 1)
-    plus += minus[flipped]
+    plus += minus.T[flipped].T
     return plus
 
 
 def _require_cleared_memory(amps: np.ndarray, pm: Premeasurement,
-                            weight: float = 1.0) -> None:
-    """Raise ProtocolError unless the memory qubit reads 0 with certainty.
-    `weight` is the squared norm of `amps`, so that unnormalized branches
+                            weight: float | np.ndarray = 1.0) -> None:
+    """Raise ProtocolError unless the memory qubit reads 0 with certainty in
+    every row of a (..., 2^n) stack of amplitudes. `weight` is the squared
+    norm of `amps`, one value or one per row, so that unnormalized branches
     of an outcome tree are judged by their conditional probability."""
     bit = 1 << pm.memory
     excited = _masked_indices(pm.observable.num_qubits, bit, bit)
-    if float(np.sum(np.abs(amps[excited]) ** 2)) > PHYS_TOL * weight:
+    # ndarray.sum, not np.sum, whose Python wrapper costs as much again on
+    # one state; and Python's any, not a numpy reduction, which would add a
+    # transient allocation at the flows' memory peak.
+    mass = (np.abs(amps.T[excited].T) ** 2).sum(axis=-1)
+    if any(np.ravel(mass > PHYS_TOL * weight)):
         raise ProtocolError(
             f"memory qubit {pm.memory} is not in |0>; "
             "premeasurement needs a cleared memory")

@@ -136,16 +136,18 @@ class PauliString:
     def apply_to_array(self, amplitudes: np.ndarray) -> np.ndarray:
         """Return P @ amplitudes without building a dense matrix.
 
-        The X/Y mask fixes which index each output amplitude is read from,
-        the Y/Z mask its (-1) phase, and the sign and Y count a global power
-        of i. Both tables come from `_apply_tables`, memoised per register
-        size, masks and sign, so a repeated string costs one gather and one
-        multiply.
+        `amplitudes` is a (..., 2^n) stack of states, P acting on each row of
+        the last axis; a single state is the (2^n,) stack of one. The X/Y
+        mask fixes which index each output amplitude is read from, the Y/Z
+        mask its (-1) phase, and the sign and Y count a global power of i.
+        Both tables come from `_apply_tables`, memoised per register size,
+        masks and sign, so a repeated string costs one gather along the last
+        axis and one multiply, whatever the stack's shape.
         """
         n = self.num_qubits
-        if amplitudes.shape != (1 << n,):
+        if amplitudes.shape[-1:] != (1 << n,):
             raise ValueError(
-                f"amplitude array of length {amplitudes.shape} does not match {n} qubits")
+                f"amplitude array of shape {amplitudes.shape} does not match {n} qubits")
         flip_mask = 0
         phase_mask = 0
         for q, f in enumerate(self.factors):
@@ -154,7 +156,12 @@ class PauliString:
             if f in ("Y", "Z"):
                 phase_mask |= 1 << q
         sources, phases = _apply_tables(n, flip_mask, phase_mask, self.sign)
-        return phases * amplitudes[sources]
+        # A gather along the first axis of the transpose is a gather along the
+        # last axis; on a 1-D array it is amplitudes[sources], numpy's fast
+        # path. take() would copy the read-only table on every call, and
+        # amplitudes[..., sources] builds an index iterator each time. A
+        # stack's result comes out Fortran-ordered.
+        return phases * amplitudes.T[sources].T
 
     def dense_matrix(self) -> np.ndarray:
         """Explicit 2^n x 2^n matrix; guarded to small n."""

@@ -647,17 +647,24 @@ def _certify_records(state: StateVector, constraint_id: int, stage: str,
 
 
 def _sampling_holds(constraints: Sequence[ConstraintResult],
-                    sampling: Sequence[SampleTally]) -> bool:
+                    sampling: Sequence[SampleTally], shots: int) -> bool:
     """Whether a flow's sampled evidence certifies its products and agrees
     with itself.
 
-    Each tally has no violation and every marginal in its band. Read back
-    from its own outcome keys, its counts sum to its shots, the keys of the
-    wrong sign product hold exactly its violations, and each marginal's
-    plus_count is the count of the keys with "+" at its position. Each
-    certification splits its shots into products_plus and products_minus
-    with the violations on the side opposite the expected sign.
+    Every record certification reports the flow's `shots`, and when shots
+    > 0 each one has its own tally, in the same order. Each tally has no
+    violation and every marginal in its band. Read back from its own
+    outcome keys, its counts sum to its shots, the keys of the wrong sign
+    product hold exactly its violations, and each marginal's plus_count is
+    the count of the keys with "+" at its position. Each certification
+    splits its shots into products_plus and products_minus with the
+    violations on the side opposite the expected sign.
     """
+    records = [c for c in constraints if c.kind == "record"]
+    tallied = [c.constraint_id for c in records] if shots > 0 else []
+    if not (all(c.shots == shots for c in records)
+            and [t.constraint_id for t in sampling] == tallied):
+        return False
     for tally in sampling:
         counts = tally.outcome_counts
         odd = tally.expected_product == -1
@@ -788,7 +795,7 @@ def run_lmz(config: ScenarioConfig) -> ScenarioReport:
         and cpl.premise_certified
         and cpl.violation_demonstrated
         and abs(cpl.operator_product_after - 1.0) <= config.tolerance
-        and _sampling_holds(constraints, sampling))
+        and _sampling_holds(constraints, sampling, config.shots))
     return ScenarioReport(
         scenario="lmz", experiment_id=None, config=config,
         snapshots=snapshots, ledger_facts=ledger.snapshot(),
@@ -886,7 +893,7 @@ def run_cdr(config: ScenarioConfig) -> ScenarioReport:
         all(c.certified for c in constraints)
         and restoration["restored"]
         and coexisting_records["records_match_constraint"]
-        and _sampling_holds(constraints, sampling))
+        and _sampling_holds(constraints, sampling, config.shots))
     return ScenarioReport(
         scenario="cdr", experiment_id=exp, config=config,
         snapshots=snapshots, ledger_facts=ledger.snapshot(),

@@ -90,3 +90,20 @@ def random_state(rng: np.random.Generator, num_qubits: int,
         idx = np.arange(1 << num_qubits)
         amps[(idx >> q) & 1 == 1] = 0.0
     return amps / np.linalg.norm(amps)
+
+
+def random_stack(rng: np.random.Generator, rows: int, num_qubits: int) -> np.ndarray:
+    """A (rows, 2^n) stack of random amplitudes with signed zeros mixed in:
+    about a quarter of the real and of the imaginary parts are +0.0 or -0.0."""
+    shape = (rows, 1 << num_qubits)
+    real, imag = rng.standard_normal(shape), rng.standard_normal(shape)
+    for part in (real, imag):
+        zeroed = rng.random(shape) < 0.25
+        part[zeroed] = np.copysign(0.0, rng.choice([-1.0, 1.0], size=shape))[zeroed]
+    return real + 1j * imag
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shapes and equal bits, so +0.0 and -0.0 differ."""
+    return a.shape == b.shape and np.array_equal(
+        np.ascontiguousarray(a).view(np.uint64), np.ascontiguousarray(b).view(np.uint64))

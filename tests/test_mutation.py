@@ -15,6 +15,7 @@ import pytest
 
 from relfacts import parity, scenarios, verify
 from relfacts.cli import main
+from relfacts.observers import _premeasure_array
 from relfacts.pauli import PauliString
 
 LMZ = ["run", "lmz"]
@@ -204,3 +205,34 @@ def test_swapped_record_products_fail_verify(swapped_record_products, capsys):
 def test_swapped_marginals_fail_verify(swapped_marginals, capsys):
     row = assert_verify_row_fails(5, capsys)
     assert row["detail"].startswith("experiment 1: outcome keys hold ")
+
+
+@pytest.fixture
+def unsampled_records(monkeypatch):
+    # Every record certification runs as if --shots were 0: no tally is
+    # drawn and each record row reports 0 shots.
+    original = scenarios._certify_records
+
+    def unsampled(state, constraint_id, stage, target, config, *args):
+        return original(state, constraint_id, stage, target,
+                        dataclasses.replace(config, shots=0), *args)
+
+    monkeypatch.setattr(scenarios, "_certify_records", unsampled)
+
+
+@pytest.mark.parametrize("argv", [LMZ, CDR], ids=["lmz", "cdr"])
+def test_unsampled_records_fail_both_flows(argv, unsampled_records, capsys):
+    assert_fails((argv + ["--shots", "200"],), None, capsys)
+
+
+def test_round_trip_that_is_not_the_identity_fails_verify(monkeypatch, capsys):
+    # Swapping two amplitudes of each premeasured row keeps every norm; the
+    # round trip then misses its input on most premeasurements.
+    def swapped(stack, pm):
+        out = _premeasure_array(stack, pm)
+        out[..., [0, 1]] = out[..., [1, 0]]
+        return out
+
+    monkeypatch.setattr(verify, "_premeasure_array", swapped)
+    row = assert_verify_row_fails(6, capsys)
+    assert row["detail"].startswith("min round-trip fidelity 0.")

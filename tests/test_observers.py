@@ -3,12 +3,16 @@ from math import sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracle import op, op_label, premeasure_unitary, random_state
+from oracle import op, op_label, premeasure_unitary, random_stack, random_state, same_bits
 from relfacts.errors import ProtocolError
 from relfacts.observers import (
     Ledger,
     Premeasurement,
+    _premeasure_array,
+    _require_cleared_memory,
     lift,
     premeasure,
     record_observable,
@@ -16,7 +20,7 @@ from relfacts.observers import (
 )
 from relfacts.pauli import PauliString, commutes
 from relfacts.scenarios import _sequential_outcome_distribution
-from relfacts.statevector import StateVector, expectation, fidelity, zero_state
+from relfacts.statevector import PHYS_TOL, StateVector, expectation, fidelity, zero_state
 
 INV_SQRT2 = 1 / sqrt(2.0)
 
@@ -125,6 +129,65 @@ class TestReverse:
         pm = pm_z()
         recorded = premeasure(plus_zero(), pm)
         reverse(recorded, pm)
+
+
+def random_premeasurement(rng, num_qubits):
+    """A signed, non-identity string premeasured onto a qubit outside it."""
+    memory = int(rng.integers(0, num_qubits))
+    factors = list(rng.choice(list("IXYZ"), size=num_qubits))
+    factors[memory] = "I"
+    if all(f == "I" for f in factors):
+        factors[(memory + 1) % num_qubits] = "Z"
+    return Premeasurement(
+        PauliString(num_qubits, tuple(factors), int(rng.choice([1, -1]))), memory, "friend")
+
+
+class TestStackedKernels:
+    @given(st.integers(2, 6), st.integers(0, 5), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_each_row_equals_the_single_state_call(self, num_qubits, rows, seed):
+        rng = np.random.default_rng(seed)
+        pm = random_premeasurement(rng, num_qubits)
+        stack = random_stack(rng, rows, num_qubits)
+        for layout in (stack, np.asfortranarray(stack)):
+            out = _premeasure_array(layout, pm)
+            assert out.shape == stack.shape
+            for r in range(rows):
+                assert same_bits(out[r], _premeasure_array(stack[r], pm))
+
+    @given(st.integers(2, 6), st.integers(0, 5), st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_cleared_memory_raises_iff_some_row_is_excited(self, num_qubits, rows,
+                                                           per_row_weight, seed):
+        # Each row's excited mass is 0, 1e-12 or 1e-6 of its weight: two
+        # orders of magnitude either side of the PHYS_TOL bound.
+        rng = np.random.default_rng(seed)
+        pm = random_premeasurement(rng, num_qubits)
+        excited = (np.arange(1 << num_qubits) >> pm.memory) & 1 == 1
+        levels = rng.choice([0.0, 1e-12, 1e-6], size=rows)
+        stack = np.zeros((rows, 1 << num_qubits), dtype=complex)
+        for r, level in enumerate(levels):
+            ground = random_state(rng, num_qubits, zero_qubits=(pm.memory,))
+            lifted = random_state(rng, num_qubits) * excited
+            lifted /= np.linalg.norm(lifted)
+            stack[r] = rng.uniform(0.5, 2.0) * (
+                np.sqrt(1.0 - level) * ground + np.sqrt(level) * lifted)
+        weights = np.array([np.vdot(row, row).real for row in stack])
+        weight = weights if per_row_weight else 1.0
+        masses = [sum(abs(a) ** 2 for a in row[excited]) for row in stack]
+        should_raise = any(m > PHYS_TOL * w for m, w in zip(masses, np.broadcast_to(weight, rows)))
+        assert should_raise == any(levels > PHYS_TOL)
+        if should_raise:
+            with pytest.raises(ProtocolError, match="not in |0>"):
+                _require_cleared_memory(stack, pm, weight)
+        else:
+            _require_cleared_memory(stack, pm, weight)
+
+    @pytest.mark.parametrize("shape", [(), (4,), (3, 4), (8, 2)])
+    def test_wrong_last_axis_raises(self, shape):
+        pm = Premeasurement(PauliString.from_label("XZI"), 2, "friend")
+        with pytest.raises(ValueError, match="does not match 3 qubits"):
+            _premeasure_array(np.zeros(shape, dtype=complex), pm)
 
 
 class TestLift:

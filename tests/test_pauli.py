@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import MATS, op_label, random_state
+from oracle import MATS, op_label, random_stack, random_state, same_bits
 from relfacts.errors import ResourceError
 from relfacts.pauli import (
     DENSE_MATRIX_MAX_QUBITS,
@@ -184,6 +184,36 @@ class TestApply:
             amps = random_state(rng, num_qubits)
             twice = p.apply_to_array(p.apply_to_array(amps))
             np.testing.assert_allclose(twice, amps, atol=1e-12)
+
+
+class TestStackedApply:
+    @given(st.integers(1, 6), st.integers(0, 5), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_each_row_equals_the_single_state_call(self, num_qubits, rows, seed):
+        rng = np.random.default_rng(seed)
+        p = PauliString(num_qubits, tuple(rng.choice(list(FACTORS), size=num_qubits)),
+                        int(rng.choice([1, -1])))
+        stack = random_stack(rng, rows, num_qubits)
+        # A stacked output is Fortran-ordered, and so is the stack a second
+        # application reads.
+        for layout in (stack, np.asfortranarray(stack)):
+            out = p.apply_to_array(layout)
+            assert out.shape == stack.shape
+            for r in range(rows):
+                assert same_bits(out[r], p.apply_to_array(stack[r]))
+
+    def test_leading_axes_are_batch_axes(self):
+        rng = np.random.default_rng(5)
+        p = PauliString.from_label("XYZ", sign=-1)
+        stack = random_stack(rng, 6, 3).reshape(2, 3, 8)
+        out = p.apply_to_array(stack)
+        for i, j in iter_product(range(2), range(3)):
+            assert same_bits(out[i, j], p.apply_to_array(stack[i, j]))
+
+    @pytest.mark.parametrize("shape", [(), (4,), (3, 4), (8, 2)])
+    def test_wrong_last_axis_raises(self, shape):
+        with pytest.raises(ValueError, match="does not match 3 qubits"):
+            PauliString.from_label("XYZ").apply_to_array(np.zeros(shape, dtype=complex))
 
 
 class TestMemoisedTables:

@@ -1,4 +1,5 @@
 """Both protocol flows end to end, cross-checked against dense pipelines."""
+import math
 from itertools import permutations
 
 import numpy as np
@@ -42,6 +43,21 @@ from relfacts.statevector import (
 )
 
 EXPECTED_SIGNS = (1, -1, -1, -1)
+
+
+# Unit roundoff of float64.
+UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def gamma(k):
+    """Relative error bound of a result rounded k times in sequence."""
+    return k * UNIT_ROUNDOFF / (1 - k * UNIT_ROUNDOFF)
+
+
+def within(k, reference):
+    """Bound on |x - reference| when x is within gamma(k) of an exact
+    value P and the reference within gamma(2) of P."""
+    return (gamma(k) + gamma(2)) / (1 - gamma(2)) * reference
 
 
 def constraint(report, constraint_id, kind):
@@ -409,6 +425,9 @@ class TestSamplingMachinery:
     @settings(max_examples=200, deadline=None)
     def test_z_readouts_bincount_equals_the_tree(self, seed):
         # Random 1..9-qubit states, 1..5 Z readouts with repeats allowed.
+        # Each side is held to an fsum reference under its own rounding
+        # bound, not to the other side: the two round differently and
+        # differ by up to about 1.1e-15.
         rng = np.random.default_rng(seed)
         num_qubits = int(rng.integers(1, 10))
         qubits = [int(q) for q in rng.integers(0, num_qubits, int(rng.integers(1, 6)))]
@@ -419,8 +438,22 @@ class TestSamplingMachinery:
         tree = _sequential_outcome_distribution(
             amps, [PauliString.single(num_qubits, q, "Z") for q in qubits])
         assert [values for values, _ in binned] == [values for values, _ in tree]
-        for (_, p), (_, q) in zip(binned, tree):
-            assert abs(p - q) <= 1e-15
+        # The squared parts of the amplitudes each outcome keeps. Their
+        # math.fsum is within 2 roundings of the exact mass P: one in each
+        # square, one in the sum.
+        parts = {}
+        for i, a in enumerate(amps.tolist()):
+            values = tuple(1 - 2 * ((i >> q) & 1) for q in qubits)
+            parts.setdefault(values, []).extend((a.real * a.real, a.imag * a.imag))
+        for (values, p), (_, q) in zip(binned, tree):
+            reference = math.fsum(parts[values])
+            kept = len(parts[values]) // 2
+            # bincount adds the m kept weights in sequence, each rounded
+            # twice: within gamma(m + 1) of P. vdot sums the 2m squared
+            # parts in its own order and adds each dropped state as an
+            # exact zero: within gamma(2m) of P.
+            assert abs(p - reference) <= within(kept + 1, reference)
+            assert abs(q - reference) <= within(2 * kept, reference)
 
     def test_z_readouts_check_their_sum(self):
         with pytest.raises(InternalConsistencyError, match="sum to"):

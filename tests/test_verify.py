@@ -15,7 +15,11 @@ import pytest
 
 from relfacts import parity, report, verify
 from relfacts.cli import main
+from relfacts.observers import (
+    Premeasurement, _premeasure_array, _require_cleared_memory, premeasure, reverse)
 from relfacts.pauli import PauliString, commutes
+from relfacts.rng import STREAM_SCRIPT, child_generator
+from relfacts.statevector import StateVector, fidelity
 from relfacts.verify import (
     FULL_SHOTS, _bracket_norm, _kron_monomial, _monomial, _monomial_product,
     _single_monomials)
@@ -368,6 +372,69 @@ def test_reversal_identity_judges_round_trips_and_restoration(worst, restored, e
     passed, detail = verify._reversal_identity(round_trips, built(cdr))
     assert passed is expected
     assert "over 100 random cases" in detail
+
+
+def round_trip_reference() -> list:
+    """Check 6's round trips case by case through the public StateVector,
+    premeasure, reverse and fidelity, from the same draws as the sweep."""
+    rng = child_generator(2024, STREAM_SCRIPT, 6)
+    fidelities = []
+    for _ in range(verify.ROUND_TRIPS):
+        amps = np.zeros(16, dtype=complex)
+        half = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        amps[:8] = half / np.linalg.norm(half)
+        state = StateVector(4, amps)
+        factor = "XYZ"[rng.integers(0, 3)]
+        qubit = int(rng.integers(0, 3))
+        pm = Premeasurement(
+            PauliString.single(4, qubit, factor), memory=3, owner="friend")
+        fidelities.append(fidelity(reverse(premeasure(state, pm), pm), state))
+    return fidelities
+
+
+def test_round_trips_equal_the_case_by_case_reference():
+    assert verify._round_trips() == round_trip_reference()
+
+
+def test_round_trips_check_the_memory_of_every_row(monkeypatch):
+    rows = []
+
+    def recorded(stack, pm, *args):
+        rows.extend((pm.observable.label(), pm.memory) for _ in stack)
+        return _require_cleared_memory(stack, pm, *args)
+
+    monkeypatch.setattr(verify, "_require_cleared_memory", recorded)
+    verify._round_trips()
+    assert len(rows) == verify.ROUND_TRIPS
+    assert len(set(rows)) <= 9 and {memory for _, memory in rows} == {3}
+
+
+@pytest.mark.parametrize("application", [1, 2])
+def test_round_trips_check_the_norm_after_each_application(application, monkeypatch):
+    # A 1e-9 stretch leaves every fidelity above 1 - 1e-12; only the norm
+    # check sees it.
+    calls = []
+
+    def stretched(stack, pm):
+        calls.append(pm)
+        out = _premeasure_array(stack, pm)
+        return out * (1 + 1e-9) if len(calls) == application else out
+
+    monkeypatch.setattr(verify, "_premeasure_array", stretched)
+    with pytest.raises(ValueError, match="row 0 is not normalized"):
+        verify._round_trips()
+    assert len(calls) == application
+
+
+def test_unit_rows_name_the_first_row_off_by_more_than_phys_tol():
+    stack = np.eye(4, 4, dtype=complex)
+    verify._require_unit_rows(stack)
+    verify._require_unit_rows(np.zeros((0, 4), dtype=complex))
+    stack[1] *= 1 + 5e-11
+    stack[2] *= 1 - 5e-10
+    stack[3] *= 1 + 5e-10
+    with pytest.raises(ValueError, match="row 2 is not normalized"):
+        verify._require_unit_rows(stack)
 
 
 DIAGNOSTIC = {
