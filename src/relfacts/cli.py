@@ -6,6 +6,7 @@ certification failed (FAIL), 2 = usage or parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Optional
@@ -19,7 +20,6 @@ from .report import (
     from_verify,
     render_text,
 )
-from .rng import MAX_SEED
 from .scenarios import MAX_SHOTS, MAX_TOLERANCE
 from .verify import run_all_checks
 
@@ -97,12 +97,8 @@ def _emit(doc: ReportDocument, fmt: str, out: Optional[Path]) -> int:
 
 
 def _cmd_run(args) -> int:
-    if not 0 <= args.shots <= MAX_SHOTS:
-        return _usage_error(f"--shots must lie in [0, {MAX_SHOTS:g}]")
-    if not 0 <= args.seed <= MAX_SEED:
-        return _usage_error("--seed must be in [0, 2^64)")
-    if not 0 < args.tolerance < MAX_TOLERANCE:
-        return _usage_error(f"--tolerance must lie in (0, {MAX_TOLERANCE:g})")
+    # Shots, seed and tolerance are range-checked by ScenarioConfig, whose
+    # ValueError main turns into exit 2.
     if args.scenario == "lmz" and args.experiment is not None:
         return _usage_error("--experiment applies only to the cdr scenario")
     if args.scenario == "cdr" and args.experiment is None:
@@ -143,9 +139,22 @@ def _cmd_verify(args) -> int:
     return _emit(doc, args.fmt, args.out)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code.
+
+    The parser is built on the first call and reused for every later call in
+    the process, so in-process callers do not rebuild the argparse tree per
+    command. Reuse is safe: parse_args makes a new Namespace on each call and
+    never writes defaults back into the parser, and a rejected argv raises
+    SystemExit(2) through parser.error without changing parser state.
+    build_parser() still returns a new parser on every call.
+    """
+    args = _parser().parse_args(argv)
     try:
         if args.command == "run":
             return _cmd_run(args)

@@ -381,7 +381,7 @@ def certify_constraint(state: StateVector,
                        kind: str = "operator",
                        stage: str = "",
                        tolerance: float = DEFAULT_TOLERANCE,
-                       counters: Optional[OperationCounters] = None) -> ConstraintResult:
+                       counters: OperationCounters) -> ConstraintResult:
     """Certify that a product of pairwise-commuting Pauli strings has the
     expected definite value on `state`, from its exact Born expectation.
 
@@ -403,8 +403,7 @@ def certify_constraint(state: StateVector,
                 f"observables {la} and {lb} do not commute; "
                 "simultaneous certification is undefined")
     val = expectation(state, product_of(observables))
-    if counters is not None:
-        counters.exact_expectations += 1
+    counters.exact_expectations += 1
     return ConstraintResult(
         constraint_id=constraint_id, kind=kind, labels=labels, stage=stage,
         expected=expected, expectation=val, tolerance=tolerance,
@@ -422,7 +421,7 @@ def sample_records(state: StateVector,
                    shots: int,
                    master_seed: int,
                    target_index: int,
-                   counters: Optional[OperationCounters] = None) -> SampleTally:
+                   counters: OperationCounters) -> SampleTally:
     """Repeatedly read the listed (label, qubit) records in order and tally
     joint outcomes, products, and per-record marginals. Shots are drawn
     from the exact joint distribution of the Z readouts."""
@@ -445,9 +444,8 @@ def sample_records(state: StateVector,
                     plus_counts[pos] += count
             if product != expected_product:
                 violations += count
-        if counters is not None:
-            counters.projective_measurements += shots * len(records)
-            counters.sampled_shots += shots
+        counters.projective_measurements += shots * len(records)
+        counters.sampled_shots += shots
     marginals = []
     half_band = 5 * 0.5 / sqrt(shots) if shots > 0 else 0.0
     for pos, (label, _) in enumerate(records):
@@ -473,7 +471,7 @@ def cpl_check(state: StateVector,
               shots: int = 0,
               master_seed: int = 0,
               tolerance: float = DEFAULT_TOLERANCE,
-              counters: Optional[OperationCounters] = None) -> CplResult:
+              counters: OperationCounters) -> CplResult:
     """Certify the record-agreement premise and demonstrate its failure.
 
     Intact: reading the system observable and then its record must agree
@@ -497,16 +495,14 @@ def cpl_check(state: StateVector,
             for (v, w), count in _draw_outcome_counts(dist, shots, rng):
                 if v == w:
                     matched += count
-            if counters is not None:
-                counters.projective_measurements += 2 * shots
-                counters.unitary_applications += shots * len(between)
-                counters.sampled_shots += shots
+            counters.projective_measurements += 2 * shots
+            counters.unitary_applications += shots * len(between)
+            counters.sampled_shots += shots
         matches.append(matched)
     after_state = premeasure(state, disturbance)
     operator_after = expectation(after_state, system_obs * record_obs)
-    if counters is not None:
-        counters.exact_expectations += 3
-        counters.unitary_applications += 1
+    counters.exact_expectations += 3
+    counters.unitary_applications += 1
     return CplResult(
         system_label=system_obs.label(),
         record_label=record_label,
@@ -569,39 +565,88 @@ def _commutation_survey(specs: Sequence[ConstraintSpec],
 # -- scenario flows ----------------------------------------------------------
 
 
-def _record_step(state: StateVector, pm: Premeasurement, label: str,
-                 ledger: Ledger, counters: OperationCounters,
-                 stage: Optional[str] = None) -> StateVector:
-    """One record unitary, with the ledger and counters kept in step.
+class _Flow:
+    """One flow run's bookkeeping beside its state: the ledger, the operation
+    counters, the stage snapshots and the record steps applied so far.
 
-    With a stage: premeasure `pm`, mark every record it disturbs, and enter
-    the new record as `label`. Without one: reverse `pm` and mark the record
-    `label` erased.
+    The steps are kept apart from the ledger so that the ledger statuses
+    each snapshot prints can be checked against the ones the steps imply.
     """
-    counters.unitary_applications += 1
-    if stage is None:
-        ledger.mark_erased(label)
-        return reverse(state, pm)
-    ledger.mark_disturbed(pm.observable, NUM_QUBITS)
-    state = premeasure(state, pm)
-    ledger.add(pm.owner, label, pm.memory, stage=stage)
-    return state
+
+    def __init__(self):
+        self.ledger = Ledger()
+        self.counters = OperationCounters()
+        self.snapshots = []
+        self.steps = []        # (label, pm, reversed) in the order applied
+        self._steps_at = []    # len(steps) when each snapshot was taken
+
+    def record(self, state: StateVector, pm: Premeasurement, label: str,
+               stage: Optional[str] = None) -> StateVector:
+        """One record unitary, with the ledger and counters kept in step.
+
+        With a stage: premeasure `pm`, mark every record it disturbs, and
+        enter the new record as `label`. Without one: reverse `pm` and mark
+        the record `label` erased.
+        """
+        self.counters.unitary_applications += 1
+        self.steps.append((label, pm, stage is None))
+        if stage is None:
+            self.ledger.mark_erased(label)
+            return reverse(state, pm)
+        self.ledger.mark_disturbed(pm.observable, NUM_QUBITS)
+        state = premeasure(state, pm)
+        self.ledger.add(pm.owner, label, pm.memory, stage=stage)
+        return state
+
+    def snapshot(self, label: str, state: StateVector) -> None:
+        self._steps_at.append(len(self.steps))
+        self.snapshots.append(StageSnapshot(
+            len(self.snapshots), label, state, self.ledger.snapshot()))
+
+    def ledger_follows_steps(self) -> bool:
+        """Whether every snapshot's ledger, and the final one, holds the
+        records its steps wrote with the statuses _implied_statuses gives."""
+        stages = [(snap.facts, self.steps[:n])
+                  for snap, n in zip(self.snapshots, self._steps_at)]
+        stages.append((self.ledger.facts, self.steps))
+        return all(
+            [(f.label, f.status) for f in facts] == _implied_statuses(steps)
+            for facts, steps in stages)
 
 
-def _alice_complete(ledger: Ledger, counters: OperationCounters,
-                    snapshots: list) -> tuple:
+def _implied_statuses(steps: Sequence[tuple]) -> list:
+    """(label, status) of each record the (label, pm, reversed) steps wrote,
+    in writing order, read from the steps alone: "erased" if a later step
+    reversed it, "disturbed" if a later premeasurement anticommutes with Z
+    on its memory (acts there with X or Y), "current" otherwise."""
+    statuses = []
+    for i, (label, pm, reversal) in enumerate(steps):
+        if reversal:
+            continue
+        later = steps[i + 1:]
+        if any(undo and written == label for written, _, undo in later):
+            status = "erased"
+        elif any(not undo and other.observable.factors[pm.memory] in "XY"
+                 for _, other, undo in later):
+            status = "disturbed"
+        else:
+            status = "current"
+        statuses.append((label, status))
+    return statuses
+
+
+def _alice_complete(flow: _Flow) -> tuple:
     """The opening both flows share: prepare the shared state, then let
     Alice's friends premeasure it. Records the stages "prepared" and
     "alice-complete"; returns the stage-1 state and Alice's
     premeasurements."""
     state = prepare_ghz(zero_state(NUM_QUBITS), SYSTEM_QUBITS)
-    counters.unitary_applications += 3  # H + two CX
-    snapshots.append(StageSnapshot(0, "prepared", state, ledger.snapshot()))
+    flow.counters.unitary_applications += 3  # H + two CX
+    flow.snapshot("prepared", state)
     alice_pms = alice_premeasurements()
     for k, pm in enumerate(alice_pms):
-        state = _record_step(
-            state, pm, f"A{k + 1}", ledger, counters, stage="alice-complete")
-    snapshots.append(StageSnapshot(1, "alice-complete", state, ledger.snapshot()))
+        state = flow.record(state, pm, f"A{k + 1}", stage="alice-complete")
+    flow.snapshot("alice-complete", state)
     return state, alice_pms
 
 
@@ -694,10 +739,9 @@ def run_lmz(config: ScenarioConfig) -> ScenarioReport:
     """
     if config.bob_mode != "lmz-lifted":
         raise ValueError("run_lmz needs a config with bob_mode='lmz-lifted'")
-    counters = OperationCounters()
-    ledger = Ledger()
-    snapshots = []
-    stage1, alice_pms = _alice_complete(ledger, counters, snapshots)
+    flow = _Flow()
+    counters = flow.counters
+    stage1, alice_pms = _alice_complete(flow)
 
     bhats = lifted_direct_observables(alice_pms)
     ahats = record_readout_observables()
@@ -716,11 +760,10 @@ def run_lmz(config: ScenarioConfig) -> ScenarioReport:
         Premeasurement(bhats[k], BOB_MEMORY[k], "bob") for k in range(3))
     state = stage1
     for k, pm in enumerate(bob_pms):
-        state = _record_step(
-            state, pm, f"B{k + 1}", ledger, counters, stage=f"bob-{k + 1}")
-        snapshots.append(StageSnapshot(2 + k, f"bob-{k + 1}", state, ledger.snapshot()))
+        state = flow.record(state, pm, f"B{k + 1}", stage=f"bob-{k + 1}")
+        flow.snapshot(f"bob-{k + 1}", state)
     final = state
-    bob1 = snapshots[2].state
+    bob1 = flow.snapshots[2].state
 
     # Record-level certification and sampling: constraint 1 from the full
     # pipeline's Bob records, constraint 2 from the pipeline right after
@@ -767,7 +810,7 @@ def run_lmz(config: ScenarioConfig) -> ScenarioReport:
     final_val = expectation(final, trio)
     counters.exact_expectations += 2
     disturbed_statuses = {
-        f.label: f.status for f in ledger.facts if f.label in ("A2", "A3")}
+        f.label: f.status for f in flow.ledger.facts if f.label in ("A2", "A3")}
     disturbed_diagnostic = {
         "records": ["B1", "A2", "A3"],
         "early_stage": "bob-1",
@@ -792,13 +835,15 @@ def run_lmz(config: ScenarioConfig) -> ScenarioReport:
         and commutation["cross_pair_commute"]
         and all(entry["certified"] for entry in final_certificate)
         and disturbed_diagnostic["gap_exceeds_half"]
+        and disturbed_statuses == {"A2": "disturbed", "A3": "disturbed"}
+        and flow.ledger_follows_steps()
         and cpl.premise_certified
         and cpl.violation_demonstrated
         and abs(cpl.operator_product_after - 1.0) <= config.tolerance
         and _sampling_holds(constraints, sampling, config.shots))
     return ScenarioReport(
         scenario="lmz", experiment_id=None, config=config,
-        snapshots=snapshots, ledger_facts=ledger.snapshot(),
+        snapshots=flow.snapshots, ledger_facts=flow.ledger.snapshot(),
         constraints=constraints, commutation=commutation,
         final_certificate=final_certificate,
         disturbed_diagnostic=disturbed_diagnostic,
@@ -820,18 +865,17 @@ def run_cdr(config: ScenarioConfig) -> ScenarioReport:
     if config.bob_mode != "cdr-reversal":
         raise ValueError("run_cdr needs a config with bob_mode='cdr-reversal'")
     exp = config.experiment_id
-    counters = OperationCounters()
-    ledger = Ledger()
-    snapshots = []
-    state, alice_pms = _alice_complete(ledger, counters, snapshots)
-    prepared = snapshots[0].state
+    flow = _Flow()
+    counters = flow.counters
+    state, alice_pms = _alice_complete(flow)
+    prepared = flow.snapshots[0].state
 
     pattern = CONSTRAINT_PATTERNS[exp - 1]
     reversed_pairs = tuple(k for k, slot in enumerate(pattern) if slot == "B")
     for k in sorted(reversed_pairs, reverse=True):
-        state = _record_step(state, alice_pms[k], f"A{k + 1}", ledger, counters)
+        state = flow.record(state, alice_pms[k], f"A{k + 1}")
     stage_label = "reversed-all" if exp == 1 else f"reversed-pair-{reversed_pairs[0] + 1}"
-    snapshots.append(StageSnapshot(2, stage_label, state, ledger.snapshot()))
+    flow.snapshot(stage_label, state)
 
     if exp == 1:
         restoration_fid = fidelity(state, prepared)
@@ -872,16 +916,15 @@ def run_cdr(config: ScenarioConfig) -> ScenarioReport:
         pm = Premeasurement(
             PauliString.single(NUM_QUBITS, SYSTEM_QUBITS[k], "X"),
             memory=BOB_MEMORY[k], owner="bob")
-        state = _record_step(
-            state, pm, f"B{k + 1}", ledger, counters, stage="bob-direct")
-    snapshots.append(StageSnapshot(3, "bob-direct", state, ledger.snapshot()))
+        state = flow.record(state, pm, f"B{k + 1}", stage="bob-direct")
+    flow.snapshot("bob-direct", state)
 
     sampling = []
     constraints.append(_certify_records(
         state, exp, "bob-direct", f"experiment-{exp}-records", config,
         counters, sampling))
 
-    current_labels = tuple(f.label for f in ledger.current())
+    current_labels = tuple(f.label for f in flow.ledger.current())
     coexisting_records = {
         "current": list(current_labels),
         "constraint_labels": list(spec.labels),
@@ -893,10 +936,11 @@ def run_cdr(config: ScenarioConfig) -> ScenarioReport:
         all(c.certified for c in constraints)
         and restoration["restored"]
         and coexisting_records["records_match_constraint"]
+        and flow.ledger_follows_steps()
         and _sampling_holds(constraints, sampling, config.shots))
     return ScenarioReport(
         scenario="cdr", experiment_id=exp, config=config,
-        snapshots=snapshots, ledger_facts=ledger.snapshot(),
+        snapshots=flow.snapshots, ledger_facts=flow.ledger.snapshot(),
         constraints=constraints, commutation={},
         final_certificate=[], disturbed_diagnostic=None,
         restoration=restoration, coexisting_records=coexisting_records,

@@ -26,6 +26,7 @@ from relfacts.scenarios import (
     CONSTRAINT_PATTERNS,
     NUM_QUBITS,
     SYSTEM_QUBITS,
+    OperationCounters,
     ScenarioConfig,
     alice_premeasurements,
     cpl_check,
@@ -173,7 +174,7 @@ def test_acceptance_08_record_agreement_premise(lmz):
         BOB_MEMORY[0], "bob")
     result = cpl_check(
         stage1, pms[0].observable, "A1", ALICE_MEMORY[0], disturbance,
-        shots=FULL_SHOTS, master_seed=13)
+        shots=FULL_SHOTS, master_seed=13, counters=OperationCounters())
     ok = (result.premise_certified
           and result.intact_matches == FULL_SHOTS
           and (1.0 - result.disturbed_expectation) > 0.1

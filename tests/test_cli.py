@@ -6,7 +6,8 @@ from contextlib import redirect_stderr
 
 import pytest
 
-from relfacts.cli import main
+from relfacts import cli
+from relfacts.cli import build_parser, main
 from relfacts.scenarios import MAX_SHOTS
 
 
@@ -98,6 +99,7 @@ class TestUsageErrors:
         ["run", "cdr", "--experiment", "all", "--tolerance", "3"],
         ["run", "lmz", "--tolerance", "inf"],
         ["run", "lmz", "--shots", str(MAX_SHOTS + 1)],
+        ["run", "cdr", "--experiment", "all", "--seed", str(2**64)],
     ])
     def test_returns_2(self, argv, capsys):
         assert main(argv) == 2
@@ -116,6 +118,42 @@ class TestUsageErrors:
             main(argv)
         assert info.value.code == 2
         capsys.readouterr()
+
+
+class TestParserMemo:
+    """main builds one parser per process and reuses it across commands."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+
+        def counted():
+            calls.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        yield calls
+        cli._parser.cache_clear()
+
+    def test_one_build_and_no_state_leaks(self, builds, capsys):
+        assert main(["run", "lmz"]) == 0
+        first = capsys.readouterr().out
+        # A leaked --experiment would make the next `run lmz` exit 2.
+        assert main(["run", "cdr", "--experiment", "2"]) == 0
+        assert main(["run", "lmz"]) == 0
+        with pytest.raises(SystemExit) as info:
+            main(["run", "lmz", "--format", "yaml"])
+        assert info.value.code == 2
+        assert main(["run", "cdr"]) == 2
+        assert main(["check-assignments", "--builtin", "ghz"]) == 0
+        capsys.readouterr()
+        assert main(["run", "lmz"]) == 0
+        assert capsys.readouterr().out == first
+        assert len(builds) == 1
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert build_parser() is not build_parser()
 
 
 class TestCheckAssignments:

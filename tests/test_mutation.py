@@ -15,7 +15,7 @@ import pytest
 
 from relfacts import parity, scenarios, verify
 from relfacts.cli import main
-from relfacts.observers import _premeasure_array
+from relfacts.observers import Ledger, _premeasure_array
 from relfacts.pauli import PauliString
 
 LMZ = ["run", "lmz"]
@@ -69,6 +69,15 @@ def test_alice_premeasures_x_fails_both_flows(tolerance, monkeypatch, capsys):
     original = scenarios.alice_premeasurements
     monkeypatch.setattr(scenarios, "alice_premeasurements", lambda: original("X"))
     assert_fails((LMZ, CDR), tolerance, capsys)
+
+
+@pytest.mark.parametrize("tolerance", TOLERANCES)
+def test_ledger_marking_nothing_disturbed_fails_lmz(tolerance, monkeypatch, capsys):
+    # Only the single-experiment flow disturbs records: each of Bob's lifted
+    # observables acts with X on an Alice memory. The ledger then prints
+    # statuses its steps do not imply.
+    monkeypatch.setattr(Ledger, "mark_disturbed", lambda self, applied, num_qubits: [])
+    assert_fails((LMZ,), tolerance, capsys)
 
 
 def assert_verify_row_fails(row_id, capsys):

@@ -22,6 +22,8 @@ from relfacts.scenarios import (
     OperationCounters,
     ScenarioConfig,
     _certify_records,
+    _Flow,
+    _implied_statuses,
     _draw_outcome_counts,
     _sequential_outcome_distribution,
     _z_readout_distribution,
@@ -204,6 +206,33 @@ class TestLmzExact:
         assert lmz_exact.counters.unitary_applications >= 11
 
 
+class TestImpliedStatuses:
+    def test_erasure_disturbance_and_order(self):
+        pms = alice_premeasurements()
+        bob1 = Premeasurement(lifted_direct_observables(pms)[0], BOB_MEMORY[0], "bob")
+        steps = [("A1", pms[0], False), ("A2", pms[1], False),
+                 ("B1", bob1, False), ("A2", pms[1], True), ("A3", pms[2], False)]
+        # Bob's lifted X_1 acts with X on A1's memory; A3 is written after it.
+        assert _implied_statuses(steps) == [
+            ("A1", "disturbed"), ("A2", "erased"), ("B1", "current"),
+            ("A3", "current")]
+        assert _implied_statuses(steps[:2]) == [("A1", "current"), ("A2", "current")]
+
+    def test_flow_checks_every_snapshot(self):
+        flow = _Flow()
+        pms = alice_premeasurements()
+        state = prepare_ghz(zero_state(NUM_QUBITS), SYSTEM_QUBITS)
+        flow.snapshot("prepared", state)
+        state = flow.record(state, pms[0], "A1", stage="alice")
+        flow.snapshot("alice", state)
+        state = flow.record(state, pms[0], "A1")
+        assert flow.ledger_follows_steps()
+        assert [f.status for f in flow.ledger.facts] == ["erased"]
+        # One snapshot whose ledger disagrees with its steps fails the check.
+        flow.snapshots[1].facts[0].status = "disturbed"
+        assert not flow.ledger_follows_steps()
+
+
 class TestLmzAgainstDensePipeline:
     def test_stage_states_match_dense_unitaries(self, lmz_exact):
         amps = ghz_amps(NUM_QUBITS, SYSTEM_QUBITS)
@@ -343,21 +372,26 @@ class TestCertifyConstraint:
             certify_constraint(
                 state,
                 (PauliString.from_label("X"), PauliString.from_label("Z")),
-                1, labels=("a", "b"), constraint_id=1)
+                1, labels=("a", "b"), constraint_id=1,
+                counters=OperationCounters())
 
     def test_argument_validation(self):
         state = zero_state(2)
         obs = (PauliString.from_label("ZI"), PauliString.from_label("IZ"))
+        counters = OperationCounters()
         with pytest.raises(ValueError):
-            certify_constraint(state, obs, 1, labels=("a",), constraint_id=1)
+            certify_constraint(state, obs, 1, labels=("a",), constraint_id=1,
+                               counters=counters)
         with pytest.raises(ValueError):
-            certify_constraint(state, obs, 0, labels=("a", "b"), constraint_id=1)
+            certify_constraint(state, obs, 0, labels=("a", "b"), constraint_id=1,
+                               counters=counters)
         with pytest.raises(ValueError):
             certify_constraint(state, obs, 1, labels=("a", "b"),
-                               constraint_id=1, kind="other")
+                               constraint_id=1, kind="other", counters=counters)
         with pytest.raises(ValueError):
             certify_constraint(
-                zero_state(3), obs, 1, labels=("a", "b"), constraint_id=1)
+                zero_state(3), obs, 1, labels=("a", "b"), constraint_id=1,
+                counters=counters)
 
     def test_sampled_certification(self, lmz_exact):
         # Record certification of constraint 2 right after Bob's first step:
@@ -381,7 +415,7 @@ class TestCertifyConstraint:
             stage="bob-1", records=(("B1", BOB_MEMORY[0]), ("A2", ALICE_MEMORY[1]),
                                     ("A3", ALICE_MEMORY[2])),
             expected_product=-1, shots=100, master_seed=9,
-            target_index=2).outcome_counts
+            target_index=2, counters=OperationCounters()).outcome_counts
         assert counters.exact_expectations == 1
         assert counters.sampled_shots == 100
         exact_only = _certify_records(
@@ -394,7 +428,8 @@ class TestCertifyConstraint:
         state = zero_state(2)
         obs = (PauliString.from_label("ZI"), PauliString.from_label("IZ"))
         result = certify_constraint(
-            state, obs, -1, labels=("a", "b"), constraint_id=1)
+            state, obs, -1, labels=("a", "b"), constraint_id=1,
+            counters=OperationCounters())
         assert not result.certified
         assert result.expectation == pytest.approx(1.0)
         assert result.shots == 0 and result.violations == 0
@@ -486,7 +521,7 @@ class TestSamplingMachinery:
                 dirty, (PauliString.from_label("ZII"), pm))
         with pytest.raises(ProtocolError):
             cpl_check(StateVector(3, dirty), PauliString.from_label("ZII"), "A",
-                      1, pm)
+                      1, pm, counters=OperationCounters())
 
     def test_draw_outcome_counts(self):
         dist = [((1,), 0.25), ((-1,), 0.75)]
@@ -524,8 +559,8 @@ class TestSamplingMachinery:
             records=(("B1", BOB_MEMORY[0]), ("B2", BOB_MEMORY[1]),
                      ("B3", BOB_MEMORY[2])),
             expected_product=1, shots=200, master_seed=21, target_index=1)
-        a = sample_records(final, **kwargs)
-        b = sample_records(final, **kwargs)
+        a = sample_records(final, **kwargs, counters=OperationCounters())
+        b = sample_records(final, **kwargs, counters=OperationCounters())
         assert a.outcome_counts == b.outcome_counts
         assert a.violations == 0
 
@@ -533,7 +568,8 @@ class TestSamplingMachinery:
         tally = sample_records(
             lmz_exact.snapshots[4].state, target="t", constraint_id=1,
             stage="s", records=(("B1", BOB_MEMORY[0]),), expected_product=1,
-            shots=0, master_seed=0, target_index=1)
+            shots=0, master_seed=0, target_index=1,
+            counters=OperationCounters())
         assert tally.outcome_counts == {}
         assert tally.all_products_expected
         assert all(m.within_band for m in tally.marginals)
@@ -559,7 +595,8 @@ class TestFlippedSharedState:
             expected = CONSTRAINT_SIGNS[cid - 1]
             result = certify_constraint(
                 state, observables, expected,
-                labels=("p1", "p2", "p3"), constraint_id=cid)
+                labels=("p1", "p2", "p3"), constraint_id=cid,
+                counters=OperationCounters())
             assert not result.certified
             assert result.expectation == pytest.approx(-expected, abs=1e-12)
 
@@ -573,7 +610,7 @@ class TestCplStandalone:
             BOB_MEMORY[2], "bob")
         result = cpl_check(
             stage1, pms[0].observable, "A1", ALICE_MEMORY[0], harmless,
-            shots=100, master_seed=77)
+            shots=100, master_seed=77, counters=OperationCounters())
         assert result.premise_certified
         assert result.intact_expectation == pytest.approx(1.0, abs=1e-12)
         assert result.disturbed_expectation == pytest.approx(1.0, abs=1e-12)
