@@ -36,7 +36,7 @@ def main() -> int:
         violations = sum(
             t.violations for r in reports for t in r.sampling)
         worst = max(
-            abs(m.frequency - 0.5)
+            abs(m.plus_count / t.shots - 0.5)
             for r in reports for t in r.sampling for m in t.marginals)
         band = 5 * 0.5 / shots**0.5
         print(f"{shots:>7}  {violations:>10}  {worst:>16.4f}  {band:>12.4f}")

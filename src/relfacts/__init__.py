@@ -22,7 +22,6 @@ from .observers import (
     StageSnapshot,
     lift,
     premeasure,
-    record_observable,
     reverse,
 )
 from .parity import (
@@ -102,7 +101,6 @@ __all__ = [
     "premeasure",
     "prepare_ghz",
     "product_identity",
-    "record_observable",
     "reverse",
     "run_cdr",
     "run_cdr_suite",

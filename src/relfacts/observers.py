@@ -15,7 +15,6 @@ step; premeasure and reverse wrap them for a single StateVector.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -98,11 +97,6 @@ def reverse(state: StateVector, pm: Premeasurement) -> StateVector:
     return StateVector(state.num_qubits, _premeasure_array(state.amplitudes, pm))
 
 
-def record_observable(pm: Premeasurement) -> PauliString:
-    """Z on the memory qubit: reading it recovers the premeasured outcome."""
-    return PauliString.single(pm.observable.num_qubits, pm.memory, "Z")
-
-
 def lift(obs: PauliString, pm: Premeasurement) -> PauliString:
     """Conjugate `obs` through the premeasurement unitary: U obs U.
 
@@ -129,7 +123,6 @@ def lift(obs: PauliString, pm: Premeasurement) -> PauliString:
 class RelativeFact:
     """One recorded outcome, relative to the owner that premeasured it.
 
-    `value` is None until a projective readout of the memory fixes it.
     `status` tracks whether the record still reflects the original
     premeasurement: 'current' until an operation that fails to commute with
     the record observable runs ('disturbed'), or the premeasurement is
@@ -140,14 +133,11 @@ class RelativeFact:
     label: str
     qubit: int
     stage: str
-    value: Optional[int] = None
     status: str = "current"
 
     def __post_init__(self):
         if self.status not in FACT_STATUSES:
             raise ValueError(f"unknown fact status {self.status!r}")
-        if self.value not in (None, 1, -1):
-            raise ValueError(f"fact value must be +1, -1 or None, got {self.value!r}")
 
 
 class Ledger:
@@ -189,7 +179,6 @@ class Ledger:
     def mark_erased(self, label: str) -> RelativeFact:
         fact = self.get(label)
         fact.status = "erased"
-        fact.value = None
         return fact
 
     def snapshot(self) -> tuple:

@@ -293,8 +293,10 @@ def parse_constraints(text: str,
 
     Blank lines are skipped; `#` starts a comment that runs to end of line.
     Each remaining line must be a `*`-separated product of variable names,
-    an `=`, and +1 or -1. Raises ConstraintParseError with the 1-based line
-    number on malformed input.
+    an `=`, and +1 or -1. A factor `1` is the empty product, so the text
+    ParityConstraint prints for a constraint whose variables all cancel,
+    such as `1 = -1`, parses back to that constraint. Raises
+    ConstraintParseError with the 1-based line number on malformed input.
     """
     constraints = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -316,6 +318,7 @@ def parse_constraints(text: str,
         if not lhs:
             raise ConstraintParseError(line_no, "empty left-hand side")
         names = [token.strip() for token in lhs.split("*")]
+        names = [name for name in names if name != "1"]
         for name in names:
             if not _VARIABLE_RE.match(name):
                 raise ConstraintParseError(
@@ -328,32 +331,17 @@ def analyze(system: ConstraintSystem) -> dict:
     """Full satisfiability analysis with internal cross-checks.
 
     Runs elimination, the all-constraints product identity, and (when the
-    universe is small enough) exhaustive enumeration, then verifies that
-    the three agree: a witness must satisfy every constraint, a certificate
-    must multiply to the contradiction, and the enumeration count must
-    equal the solver's solution count.
+    universe is small enough) exhaustive enumeration. The cross-checks read
+    the dict returned here, not the results behind it, so `consistent`
+    holds only if what the report prints agrees with itself (see
+    _consistency).
     """
     solve = satisfiable(system)
     identity = product_identity(system)
     enumeration = None
     if system.num_variables <= ENUMERATE_MAX_VARIABLES:
         enumeration = enumerate_assignments(system)
-    witness_verified = None
-    certificate_verified = None
-    if solve.satisfiable:
-        witness_verified = all(system.check(solve.witness))
-    else:
-        cert_identity = product_identity(system, solve.certificate)
-        certificate_verified = cert_identity.is_contradiction
-    agreement = None
-    if enumeration is not None:
-        agreement = (enumeration.count > 0) == solve.satisfiable
-        if solve.satisfiable:
-            agreement = agreement and enumeration.count == solve.num_solutions
-    consistent = all(
-        flag is not False
-        for flag in (witness_verified, certificate_verified, agreement))
-    return {
+    analysis = {
         "system": {
             "constraints": [str(c) for c in system.constraints],
             "universe": list(system.universe),
@@ -377,17 +365,55 @@ def analyze(system: ConstraintSystem) -> dict:
             "rhs": identity.rhs,
             "is_contradiction": identity.is_contradiction,
         },
-        "consistency": {
-            "witness_verified": witness_verified,
-            "certificate_verified": certificate_verified,
-            "solver_enumeration_agree": agreement,
-        },
-        "consistent": consistent,
         "timing": {
             "constraints": len(system.constraints),
             "variables": system.num_variables,
             "assignments_tested": enumeration.tested if enumeration else 0,
         },
+    }
+    analysis["consistency"] = _consistency(system, analysis)
+    analysis["consistent"] = all(
+        flag is not False for flag in analysis["consistency"].values())
+    return analysis
+
+
+def _consistency(system: ConstraintSystem, analysis: dict) -> dict:
+    """The cross-checks of an analysis, read from its printed entries; a
+    flag is None where it does not apply.
+
+    A printed witness must satisfy every constraint. When the system is
+    unsatisfiable, the printed certificate must be present, non-empty and
+    multiply to the contradiction 1 = -1. Whenever the universe is small
+    enough to enumerate, the enumeration must be printed and its count must
+    agree with the solver's. The printed constraint texts must parse back
+    to the system's own constraints.
+    """
+    solve, enumeration = analysis["solve"], analysis["enumeration"]
+    witness_verified = certificate_verified = agreement = None
+    if solve["satisfiable"]:
+        witness = solve["witness"]
+        witness_verified = witness is not None and all(system.check(witness))
+    else:
+        certificate = solve["certificate"]
+        certificate_verified = bool(certificate) and product_identity(
+            system, certificate).is_contradiction
+    if enumeration is not None:
+        count = enumeration["count"]
+        agreement = ((count > 0) == solve["satisfiable"]
+                     and (not solve["satisfiable"] or count == solve["num_solutions"]))
+    elif system.num_variables <= ENUMERATE_MAX_VARIABLES:
+        agreement = False
+    try:
+        printed = parse_constraints(
+            "\n".join(analysis["system"]["constraints"]), system.universe)
+        parse_back = printed.constraints == system.constraints
+    except ValueError:  # unparsable, or names outside the universe
+        parse_back = False
+    return {
+        "witness_verified": witness_verified,
+        "certificate_verified": certificate_verified,
+        "solver_enumeration_agree": agreement,
+        "constraints_parse_back": parse_back,
     }
 
 

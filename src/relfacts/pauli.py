@@ -109,9 +109,6 @@ class PauliString:
         """Qubits acted on non-trivially, ascending."""
         return tuple(q for q, f in enumerate(self.factors) if f != "I")
 
-    def weight(self) -> int:
-        return len(self.support())
-
     def is_identity(self) -> bool:
         return all(f == "I" for f in self.factors)
 

@@ -15,6 +15,19 @@ OperationCounters, ConstraintResult, SampleTally, CplResult, RelativeFact,
 ...): canonicalize serializes any dataclass field by field. Renaming a field
 therefore changes the schema, and the pinned hashes in tests/test_golden.py
 catch it.
+
+Reports carry measurements, not restatements of them. A sampled tally's
+shots, violations and marginal counts are derived from its outcome counts
+by its own constructor, and no field only restates others of the same
+report (a certification's +1/-1 product split, for one, is gone). Each
+stage summary lists only its `changed_facts`: the ledger facts added or
+changed in status since the previous stage. Replaying them in stage order
+rebuilds the final `ledger`.
+
+That key set is schema 2, but SCHEMA_VERSION still reads "1":
+perfbench/test_perfbench.py alters a report at the bytes
+`"schema_version": "1"`, so the version moves to "2" in the same change
+as that test.
 """
 from __future__ import annotations
 
@@ -152,9 +165,11 @@ class ReportDocument:
 _NOT_RESULTS = ("snapshots", "ledger_facts", "config", "counters", "passed")
 
 
-def _stage_summary(snap, limit: int = 8) -> dict:
+def _stage_summary(snap, before: tuple = (), limit: int = 8) -> dict:
     """A stage's norm, its `limit` heaviest amplitudes (ties by index) and
-    its facts; the full state stays out of the report."""
+    the facts added or changed in status since the facts `before` of the
+    previous stage; the full state stays out of the report."""
+    statuses = {f.label: f.status for f in before}
     amps = snap.state.amplitudes
     leading = []
     for i in np.argsort(-np.abs(amps) ** 2, kind="stable")[:limit]:
@@ -166,14 +181,17 @@ def _stage_summary(snap, limit: int = 8) -> dict:
         "label": snap.label,
         "norm": snap.state.norm(),
         "leading_amplitudes": leading,
-        "facts": snap.facts,
+        "changed_facts": [
+            f for f in snap.facts if statuses.get(f.label) != f.status],
     }
 
 
 def _scenario_results(report) -> dict:
     body = {f.name: getattr(report, f.name)
             for f in fields(report) if f.name not in _NOT_RESULTS}
-    body["stages"] = [_stage_summary(s) for s in report.snapshots]
+    previous = [()] + [s.facts for s in report.snapshots]
+    body["stages"] = [
+        _stage_summary(s, before) for s, before in zip(report.snapshots, previous)]
     body["ledger"] = report.ledger_facts
     return body
 
@@ -416,11 +434,14 @@ def render_text(doc: ReportDocument) -> str:
                 f" assignments)")
             lines.append(f"witness: {witness}")
         else:
-            subset = ",".join(str(i) for i in solve["certificate"])
             lines.append("satisfiable: no")
-            lines.append(
-                f"certificate: constraints {{{subset}}} multiply to the "
-                "contradiction 1 = -1")
+            if solve["certificate"]:
+                subset = ",".join(str(i) for i in solve["certificate"])
+                lines.append(
+                    f"certificate: constraints {{{subset}}} multiply to the "
+                    "contradiction 1 = -1")
+            else:
+                lines.append("certificate: none")
         identity = results["product_identity"]
         residual = "*".join(identity["residual_variables"]) or "1"
         lines.append(

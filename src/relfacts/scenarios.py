@@ -34,7 +34,7 @@ reports byte for byte.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from math import sqrt
 from typing import Optional, Sequence
@@ -158,8 +158,6 @@ class ConstraintResult:
     expectation: float
     tolerance: float
     shots: int
-    products_plus: int
-    products_minus: int
     violations: int
     certified: bool
 
@@ -168,26 +166,54 @@ class ConstraintResult:
 class MarginalSummary:
     label: str
     plus_count: int
-    frequency: float
     within_band: bool
 
 
 @dataclass(frozen=True)
 class SampleTally:
-    """Per-shot readout statistics for one family of runs: joint outcome
-    counts, product violations, and 5-sigma marginal checks (every record
-    here has an exactly unbiased marginal)."""
+    """Per-shot readout statistics for one family of runs.
+
+    `outcome_counts` maps each joint readout, one "+" or "-" per record in
+    `record_labels` order, to its count. Everything else the tally reports
+    is derived from those counts in __post_init__: `shots` is their sum,
+    `violations` the count of keys whose sign product is not
+    `expected_product`, and `marginals` each record's +1 count with its
+    5-sigma band check (every record here has an exactly unbiased
+    marginal). The derived fields take no constructor argument, so neither
+    the constructor nor dataclasses.replace can set them apart from the
+    counts. `outcome_counts` is a plain dict, though: changing it in place
+    after construction leaves the derived fields stale, which only verify's
+    own re-derivation of the tallies catches.
+    """
 
     target: str
     constraint_id: int
     stage: str
     record_labels: tuple
     expected_product: int
-    shots: int
     outcome_counts: dict
-    violations: int
-    marginals: tuple
-    all_products_expected: bool
+    shots: int = field(init=False)
+    violations: int = field(init=False)
+    marginals: tuple = field(init=False)
+
+    def __post_init__(self):
+        shots = violations = 0
+        plus_counts = [0] * len(self.record_labels)
+        for key, count in self.outcome_counts.items():
+            shots += count
+            if (-1) ** key.count("-") != self.expected_product:
+                violations += count
+            for pos, reading in enumerate(key):
+                if reading == "+":
+                    plus_counts[pos] += count
+        half_band = 5 * 0.5 / sqrt(shots) if shots > 0 else 0.0
+        marginals = tuple(
+            MarginalSummary(label=label, plus_count=plus, within_band=(
+                abs(plus / shots - 0.5) <= half_band if shots > 0 else True))
+            for label, plus in zip(self.record_labels, plus_counts))
+        object.__setattr__(self, "shots", shots)
+        object.__setattr__(self, "violations", violations)
+        object.__setattr__(self, "marginals", marginals)
 
 
 @dataclass(frozen=True)
@@ -407,8 +433,7 @@ def certify_constraint(state: StateVector,
     return ConstraintResult(
         constraint_id=constraint_id, kind=kind, labels=labels, stage=stage,
         expected=expected, expectation=val, tolerance=tolerance,
-        shots=0, products_plus=0, products_minus=0, violations=0,
-        certified=abs(val - expected) <= tolerance)
+        shots=0, violations=0, certified=abs(val - expected) <= tolerance)
 
 
 def sample_records(state: StateVector,
@@ -423,43 +448,23 @@ def sample_records(state: StateVector,
                    target_index: int,
                    counters: OperationCounters) -> SampleTally:
     """Repeatedly read the listed (label, qubit) records in order and tally
-    joint outcomes, products, and per-record marginals. Shots are drawn
-    from the exact joint distribution of the Z readouts."""
+    their joint outcomes. Shots are drawn from the exact joint distribution
+    of the Z readouts; the tally derives its products and marginals from
+    the counts."""
     counts: dict = {}
-    violations = 0
-    plus_counts = [0] * len(records)
     if shots > 0:
         rng = child_generator(master_seed, STREAM_SAMPLE, target_index)
         dist = _z_readout_distribution(
             state.amplitudes, [qubit for _, qubit in records])
         for values, count in _draw_outcome_counts(dist, shots, rng):
-            if count == 0:
-                continue
-            key = "".join("+" if v == 1 else "-" for v in values)
-            counts[key] = counts.get(key, 0) + count
-            product = 1
-            for pos, v in enumerate(values):
-                product *= v
-                if v == 1:
-                    plus_counts[pos] += count
-            if product != expected_product:
-                violations += count
+            if count > 0:
+                counts["".join("+" if v == 1 else "-" for v in values)] = count
         counters.projective_measurements += shots * len(records)
         counters.sampled_shots += shots
-    marginals = []
-    half_band = 5 * 0.5 / sqrt(shots) if shots > 0 else 0.0
-    for pos, (label, _) in enumerate(records):
-        freq = plus_counts[pos] / shots if shots > 0 else 0.0
-        marginals.append(MarginalSummary(
-            label=label, plus_count=plus_counts[pos], frequency=freq,
-            within_band=(abs(freq - 0.5) <= half_band) if shots > 0 else True))
     return SampleTally(
         target=target, constraint_id=constraint_id, stage=stage,
         record_labels=tuple(label for label, _ in records),
-        expected_product=expected_product, shots=shots,
-        outcome_counts=counts, violations=violations,
-        marginals=tuple(marginals),
-        all_products_expected=(violations == 0))
+        expected_product=expected_product, outcome_counts=counts)
 
 
 def cpl_check(state: StateVector,
@@ -680,52 +685,25 @@ def _certify_records(state: StateVector, constraint_id: int, stage: str,
         master_seed=config.master_seed, target_index=constraint_id,
         counters=counters)
     sampling.append(tally)
-    # Every shot's product is +1 or -1, and the violations are the shots
-    # whose product differs from the expected sign.
-    matching = tally.shots - tally.violations
     return replace(
-        result, shots=tally.shots,
-        products_plus=matching if expected == 1 else tally.violations,
-        products_minus=tally.violations if expected == 1 else matching,
-        violations=tally.violations,
+        result, shots=tally.shots, violations=tally.violations,
         certified=result.certified and tally.violations == 0)
 
 
 def _sampling_holds(constraints: Sequence[ConstraintResult],
                     sampling: Sequence[SampleTally], shots: int) -> bool:
-    """Whether a flow's sampled evidence certifies its products and agrees
-    with itself.
+    """Whether a flow's sampled evidence certifies its products.
 
     Every record certification reports the flow's `shots`, and when shots
     > 0 each one has its own tally, in the same order. Each tally has no
-    violation and every marginal in its band. Read back from its own
-    outcome keys, its counts sum to its shots, the keys of the wrong sign
-    product hold exactly its violations, and each marginal's plus_count is
-    the count of the keys with "+" at its position. Each certification
-    splits its shots into products_plus and products_minus with the
-    violations on the side opposite the expected sign.
+    violation and every marginal in its band.
     """
     records = [c for c in constraints if c.kind == "record"]
     tallied = [c.constraint_id for c in records] if shots > 0 else []
-    if not (all(c.shots == shots for c in records)
-            and [t.constraint_id for t in sampling] == tallied):
-        return False
-    for tally in sampling:
-        counts = tally.outcome_counts
-        odd = tally.expected_product == -1
-        wrong = sum(n for key, n in counts.items() if (key.count("-") % 2 == 1) != odd)
-        if not (tally.all_products_expected
-                and sum(counts.values()) == tally.shots
-                and wrong == tally.violations):
-            return False
-        for pos, marginal in enumerate(tally.marginals):
-            plus = sum(n for key, n in counts.items() if key[pos] == "+")
-            if not (marginal.within_band and marginal.plus_count == plus):
-                return False
-    return all(
-        c.products_plus + c.products_minus == c.shots
-        and (c.products_minus if c.expected == 1 else c.products_plus) == c.violations
-        for c in constraints)
+    return (all(c.shots == shots for c in records)
+            and [t.constraint_id for t in sampling] == tallied
+            and all(t.violations == 0 and all(m.within_band for m in t.marginals)
+                    for t in sampling))
 
 
 def run_lmz(config: ScenarioConfig) -> ScenarioReport:

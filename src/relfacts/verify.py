@@ -329,14 +329,6 @@ def _reversal_per_shot(cdr) -> tuple:
         if record.violations != 0 or record.shots != FULL_SHOTS:
             return False, (
                 f"{exp}: {record.violations} violations in {record.shots} shots")
-        # The shots whose product matches lie on the expected sign's side.
-        matching = record.shots - record.violations
-        split = ((matching, record.violations) if record.expected == 1
-                 else (record.violations, matching))
-        if (record.products_plus, record.products_minus) != split:
-            return False, (
-                f"{exp}: record row counts {record.products_plus} products +1 "
-                f"and {record.products_minus} -1 in {record.shots} shots")
         fault = _tallies_fault(rep)
         if fault:
             return False, f"{exp}: {fault}"

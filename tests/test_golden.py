@@ -3,7 +3,11 @@
 The hashes were generated from the reports of an earlier release, so a
 refactor that changes any byte of a report, in either format, fails here.
 The hashes of the sampled reports (--shots 1000 --seed 7) date from the
-release that draws each target's shot counts with one multinomial.
+release that draws each target's shot counts with one multinomial. The
+JSON hashes of the run and check-assignments reports date from report
+schema 2, which dropped the fields that restate others (its version string
+still reads "1"); the verify --all JSON hash and every text hash predate
+it, unchanged.
 The two planted 20-variable constraint files under tests/data/ (one
 satisfiable, one contradictory) are read by a relative path, which each
 report prints, so the test runs from the repository root.
@@ -21,63 +25,63 @@ from relfacts.cli import main
 
 GOLDEN = {
     ("run lmz --shots 0", "json"):
-        "3278494ad73d560555da15a1fd84e4fac239f703911b39ca86db0a80acff72d4",
+        "d5c11aa3ecf6c732579b8789df3aef7b00a2e1d5e299de58d3d3de8f7e6a6edc",
     ("run lmz --shots 0", "text"):
         "fa26d48bef242f891106734a9600ab312081edbaad8a5c0af170c2ad1c8e196e",
     ("run lmz --shots 1000 --seed 7", "json"):
-        "9bd08b151b96315853ad365c0cbc23645f763d2e1079c7a8a520beea60323a9c",
+        "6531e76cfdc91bf19d7e69e173f614137c19fe138992464c9a75a58c5937cae3",
     ("run lmz --shots 1000 --seed 7", "text"):
         "0b41ed132cd77962e10a2982cc8001c821cb95a6293783d68510cf2dfe03978a",
     ("run cdr --experiment 1 --shots 0", "json"):
-        "c7d86d4484e33254fb45069e7e7d1069b2ef66b3fc4eb8d612ab6e8fe2679864",
+        "29ed44434d6965399cb14eefa6b44b5d5b2a8ed86d89fcf72705dd41a19d312c",
     ("run cdr --experiment 1 --shots 0", "text"):
         "8fd16885023bb6d1e5fc1887003300f332c66c03ecdf6d0ff05f153d054d7dad",
     ("run cdr --experiment 1 --shots 1000 --seed 7", "json"):
-        "f3a3f26cf1e912301a73af03ca8c40a726af505c0a7362d20c370a116dad1bf9",
+        "3be33d74c67bcd9251fe9546d1c9beca2903d694fd72eb8854aa16529ae5d320",
     ("run cdr --experiment 1 --shots 1000 --seed 7", "text"):
         "09df978cda6d5df72358409fcd1acb723792470c9339089675da02e3fc34b3e1",
     ("run cdr --experiment 2 --shots 0", "json"):
-        "d65f89c27e850722a43bf3a9caa5f9de39672fe95eadcf1e5efcf6229aa23f85",
+        "62557d8dfddd41344ff1d34742835539988606a0c0acefad3b081e55a2970921",
     ("run cdr --experiment 2 --shots 0", "text"):
         "e48904f892fbd3b10720ac937abecd80927d5533ef6b561f50323216fcd53a10",
     ("run cdr --experiment 2 --shots 1000 --seed 7", "json"):
-        "4a3eb20b064f0ecddc5dd319bf3172d892dd93c58bb4f1985e0c4893218ae4e2",
+        "aa0ef0310ee01e9ede544838427c87b2c8a3566fc31c99930a4a240cc4e7ad9c",
     ("run cdr --experiment 2 --shots 1000 --seed 7", "text"):
         "027d940146546246fcd9ea7ffd135a229be241938e7445b8eebb3411e29c56fc",
     ("run cdr --experiment 3 --shots 0", "json"):
-        "121599d76fdbd6d105719176930cdcadafe236480d7599292b5482eeff667719",
+        "98e11f7b2eeca58c0c2fbf799f2a65f9c5fa08cda4cb83d202fd5bb8960badc0",
     ("run cdr --experiment 3 --shots 0", "text"):
         "608e7976f4c2896cfdba2acfc7b6c139e033253d12bfdb3124b6d436069afb4e",
     ("run cdr --experiment 3 --shots 1000 --seed 7", "json"):
-        "d67850835cfc3793f378507972cf88ef503a1895888fa2c3db257b4e7e7dccb8",
+        "93fdfd8715e3f565ccd34dbe9d81f663d0ee8dc2741f53a8d378489913814369",
     ("run cdr --experiment 3 --shots 1000 --seed 7", "text"):
         "b527f87c714de5bbf8edae4900d7660dc032534b639c707097b3fb9f7c4b55ee",
     ("run cdr --experiment 4 --shots 0", "json"):
-        "7cfe41033eccb39e9a30b071266ea13e3352efa18b4697627846c582ba8ac4d0",
+        "03e7e4849a4b0054fef0df8238cf89c24c2eb51679c7767548280f356662efcf",
     ("run cdr --experiment 4 --shots 0", "text"):
         "dec2dfcee4b99dafcad1d9447fdd2343b0e0eb9c27738b6df355a9900081cc60",
     ("run cdr --experiment 4 --shots 1000 --seed 7", "json"):
-        "c3f7263f374723c5037b25d140541ab8449d825711a3abf625dee441a983c574",
+        "a6ebe6c28b4ad6efd179900e9166d27bdb70b1844f7b2fba6ed79f5536876884",
     ("run cdr --experiment 4 --shots 1000 --seed 7", "text"):
         "a66460c0a60f2df79ead8944846be8b9df73630d7bfc019807ce196e7aa6f300",
     ("run cdr --experiment all --shots 0", "json"):
-        "89359e0fa9bb652a240baa17ecbe32db325e24b61c575a1cc70b4fe0e1fe9a6b",
+        "d3674bb8f4c8bdcdf55418d7959bc5767515961084fbac88d701c81b68fe5e1f",
     ("run cdr --experiment all --shots 0", "text"):
         "ff4f98a6a74926bae39be61b45c0ea40da6a403f058d3ecb198139f2bea4beba",
     ("run cdr --experiment all --shots 1000 --seed 7", "json"):
-        "3ba8938f2421aa89d791b2a37ce3cef5e4a78d2646c58d49ca6533fb08b6e6e4",
+        "7e7532ab1052299d143001940e2e2e6576b4e26b79124abe8430224b3e958dda",
     ("run cdr --experiment all --shots 1000 --seed 7", "text"):
         "1ff97eb6fe3faae1b9d75c1e65af3e9c7cc841527cc02e4447c75f4b8d5f7535",
     ("check-assignments --builtin ghz", "json"):
-        "05a4342ac62383a38bcd472860186ca631b9e5df9a16dc341e8dd9829f4917fc",
+        "d828a7c9ddf39578c042eed18437b02e5d6780222010e4adfb66ac57f24c80e9",
     ("check-assignments --builtin ghz", "text"):
         "04dddc2f4c410dc40788de8cce43ab23c7b8484ad57eb793ddeb32fa3f8057c7",
     ("check-assignments --constraints tests/data/planted-20-sat.txt", "json"):
-        "695ddb1e3bc846a9cdd4b84724aaed04655e5b55870f3bc47a1a76b22dfb9a0a",
+        "1338734cfba51cef1201b483d42f1fb86b0b2cbfd1e1061c03afa72559fbc4fb",
     ("check-assignments --constraints tests/data/planted-20-sat.txt", "text"):
         "24cf8b05e7530df8106d46b8e25658024f3462d71d4f78f18b6eb31d8819a27b",
     ("check-assignments --constraints tests/data/planted-20-unsat.txt", "json"):
-        "2cb43096af52cb4f765cadd143e41240e92f113e534d28107001f4d16701fec6",
+        "4104faa2138f433b3805ac95209ddb83c1fa561d9f49412a56ca3b1257c29996",
     ("check-assignments --constraints tests/data/planted-20-unsat.txt", "text"):
         "e9bba58cfdb67f31c0248461b404633ee009cabb47e8d32d040cc9231fd00ff6",
     ("verify --all", "json"):

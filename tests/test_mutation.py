@@ -6,7 +6,9 @@ default tolerance and at the largest accepted one; a miscounted tally,
 which no tolerance forgives, at 200 shots and the default tolerance only.
 Each verify mutant must
 make `verify --all` exit 1 and fail the acceptance row that judges the
-mutated piece.
+mutated piece. Each parity mutant changes what `check-assignments --builtin
+ghz` prints, and the command must exit 1 because its verdict reads the
+printed analysis.
 """
 import dataclasses
 import json
@@ -152,7 +154,8 @@ def test_sign_flipped_products_fail_verify(sign_flipped_products, capsys):
 @pytest.fixture
 def flipped_outcome_keys(monkeypatch):
     # Every key of a three-record tally flips, so each key's own product
-    # contradicts the expected sign while the tally still counts 0 violations.
+    # contradicts the expected sign. The tally derives its violations from
+    # the keys, so every shot counts as one.
     original = scenarios.sample_records
     flip = str.maketrans("+-", "-+")
 
@@ -165,35 +168,23 @@ def flipped_outcome_keys(monkeypatch):
 
 
 @pytest.fixture
-def swapped_record_products(monkeypatch):
-    original = scenarios._certify_records
-
-    def swapped(*args, **kwargs):
-        result = original(*args, **kwargs)
-        return dataclasses.replace(result, products_plus=result.products_minus,
-                                   products_minus=result.products_plus)
-
-    monkeypatch.setattr(scenarios, "_certify_records", swapped)
-
-
-@pytest.fixture
 def swapped_marginals(monkeypatch):
-    # Each record's +1 count becomes its -1 count; every frequency, and so
-    # every 5-sigma band, is left as drawn.
-    original = scenarios.sample_records
+    # The tally constructor reports each record's -1 count as its +1 count.
+    # Every 5-sigma band is symmetric about 1/2, so each marginal stays in
+    # band and the flows, which trust the constructor, still pass; only
+    # verify's own re-derivation from the outcome keys sees it.
+    original = scenarios.SampleTally.__post_init__
 
-    def swapped(state, **kwargs):
-        tally = original(state, **kwargs)
-        return dataclasses.replace(tally, marginals=tuple(
+    def swapped(tally):
+        original(tally)
+        object.__setattr__(tally, "marginals", tuple(
             dataclasses.replace(m, plus_count=tally.shots - m.plus_count)
             for m in tally.marginals))
 
-    monkeypatch.setattr(scenarios, "sample_records", swapped)
+    monkeypatch.setattr(scenarios.SampleTally, "__post_init__", swapped)
 
 
-# Each flow checks its own tallies against their outcome keys.
-@pytest.mark.parametrize("mutant", [
-    "flipped_outcome_keys", "swapped_record_products", "swapped_marginals"])
+@pytest.mark.parametrize("mutant", ["flipped_outcome_keys"])
 @pytest.mark.parametrize("argv", [LMZ, CDR], ids=["lmz", "cdr"])
 def test_miscounted_tallies_fail_both_flows(mutant, argv, request, capsys):
     request.getfixturevalue(mutant)
@@ -203,12 +194,7 @@ def test_miscounted_tallies_fail_both_flows(mutant, argv, request, capsys):
 def test_flipped_outcome_keys_fail_verify(flipped_outcome_keys, capsys):
     row = assert_verify_row_fails(5, capsys)
     assert row["detail"] == (
-        f"experiment 1: outcome keys hold {verify.FULL_SHOTS} violations, the tally 0")
-
-
-def test_swapped_record_products_fail_verify(swapped_record_products, capsys):
-    row = assert_verify_row_fails(5, capsys)
-    assert row["detail"].startswith("experiment 1: record row counts 0 products +1")
+        f"experiment 1: {verify.FULL_SHOTS} violations in {verify.FULL_SHOTS} shots")
 
 
 def test_swapped_marginals_fail_verify(swapped_marginals, capsys):
@@ -245,3 +231,42 @@ def test_round_trip_that_is_not_the_identity_fails_verify(monkeypatch, capsys):
     monkeypatch.setattr(verify, "_premeasure_array", swapped)
     row = assert_verify_row_fails(6, capsys)
     assert row["detail"].startswith("min round-trip fidelity 0.")
+
+
+def assert_ghz_fails(capsys):
+    assert main(["check-assignments", "--builtin", "ghz", "--format", "json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"] == "FAIL"
+    return doc["results"]
+
+
+def test_null_certificate_fails_check_assignments(monkeypatch, capsys):
+    # Checking a missing certificate as the default subset would multiply
+    # all four constraints, which for GHZ is also the contradiction.
+    original = parity.satisfiable
+    monkeypatch.setattr(parity, "satisfiable", lambda system: dataclasses.replace(
+        original(system), certificate=None))
+    results = assert_ghz_fails(capsys)
+    assert results["solve"]["certificate"] is None
+    assert results["consistency"]["certificate_verified"] is False
+    assert main(["check-assignments", "--builtin", "ghz"]) == 1
+    out = capsys.readouterr().out
+    assert "certificate: none" in out
+    assert "verdict: FAIL" in out
+
+
+def test_null_enumeration_fails_check_assignments(monkeypatch, capsys):
+    monkeypatch.setattr(parity, "enumerate_assignments", lambda system: None)
+    results = assert_ghz_fails(capsys)
+    assert results["enumeration"] is None
+    assert results["consistency"]["solver_enumeration_agree"] is False
+
+
+def test_sign_flipped_constraint_text_fails_check_assignments(monkeypatch, capsys):
+    original = parity.ParityConstraint.__str__
+    flip = str.maketrans("+-", "-+")
+    monkeypatch.setattr(parity.ParityConstraint, "__str__",
+                        lambda c: original(c).translate(flip))
+    results = assert_ghz_fails(capsys)
+    assert results["system"]["constraints"][0] == "B1*B2*B3 = -1"
+    assert results["consistency"]["constraints_parse_back"] is False

@@ -15,7 +15,6 @@ from relfacts.observers import (
     _require_cleared_memory,
     lift,
     premeasure,
-    record_observable,
     reverse,
 )
 from relfacts.pauli import PauliString, commutes
@@ -92,11 +91,11 @@ class TestPremeasure:
             pm = Premeasurement(obs, 3, "friend")
             before = expectation(state, obs)
             out = premeasure(state, pm)
-            pair = obs * record_observable(pm)
+            record = PauliString.single(4, pm.memory, "Z")
+            pair = obs * record
             assert expectation(out, pair) == pytest.approx(1.0, abs=1e-10)
             # memory readout statistics copy the premeasured observable
-            assert expectation(out, record_observable(pm)) == pytest.approx(
-                before, abs=1e-10)
+            assert expectation(out, record) == pytest.approx(before, abs=1e-10)
 
 
 class TestReverse:
@@ -220,7 +219,7 @@ class TestLift:
     def test_lifted_observable_anticommutes_with_record(self):
         pm = pm_z()
         lifted = lift(PauliString.from_label("XI"), pm)
-        assert not commutes(lifted, record_observable(pm))
+        assert not commutes(lifted, PauliString.single(2, pm.memory, "Z"))
 
     def test_lift_rejections(self):
         pm = pm_z()
@@ -254,14 +253,6 @@ class TestLedger:
         assert ledger.mark_disturbed(PauliString.from_label("XX"), 2) != []
         assert ledger.mark_disturbed(PauliString.from_label("XX"), 2) == []
 
-    def test_mark_erased_clears_value(self):
-        ledger = Ledger()
-        fact = ledger.add("alice", "A1", 0, stage="s")
-        fact.value = -1
-        ledger.mark_erased("A1")
-        assert fact.status == "erased"
-        assert fact.value is None
-
     def test_snapshot_is_immutable_copy(self):
         ledger = Ledger()
         ledger.add("alice", "A1", 0, stage="s")
@@ -283,18 +274,19 @@ class TestReadout:
 
     def test_zero_reads_plus_one(self):
         dist = _sequential_outcome_distribution(
-            zero_state(2).amplitudes, (record_observable(pm_z()),))
+            zero_state(2).amplitudes, (PauliString.single(2, pm_z().memory, "Z"),))
         assert dist == [((1,), pytest.approx(1.0))]
 
     def test_excited_reads_minus_one(self):
         excited = np.array([0, 0, 1, 0], dtype=complex)  # memory qubit 1 set
-        dist = _sequential_outcome_distribution(excited, (record_observable(pm_z()),))
+        dist = _sequential_outcome_distribution(
+            excited, (PauliString.single(2, pm_z().memory, "Z"),))
         assert dist == [((-1,), pytest.approx(1.0))]
 
     def test_repeatability(self):
         pm = pm_z()
         recorded = premeasure(plus_zero(), pm)
-        record = record_observable(pm)
+        record = PauliString.single(2, pm.memory, "Z")
         dist = dict(_sequential_outcome_distribution(
             recorded.amplitudes, (record, record)))
         assert set(dist) == {(1, 1), (-1, -1)}

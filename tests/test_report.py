@@ -9,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relfacts.observers import StageSnapshot
-from relfacts.report import ReportDocument, _stage_summary, canonicalize
+from relfacts.report import (
+    ReportDocument,
+    _stage_summary,
+    build_run_document,
+    canonicalize,
+)
 from relfacts.statevector import StateVector
 
 
@@ -88,3 +93,16 @@ def test_stage_summary_orders_by_weight_then_index():
     summary = _stage_summary(StageSnapshot(0, "s", state, ()), limit=64)
     indices = [i for i, _ in summary["leading_amplitudes"]]
     assert indices == [i for i in expected if weights[i] > 1e-18]
+
+
+@pytest.mark.parametrize("shots", [0, 200])
+@pytest.mark.parametrize("scenario, experiment", [("lmz", None), ("cdr", "all")])
+def test_changed_facts_replay_to_the_final_ledger(scenario, experiment, shots):
+    results = build_run_document(scenario, experiment, shots, 0, 1e-9).as_dict()["results"]
+    for body in results.get("experiments", [results]):
+        ledger = {}
+        for stage in body["stages"]:
+            for fact in stage["changed_facts"]:
+                assert ledger.get(fact["label"]) != fact, stage["label"]
+                ledger[fact["label"]] = fact
+        assert list(ledger.values()) == body["ledger"]

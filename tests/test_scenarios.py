@@ -1,4 +1,5 @@
 """Both protocol flows end to end, cross-checked against dense pipelines."""
+import dataclasses
 import math
 from itertools import permutations
 
@@ -20,6 +21,7 @@ from relfacts.scenarios import (
     NUM_QUBITS,
     SYSTEM_QUBITS,
     OperationCounters,
+    SampleTally,
     ScenarioConfig,
     _certify_records,
     _Flow,
@@ -291,7 +293,6 @@ class TestLmzSampled:
         for tally, expected in zip(lmz_sampled.sampling, EXPECTED_SIGNS):
             assert tally.shots == 500
             assert tally.violations == 0
-            assert tally.all_products_expected
             assert sum(tally.outcome_counts.values()) == 500
             for key in tally.outcome_counts:
                 assert len(key) == 3
@@ -300,14 +301,9 @@ class TestLmzSampled:
             assert all(m.within_band for m in tally.marginals)
 
     def test_record_constraints_carry_shot_evidence(self, lmz_sampled):
-        for cid, expected in zip((1, 2, 3, 4), EXPECTED_SIGNS):
+        for cid in (1, 2, 3, 4):
             c = constraint(lmz_sampled, cid, "record")
             assert c.shots == 500
-            assert c.products_plus + c.products_minus == 500
-            if expected == 1:
-                assert c.products_plus == 500
-            else:
-                assert c.products_minus == 500
             assert c.violations == 0
             assert c.certified
 
@@ -406,7 +402,6 @@ class TestCertifyConstraint:
         assert result.labels == ("B1", "A2", "A3")
         assert result.expectation == pytest.approx(-1.0, abs=1e-12)
         assert result.shots == 100
-        assert result.products_minus == 100
         assert result.violations == 0
         assert result.certified
         assert [t.target for t in sampling] == ["t"]
@@ -433,6 +428,31 @@ class TestCertifyConstraint:
         assert not result.certified
         assert result.expectation == pytest.approx(1.0)
         assert result.shots == 0 and result.violations == 0
+
+
+class TestSampleTally:
+    def test_counts_derive_shots_violations_and_marginals(self):
+        tally = SampleTally(
+            target="t", constraint_id=2, stage="s", record_labels=("a", "b", "c"),
+            expected_product=-1,
+            outcome_counts={"++-": 260, "+--": 240, "-+-": 10, "---": 490})
+        assert tally.shots == 1000
+        assert tally.violations == 250    # "+--" and "-+-" multiply to +1
+        assert [(m.label, m.plus_count, m.within_band) for m in tally.marginals] == [
+            ("a", 500, True), ("b", 270, False), ("c", 0, False)]
+
+    def test_derived_fields_cannot_be_set(self, lmz_sampled):
+        tally = lmz_sampled.sampling[0]
+        with pytest.raises(ValueError):
+            dataclasses.replace(tally, violations=1)
+        with pytest.raises(ValueError):
+            dataclasses.replace(tally, marginals=())
+        with pytest.raises(TypeError):
+            SampleTally(target="t", constraint_id=1, stage="s", record_labels=("a",),
+                        expected_product=1, outcome_counts={"+": 1}, shots=2)
+        # Replacing the counts derives everything again.
+        flipped = dataclasses.replace(tally, outcome_counts={"---": 7})
+        assert (flipped.shots, flipped.violations) == (7, 7)
 
 
 class TestSamplingMachinery:
@@ -571,7 +591,7 @@ class TestSamplingMachinery:
             shots=0, master_seed=0, target_index=1,
             counters=OperationCounters())
         assert tally.outcome_counts == {}
-        assert tally.all_products_expected
+        assert tally.shots == tally.violations == 0
         assert all(m.within_band for m in tally.marginals)
 
 

@@ -276,9 +276,7 @@ def cdr_suite():
         constraints=[
             constraint(cid, "operator", SIGNS[cid]),
             constraint(cid, "record", SIGNS[cid], expected=SIGNS[cid],
-                       violations=0, shots=FULL_SHOTS,
-                       products_plus=FULL_SHOTS if SIGNS[cid] == 1 else 0,
-                       products_minus=0 if SIGNS[cid] == 1 else FULL_SHOTS)],
+                       violations=0, shots=FULL_SHOTS)],
         sampling=[clean_tally(SIGNS[cid])])
         for cid in SIGNS]
 
@@ -298,16 +296,6 @@ def test_reversal_per_shot_fails_on_each_conjunct(experiment, field, value, deta
     report = cdr[experiment - 1]
     setattr(report if field == "passed" else report.constraints[1], field, value)
     assert verify._reversal_per_shot(built(cdr)) == (False, detail)
-
-
-def swap_products(report):
-    record = report.constraints[1]
-    record.products_plus, record.products_minus = record.products_minus, record.products_plus
-
-
-def move_one_product(report):
-    report.constraints[1].products_plus -= 1
-    report.constraints[1].products_minus += 1
 
 
 def drop_one_count(report):
@@ -335,10 +323,6 @@ def drop_tallies(report):
 
 
 @pytest.mark.parametrize("experiment, alter, detail", [
-    (2, swap_products,
-     f"experiment 2: record row counts {FULL_SHOTS} products +1 and 0 -1 in {FULL_SHOTS} shots"),
-    (1, move_one_product,
-     f"experiment 1: record row counts {FULL_SHOTS - 1} products +1 and 1 -1 in {FULL_SHOTS} shots"),
     (3, drop_one_count,
      f"experiment 3: outcome counts sum to {FULL_SHOTS - 1} of {FULL_SHOTS} shots"),
     (4, flip_keys, f"experiment 4: outcome keys hold {FULL_SHOTS} violations, the tally 0"),
