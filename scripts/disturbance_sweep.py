@@ -10,7 +10,7 @@ need their Bob step to run first, shown in the side-branch table.
 """
 import argparse
 
-from relfacts.observers import Ledger, Premeasurement, premeasure
+from relfacts.observers import Premeasurement, ledger, premeasure
 from relfacts.pauli import PauliString
 from relfacts.scenarios import (
     ALICE_MEMORY,
@@ -18,11 +18,12 @@ from relfacts.scenarios import (
     CONSTRAINT_PATTERNS,
     CONSTRAINT_SIGNS,
     NUM_QUBITS,
-    SYSTEM_QUBITS,
+    ScenarioConfig,
     alice_premeasurements,
     lifted_direct_observables,
+    run_lmz,
 )
-from relfacts.statevector import expectation, prepare_ghz, zero_state
+from relfacts.statevector import expectation
 
 
 def record_products():
@@ -47,30 +48,16 @@ def main() -> int:
         for pattern in CONSTRAINT_PATTERNS
     ] + ["ledger"]
 
-    ledger = Ledger()
-    state = prepare_ghz(zero_state(NUM_QUBITS), SYSTEM_QUBITS)
-    rows = []
-
-    def snapshot(rows, state, ledger, label):
+    def snapshot(rows, state, facts, label):
         values = [f"{expectation(state, p):+.3f}" for p in products]
-        status = ",".join(
-            f"{f.label}:{f.status[0]}" for f in ledger.facts)
+        status = ",".join(f"{f.label}:{f.status[0]}" for f in facts)
         rows.append([label] + values + [status or "-"])
 
-    for k, pm in enumerate(alice_premeasurements()):
-        ledger.mark_disturbed(pm.observable, NUM_QUBITS)
-        state = premeasure(state, pm)
-        ledger.add("alice", f"A{k + 1}", ALICE_MEMORY[k], stage="alice")
-    snapshot(rows, state, ledger, "alice-complete")
-    stage1 = state
-
-    bhats = lifted_direct_observables(alice_premeasurements())
-    bob_pms = [Premeasurement(bhats[k], BOB_MEMORY[k], "bob") for k in range(3)]
-    for k, pm in enumerate(bob_pms):
-        ledger.mark_disturbed(pm.observable, NUM_QUBITS)
-        state = premeasure(state, pm)
-        ledger.add("bob", f"B{k + 1}", BOB_MEMORY[k], stage=f"bob-{k + 1}")
-        snapshot(rows, state, ledger, f"bob-{k + 1}")
+    report = run_lmz(ScenarioConfig())
+    rows = []
+    for snap in report.snapshots[1:]:  # alice-complete, bob-1, bob-2, bob-3
+        snapshot(rows, snap.state, snap.facts, snap.label)
+    stage1 = report.snapshots[1].state
 
     def print_table(rows):
         widths = [max(len(str(r[i])) for r in rows + [headers])
@@ -84,15 +71,14 @@ def main() -> int:
     print_table(rows)
     print()
 
+    alice_pms = alice_premeasurements()
+    alice_steps = [(f"A{j + 1}", pm, "alice") for j, pm in enumerate(alice_pms)]
+    bhats = lifted_direct_observables(alice_pms)
     side_rows = []
     for k in (1, 2):
-        branch_ledger = Ledger()
-        for j, pm in enumerate(alice_premeasurements()):
-            branch_ledger.add("alice", f"A{j + 1}", ALICE_MEMORY[j], stage="alice")
-        branch_ledger.mark_disturbed(bob_pms[k].observable, NUM_QUBITS)
-        branch = premeasure(stage1, bob_pms[k])
-        branch_ledger.add("bob", f"B{k + 1}", BOB_MEMORY[k], stage="bob")
-        snapshot(side_rows, branch, branch_ledger, f"bob-{k + 1}-only")
+        pm = Premeasurement(bhats[k], BOB_MEMORY[k], "bob")
+        facts = ledger(alice_steps + [(f"B{k + 1}", pm, "bob")])
+        snapshot(side_rows, premeasure(stage1, pm), facts, f"bob-{k + 1}-only")
     print("side branches (one Bob step directly after the friends):")
     print_table(side_rows)
 

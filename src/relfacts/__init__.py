@@ -16,10 +16,10 @@ from .errors import (
     ResourceError,
 )
 from .observers import (
-    Ledger,
     Premeasurement,
     RelativeFact,
     StageSnapshot,
+    ledger,
     lift,
     premeasure,
     reverse,
@@ -73,7 +73,6 @@ __all__ = [
     "CplResult",
     "EnumerationResult",
     "InternalConsistencyError",
-    "Ledger",
     "ParityConstraint",
     "PauliString",
     "Premeasurement",
@@ -96,6 +95,7 @@ __all__ = [
     "expectation",
     "fidelity",
     "ghz_record_system",
+    "ledger",
     "lift",
     "parse_constraints",
     "premeasure",

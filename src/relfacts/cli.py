@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 = analysis ran and certified (PASS), 1 = analysis ran but a
-certification failed (FAIL), 2 = usage or parse error.
+certification failed (FAIL), 2 = usage or parse error, or a file that
+cannot be read or written.
 """
 from __future__ import annotations
 
@@ -90,7 +91,10 @@ def _usage_error(message: str) -> int:
 def _emit(doc: ReportDocument, fmt: str, out: Optional[Path]) -> int:
     rendered = doc.to_json() if fmt == "json" else render_text(doc)
     if out is not None:
-        out.write_text(rendered)
+        try:
+            out.write_text(rendered)
+        except OSError as exc:
+            return _usage_error(f"cannot write {out}: {exc}")
     else:
         sys.stdout.write(rendered)
     return 0 if doc.verdict == "PASS" else 1

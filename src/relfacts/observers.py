@@ -1,5 +1,5 @@
 """Agent memories as qubits: premeasurement, reversal, lifting, and the
-ledger of relative facts.
+ledger of relative facts derived from the record steps.
 
 A premeasurement entangles an observable's eigenvalue with a fresh memory
 qubit instead of collapsing it: U = P_plus x I_m + P_minus x X_m, with
@@ -8,22 +8,23 @@ operation both writes and unwrites a record. After premeasuring onto a
 cleared memory, O x Z_m has expectation exactly +1: the record tracks the
 observable perfectly until some later operation fails to commute with it.
 
+A record's status follows from the steps applied after it alone, so
+`ledger` derives every fact from the record steps a flow applied.
+
 The array kernels below take a (..., 2^n) stack of amplitude rows and act
 on each row of the last axis, so a batch of states costs one gather per
 step; premeasure and reverse wrap them for a single StateVector.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ProtocolError
 from .pauli import PauliString, _apply_tables, commutes
 from .statevector import PHYS_TOL, StateVector, _masked_indices
-
-FACT_STATUSES = ("current", "disturbed", "erased")
-
 
 @dataclass(frozen=True)
 class Premeasurement:
@@ -119,71 +120,46 @@ def lift(obs: PauliString, pm: Premeasurement) -> PauliString:
     return PauliString(obs.num_qubits, tuple(factors), obs.sign)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RelativeFact:
     """One recorded outcome, relative to the owner that premeasured it.
 
-    `status` tracks whether the record still reflects the original
-    premeasurement: 'current' until an operation that fails to commute with
-    the record observable runs ('disturbed'), or the premeasurement is
-    reversed ('erased').
+    `status` says whether the record still reflects the original
+    premeasurement: 'current', 'disturbed' once a later premeasurement fails
+    to commute with the record observable, or 'erased' once the
+    premeasurement is reversed. `ledger` decides it.
     """
 
     owner: str
     label: str
     qubit: int
     stage: str
-    status: str = "current"
-
-    def __post_init__(self):
-        if self.status not in FACT_STATUSES:
-            raise ValueError(f"unknown fact status {self.status!r}")
+    status: str
 
 
-class Ledger:
-    """Ordered collection of relative facts with disturbance tracking."""
+def ledger(steps: Sequence[tuple]) -> tuple:
+    """The relative facts written by `steps`, in writing order.
 
-    def __init__(self):
-        self.facts = []
-
-    def add(self, owner: str, label: str, qubit: int, stage: str) -> RelativeFact:
-        if any(f.label == label for f in self.facts):
-            raise ValueError(f"duplicate fact label {label!r}")
-        fact = RelativeFact(owner=owner, label=label, qubit=qubit, stage=stage)
-        self.facts.append(fact)
-        return fact
-
-    def get(self, label: str) -> RelativeFact:
-        for f in self.facts:
-            if f.label == label:
-                return f
-        raise KeyError(label)
-
-    def current(self) -> list:
-        return [f for f in self.facts if f.status == "current"]
-
-    def mark_disturbed(self, applied: PauliString, num_qubits: int) -> list:
-        """Downgrade every current fact whose record observable fails to
-        commute with the observable being measured or premeasured. Returns
-        the facts that changed status."""
-        changed = []
-        for fact in self.facts:
-            if fact.status != "current":
-                continue
-            record = PauliString.single(num_qubits, fact.qubit, "Z")
-            if not commutes(record, applied):
-                fact.status = "disturbed"
-                changed.append(fact)
-        return changed
-
-    def mark_erased(self, label: str) -> RelativeFact:
-        fact = self.get(label)
-        fact.status = "erased"
-        return fact
-
-    def snapshot(self) -> tuple:
-        """Immutable copies of all facts, for stage records."""
-        return tuple(replace(f) for f in self.facts)
+    Each step is (label, premeasurement, stage) in the order applied; stage
+    None reverses the premeasurement that wrote record `label`. A record is
+    'erased' if a later step reversed it, 'disturbed' if a later
+    premeasurement anticommutes with Z on its memory (acts there with X or
+    Y), and 'current' otherwise.
+    """
+    facts = []
+    for i, (label, pm, stage) in enumerate(steps):
+        if stage is None:
+            continue
+        later = steps[i + 1:]
+        if any(at is None and written == label for written, _, at in later):
+            status = "erased"
+        elif any(at is not None and other.observable.factors[pm.memory] in "XY"
+                 for _, other, at in later):
+            status = "disturbed"
+        else:
+            status = "current"
+        facts.append(RelativeFact(pm.owner, label, pm.memory, stage, status))
+    return tuple(facts)
 
 
 @dataclass(frozen=True)

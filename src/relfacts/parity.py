@@ -76,27 +76,24 @@ class ConstraintSystem:
     def __post_init__(self):
         object.__setattr__(self, "constraints", tuple(self.constraints))
         object.__setattr__(self, "universe", tuple(self.universe))
-        if len(set(self.universe)) != len(self.universe):
+        # Column of each variable in a row mask, built once for _row.
+        columns = {v: j for j, v in enumerate(self.universe)}
+        if len(columns) != len(self.universe):
             raise ValueError("universe contains duplicate variables")
-        known = set(self.universe)
         for c in self.constraints:
-            missing = c.variables - known
+            missing = c.variables - columns.keys()
             if missing:
                 raise ValueError(
                     f"constraint {c} uses variables outside the universe: "
                     f"{sorted(missing)}")
+        object.__setattr__(self, "_columns", columns)
 
     @classmethod
     def from_constraints(cls, constraints: Iterable[ParityConstraint],
                          universe: Optional[Sequence[str]] = None) -> "ConstraintSystem":
         constraints = tuple(constraints)
         if universe is None:
-            seen = []
-            for c in constraints:
-                for v in sorted(c.variables):
-                    if v not in seen:
-                        seen.append(v)
-            universe = seen
+            universe = dict.fromkeys(v for c in constraints for v in sorted(c.variables))
         return cls(constraints, tuple(universe))
 
     @property
@@ -109,7 +106,7 @@ class ConstraintSystem:
     def _row(self, constraint: ParityConstraint) -> tuple:
         mask = 0
         for v in constraint.variables:
-            mask |= 1 << self.universe.index(v)
+            mask |= 1 << self._columns[v]
         return mask, 0 if constraint.rhs == 1 else 1
 
 

@@ -43,11 +43,11 @@ import numpy as np
 
 from .errors import InternalConsistencyError, ProtocolError
 from .observers import (
-    Ledger,
     Premeasurement,
     StageSnapshot,
     _premeasure_array,
     _require_cleared_memory,
+    ledger,
     lift,
     premeasure,
     reverse,
@@ -244,7 +244,9 @@ class ScenarioReport:
     """Everything one flow certifies, plus the stage-by-stage evidence.
 
     `snapshots` keeps the full states for programmatic use; the report
-    module serializes a summary of each stage instead.
+    module serializes a summary of each stage instead. Each snapshot's facts
+    and `ledger_facts` are observers.ledger of the record steps applied up
+    to that stage and to the end of the flow.
     """
 
     scenario: str
@@ -571,73 +573,26 @@ def _commutation_survey(specs: Sequence[ConstraintSpec],
 
 
 class _Flow:
-    """One flow run's bookkeeping beside its state: the ledger, the operation
-    counters, the stage snapshots and the record steps applied so far.
-
-    The steps are kept apart from the ledger so that the ledger statuses
-    each snapshot prints can be checked against the ones the steps imply.
-    """
+    """One flow run's bookkeeping beside its state: the operation counters,
+    the stage snapshots and the record steps applied so far. Each
+    snapshot's ledger is derived from the steps (observers.ledger)."""
 
     def __init__(self):
-        self.ledger = Ledger()
         self.counters = OperationCounters()
         self.snapshots = []
-        self.steps = []        # (label, pm, reversed) in the order applied
-        self._steps_at = []    # len(steps) when each snapshot was taken
+        self.steps = []  # (label, pm, stage) in the order applied
 
     def record(self, state: StateVector, pm: Premeasurement, label: str,
                stage: Optional[str] = None) -> StateVector:
-        """One record unitary, with the ledger and counters kept in step.
-
-        With a stage: premeasure `pm`, mark every record it disturbs, and
-        enter the new record as `label`. Without one: reverse `pm` and mark
-        the record `label` erased.
-        """
+        """One record unitary. With a stage: premeasure `pm`, writing the
+        record `label`. Without one: reverse `pm`, erasing `label`."""
         self.counters.unitary_applications += 1
-        self.steps.append((label, pm, stage is None))
-        if stage is None:
-            self.ledger.mark_erased(label)
-            return reverse(state, pm)
-        self.ledger.mark_disturbed(pm.observable, NUM_QUBITS)
-        state = premeasure(state, pm)
-        self.ledger.add(pm.owner, label, pm.memory, stage=stage)
-        return state
+        self.steps.append((label, pm, stage))
+        return reverse(state, pm) if stage is None else premeasure(state, pm)
 
     def snapshot(self, label: str, state: StateVector) -> None:
-        self._steps_at.append(len(self.steps))
         self.snapshots.append(StageSnapshot(
-            len(self.snapshots), label, state, self.ledger.snapshot()))
-
-    def ledger_follows_steps(self) -> bool:
-        """Whether every snapshot's ledger, and the final one, holds the
-        records its steps wrote with the statuses _implied_statuses gives."""
-        stages = [(snap.facts, self.steps[:n])
-                  for snap, n in zip(self.snapshots, self._steps_at)]
-        stages.append((self.ledger.facts, self.steps))
-        return all(
-            [(f.label, f.status) for f in facts] == _implied_statuses(steps)
-            for facts, steps in stages)
-
-
-def _implied_statuses(steps: Sequence[tuple]) -> list:
-    """(label, status) of each record the (label, pm, reversed) steps wrote,
-    in writing order, read from the steps alone: "erased" if a later step
-    reversed it, "disturbed" if a later premeasurement anticommutes with Z
-    on its memory (acts there with X or Y), "current" otherwise."""
-    statuses = []
-    for i, (label, pm, reversal) in enumerate(steps):
-        if reversal:
-            continue
-        later = steps[i + 1:]
-        if any(undo and written == label for written, _, undo in later):
-            status = "erased"
-        elif any(not undo and other.observable.factors[pm.memory] in "XY"
-                 for _, other, undo in later):
-            status = "disturbed"
-        else:
-            status = "current"
-        statuses.append((label, status))
-    return statuses
+            len(self.snapshots), label, state, ledger(self.steps)))
 
 
 def _alice_complete(flow: _Flow) -> tuple:
@@ -787,8 +742,9 @@ def run_lmz(config: ScenarioConfig) -> ScenarioReport:
     early_val = expectation(bob1, trio)
     final_val = expectation(final, trio)
     counters.exact_expectations += 2
+    facts = ledger(flow.steps)
     disturbed_statuses = {
-        f.label: f.status for f in flow.ledger.facts if f.label in ("A2", "A3")}
+        f.label: f.status for f in facts if f.label in ("A2", "A3")}
     disturbed_diagnostic = {
         "records": ["B1", "A2", "A3"],
         "early_stage": "bob-1",
@@ -814,14 +770,13 @@ def run_lmz(config: ScenarioConfig) -> ScenarioReport:
         and all(entry["certified"] for entry in final_certificate)
         and disturbed_diagnostic["gap_exceeds_half"]
         and disturbed_statuses == {"A2": "disturbed", "A3": "disturbed"}
-        and flow.ledger_follows_steps()
         and cpl.premise_certified
         and cpl.violation_demonstrated
         and abs(cpl.operator_product_after - 1.0) <= config.tolerance
         and _sampling_holds(constraints, sampling, config.shots))
     return ScenarioReport(
         scenario="lmz", experiment_id=None, config=config,
-        snapshots=flow.snapshots, ledger_facts=flow.ledger.snapshot(),
+        snapshots=flow.snapshots, ledger_facts=facts,
         constraints=constraints, commutation=commutation,
         final_certificate=final_certificate,
         disturbed_diagnostic=disturbed_diagnostic,
@@ -902,7 +857,8 @@ def run_cdr(config: ScenarioConfig) -> ScenarioReport:
         state, exp, "bob-direct", f"experiment-{exp}-records", config,
         counters, sampling))
 
-    current_labels = tuple(f.label for f in flow.ledger.current())
+    facts = ledger(flow.steps)
+    current_labels = tuple(f.label for f in facts if f.status == "current")
     coexisting_records = {
         "current": list(current_labels),
         "constraint_labels": list(spec.labels),
@@ -914,11 +870,10 @@ def run_cdr(config: ScenarioConfig) -> ScenarioReport:
         all(c.certified for c in constraints)
         and restoration["restored"]
         and coexisting_records["records_match_constraint"]
-        and flow.ledger_follows_steps()
         and _sampling_holds(constraints, sampling, config.shots))
     return ScenarioReport(
         scenario="cdr", experiment_id=exp, config=config,
-        snapshots=flow.snapshots, ledger_facts=flow.ledger.snapshot(),
+        snapshots=flow.snapshots, ledger_facts=facts,
         constraints=constraints, commutation={},
         final_certificate=[], disturbed_diagnostic=None,
         restoration=restoration, coexisting_records=coexisting_records,

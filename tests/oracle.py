@@ -63,6 +63,36 @@ def expect(amps: np.ndarray, matrix: np.ndarray) -> float:
     return val.real
 
 
+def replay_ledger(num_qubits: int, steps) -> list:
+    """The (label, status) ledger after each prefix of `steps`: entry n
+    holds the records written by the first n steps, in writing order.
+
+    A step is (label, factors, memory, reversal): the premeasured
+    observable's single-qubit `factors` and the record's memory qubit.
+    Replayed forward: a premeasurement first marks "disturbed" every current
+    record whose Z on its memory fails to commute with the observable's
+    dense matrix, then writes its own record as "current"; a reversal marks
+    the record `label` "erased".
+    """
+    statuses = {}
+    record_z = {}  # the diagonal of Z on each record's memory
+    ledgers = [[]]
+    for label, factors, memory, reversal in steps:
+        if reversal:
+            statuses[label] = "erased"
+        else:
+            applied = op(num_qubits, factors)
+            for written, status in statuses.items():
+                # Z is diagonal: Z @ applied scales rows, applied @ Z columns.
+                z = record_z[written]
+                if status == "current" and not np.allclose(z[:, None] * applied, applied * z):
+                    statuses[written] = "disturbed"
+            statuses[label] = "current"
+            record_z[label] = np.diag(op(num_qubits, {memory: "Z"}))
+        ledgers.append(list(statuses.items()))
+    return ledgers
+
+
 def brute_force_count(constraints, universe) -> int:
     """Count +/-1 assignments satisfying every (variables, rhs) constraint
     by direct enumeration with itertools."""

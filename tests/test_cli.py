@@ -119,6 +119,19 @@ class TestUsageErrors:
         assert info.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "lmz"],
+        ["check-assignments", "--builtin", "ghz"],
+        ["verify", "--all"],
+    ])
+    def test_unwritable_out_returns_2(self, argv, tmp_path, capsys):
+        path = tmp_path / "missing" / "report.txt"
+        assert main(argv + ["--out", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: cannot write {path}:" in captured.err
+        assert not path.parent.exists()
+
 
 class TestParserMemo:
     """main builds one parser per process and reuses it across commands."""

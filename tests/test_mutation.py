@@ -15,9 +15,9 @@ import json
 
 import pytest
 
-from relfacts import parity, scenarios, verify
+from relfacts import observers, parity, scenarios, verify
 from relfacts.cli import main
-from relfacts.observers import Ledger, _premeasure_array
+from relfacts.observers import _premeasure_array
 from relfacts.pauli import PauliString
 
 LMZ = ["run", "lmz"]
@@ -76,9 +76,13 @@ def test_alice_premeasures_x_fails_both_flows(tolerance, monkeypatch, capsys):
 @pytest.mark.parametrize("tolerance", TOLERANCES)
 def test_ledger_marking_nothing_disturbed_fails_lmz(tolerance, monkeypatch, capsys):
     # Only the single-experiment flow disturbs records: each of Bob's lifted
-    # observables acts with X on an Alice memory. The ledger then prints
-    # statuses its steps do not imply.
-    monkeypatch.setattr(Ledger, "mark_disturbed", lambda self, applied, num_qubits: [])
+    # observables acts with X on an Alice memory, so A2 and A3 must read
+    # disturbed in the final ledger.
+    def never_disturbed(steps):
+        return tuple(dataclasses.replace(f, status="current") if f.status == "disturbed"
+                     else f for f in observers.ledger(steps))
+
+    monkeypatch.setattr(scenarios, "ledger", never_disturbed)
     assert_fails((LMZ,), tolerance, capsys)
 
 

@@ -1,4 +1,4 @@
-"""Record-writing unitaries, reversal, lifting, and the fact ledger."""
+"""Record-writing unitaries, reversal, lifting, and memory readouts."""
 from math import sqrt
 
 import numpy as np
@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from oracle import op, op_label, premeasure_unitary, random_stack, random_state, same_bits
 from relfacts.errors import ProtocolError
 from relfacts.observers import (
-    Ledger,
     Premeasurement,
     _premeasure_array,
     _require_cleared_memory,
@@ -227,46 +226,6 @@ class TestLift:
             lift(PauliString.from_label("IZ"), pm)  # touches the memory
         with pytest.raises(ValueError):
             lift(PauliString.from_label("X"), pm)  # register mismatch
-
-
-class TestLedger:
-    def test_add_get_and_duplicates(self):
-        ledger = Ledger()
-        fact = ledger.add("alice", "A1", 3, stage="s")
-        assert ledger.get("A1") is fact
-        with pytest.raises(ValueError):
-            ledger.add("bob", "A1", 6, stage="s")
-        with pytest.raises(KeyError):
-            ledger.get("missing")
-
-    def test_mark_disturbed_follows_commutation(self):
-        ledger = Ledger()
-        ledger.add("alice", "A1", 0, stage="s")
-        ledger.add("alice", "A2", 1, stage="s")
-        changed = ledger.mark_disturbed(PauliString.from_label("XI"), 2)
-        assert [f.label for f in changed] == ["A1"]
-        assert ledger.get("A1").status == "disturbed"
-        assert ledger.get("A2").status == "current"
-        # a commuting operation leaves records alone
-        assert ledger.mark_disturbed(PauliString.from_label("ZZ"), 2) == []
-        # already-disturbed facts are not re-reported
-        assert ledger.mark_disturbed(PauliString.from_label("XX"), 2) != []
-        assert ledger.mark_disturbed(PauliString.from_label("XX"), 2) == []
-
-    def test_snapshot_is_immutable_copy(self):
-        ledger = Ledger()
-        ledger.add("alice", "A1", 0, stage="s")
-        snap = ledger.snapshot()
-        ledger.mark_disturbed(PauliString.from_label("X"), 1)
-        assert snap[0].status == "current"
-        assert ledger.get("A1").status == "disturbed"
-
-    def test_current_listing(self):
-        ledger = Ledger()
-        ledger.add("alice", "A1", 0, stage="s")
-        ledger.add("alice", "A2", 1, stage="s")
-        ledger.mark_erased("A2")
-        assert [f.label for f in ledger.current()] == ["A1"]
 
 
 class TestReadout:

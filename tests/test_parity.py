@@ -313,6 +313,7 @@ class TestParsing:
         ("x = 2\n", 1),
         ("x*3bad = 1\n", 1),
         (" = 1\n", 1),
+        ("x = 1\na-b*a-b = 1\n", 2),
     ])
     def test_errors_carry_line_numbers(self, text, bad_line):
         with pytest.raises(ConstraintParseError) as info:

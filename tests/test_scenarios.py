@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import expect, ghz_amps, op, premeasure_unitary
+from oracle import expect, ghz_amps, op, premeasure_unitary, replay_ledger
 from relfacts.errors import InternalConsistencyError, ProtocolError
-from relfacts.observers import Premeasurement, premeasure
+from relfacts.observers import Premeasurement, RelativeFact, ledger, premeasure
 from relfacts.pauli import PauliString
 from relfacts.report import from_scenario
 from relfacts.scenarios import (
@@ -24,8 +24,6 @@ from relfacts.scenarios import (
     SampleTally,
     ScenarioConfig,
     _certify_records,
-    _Flow,
-    _implied_statuses,
     _draw_outcome_counts,
     _sequential_outcome_distribution,
     _z_readout_distribution,
@@ -208,31 +206,57 @@ class TestLmzExact:
         assert lmz_exact.counters.unitary_applications >= 11
 
 
+# The record steps each protocol applies, written out from its definition
+# rather than read from the flows: (label, premeasured factors, memory,
+# reversal). Alice's friends premeasure Y on system qubit k onto memory
+# 3+k; in lmz Bob premeasures X_k lifted through Alice's record (X on
+# system k and on memory 3+k) onto memory 6+k; in cdr Bob premeasures the
+# bare X_k once the record of pair k has been reversed.
+ALICE_STEPS = [
+    ("A1", {0: "Y"}, 3, False), ("A2", {1: "Y"}, 4, False), ("A3", {2: "Y"}, 5, False)]
+LMZ_STEPS = ALICE_STEPS + [
+    ("B1", {0: "X", 3: "X"}, 6, False), ("B2", {1: "X", 4: "X"}, 7, False),
+    ("B3", {2: "X", 5: "X"}, 8, False)]
+CDR_STEPS = {
+    1: ALICE_STEPS + [
+        ("A3", {2: "Y"}, 5, True), ("A2", {1: "Y"}, 4, True), ("A1", {0: "Y"}, 3, True),
+        ("B1", {0: "X"}, 6, False), ("B2", {1: "X"}, 7, False), ("B3", {2: "X"}, 8, False)],
+    2: ALICE_STEPS + [("A1", {0: "Y"}, 3, True), ("B1", {0: "X"}, 6, False)],
+    3: ALICE_STEPS + [("A2", {1: "Y"}, 4, True), ("B2", {1: "X"}, 7, False)],
+    4: ALICE_STEPS + [("A3", {2: "Y"}, 5, True), ("B3", {2: "X"}, 8, False)],
+}
+# Steps applied when each stage is recorded.
+LMZ_STAGE_STEPS = (0, 3, 4, 5, 6)
+CDR_STAGE_STEPS = {1: (0, 3, 6, 9), 2: (0, 3, 4, 5), 3: (0, 3, 4, 5), 4: (0, 3, 4, 5)}
+
+
 class TestImpliedStatuses:
     def test_erasure_disturbance_and_order(self):
         pms = alice_premeasurements()
         bob1 = Premeasurement(lifted_direct_observables(pms)[0], BOB_MEMORY[0], "bob")
-        steps = [("A1", pms[0], False), ("A2", pms[1], False),
-                 ("B1", bob1, False), ("A2", pms[1], True), ("A3", pms[2], False)]
+        steps = [("A1", pms[0], "alice"), ("A2", pms[1], "alice"),
+                 ("B1", bob1, "bob"), ("A2", pms[1], None), ("A3", pms[2], "alice")]
         # Bob's lifted X_1 acts with X on A1's memory; A3 is written after it.
-        assert _implied_statuses(steps) == [
+        assert [(f.label, f.status) for f in ledger(steps)] == [
             ("A1", "disturbed"), ("A2", "erased"), ("B1", "current"),
             ("A3", "current")]
-        assert _implied_statuses(steps[:2]) == [("A1", "current"), ("A2", "current")]
+        assert ledger(steps[:2]) == (
+            RelativeFact("alice", "A1", ALICE_MEMORY[0], "alice", "current"),
+            RelativeFact("alice", "A2", ALICE_MEMORY[1], "alice", "current"))
 
-    def test_flow_checks_every_snapshot(self):
-        flow = _Flow()
-        pms = alice_premeasurements()
-        state = prepare_ghz(zero_state(NUM_QUBITS), SYSTEM_QUBITS)
-        flow.snapshot("prepared", state)
-        state = flow.record(state, pms[0], "A1", stage="alice")
-        flow.snapshot("alice", state)
-        state = flow.record(state, pms[0], "A1")
-        assert flow.ledger_follows_steps()
-        assert [f.status for f in flow.ledger.facts] == ["erased"]
-        # One snapshot whose ledger disagrees with its steps fails the check.
-        flow.snapshots[1].facts[0].status = "disturbed"
-        assert not flow.ledger_follows_steps()
+    @pytest.mark.parametrize("experiment", [None, 1, 2, 3, 4])
+    def test_every_stage_matches_the_dense_replay(self, experiment, lmz_exact,
+                                                  cdr_suite_sampled):
+        if experiment is None:
+            report, steps, stage_steps = lmz_exact, LMZ_STEPS, LMZ_STAGE_STEPS
+        else:
+            report = cdr_suite_sampled[experiment - 1]
+            steps, stage_steps = CDR_STEPS[experiment], CDR_STAGE_STEPS[experiment]
+        replayed = replay_ledger(NUM_QUBITS, steps)
+        assert len(report.snapshots) == len(stage_steps)
+        for snap, applied in zip(report.snapshots, stage_steps):
+            assert [(f.label, f.status) for f in snap.facts] == replayed[applied], snap.label
+        assert [(f.label, f.status) for f in report.ledger_facts] == replayed[-1]
 
 
 class TestLmzAgainstDensePipeline:
