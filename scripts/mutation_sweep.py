@@ -37,7 +37,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = ("scenarios", "verify", "parity", "observers", "pauli", "statevector")
+MODULES = ("scenarios", "verify", "parity", "observers", "pauli", "statevector",
+           "report", "cli")
 COMMANDS = (
     ["verify", "--all", "--format", "json"],
     ["run", "lmz", "--shots", "200", "--format", "json"],
@@ -177,7 +178,7 @@ def main() -> int:
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument(
         "--modules", nargs="+", choices=MODULES, default=list(MODULES),
-        help="package modules to mutate (default: all six)")
+        help="package modules to mutate (default: all eight)")
     parser.add_argument(
         "--tests", nargs="*", default=[],
         help="test files, relative to the repository root, that must also "

@@ -60,19 +60,18 @@ def _premeasure_array(amps: np.ndarray, pm: Premeasurement) -> np.ndarray:
     return plus
 
 
-def _require_cleared_memory(amps: np.ndarray, pm: Premeasurement,
-                            weight: float | np.ndarray = 1.0) -> None:
+def _require_cleared_memory(amps: np.ndarray, pm: Premeasurement) -> None:
     """Raise ProtocolError unless the memory qubit reads 0 with certainty in
-    every row of a (..., 2^n) stack of amplitudes. `weight` is the squared
-    norm of `amps`, one value or one per row, so that unnormalized branches
-    of an outcome tree are judged by their conditional probability."""
+    every row of a (..., 2^n) stack of amplitudes: each row's excited mass
+    is at most PHYS_TOL as an absolute probability, so outcome branches of
+    one state are not judged conditioned on their outcome."""
     bit = 1 << pm.memory
     excited = _masked_indices(pm.observable.num_qubits, bit, bit)
     # ndarray.sum, not np.sum, whose Python wrapper costs as much again on
     # one state; and Python's any, not a numpy reduction, which would add a
     # transient allocation at the flows' memory peak.
     mass = (np.abs(amps.T[excited].T) ** 2).sum(axis=-1)
-    if any(np.ravel(mass > PHYS_TOL * weight)):
+    if any(np.ravel(mass > PHYS_TOL)):
         raise ProtocolError(
             f"memory qubit {pm.memory} is not in |0>; "
             "premeasurement needs a cleared memory")
@@ -142,24 +141,42 @@ def ledger(steps: Sequence[tuple]) -> tuple:
 
     Each step is (label, premeasurement, stage) in the order applied; stage
     None reverses the premeasurement that wrote record `label`. A record is
-    'erased' if a later step reversed it, 'disturbed' if a later
-    premeasurement anticommutes with Z on its memory (acts there with X or
-    Y), and 'current' otherwise.
+    'erased' if a later step reversed it (its memory reads 0), 'disturbed'
+    if a later premeasurement acts with X or Y on its memory (its agreement
+    with the observable's earlier reading is 0), and 'current' otherwise
+    (agreement 1).
+
+    Raises ValueError where that rule cannot judge: a label or memory
+    written twice, X or Y on an erased memory, or any reversal but of a
+    current record that no step since changed (each commutes with its
+    observable and has its memory outside that support) and that acts with
+    X or Y on no other record's memory. Undoing a disturbance, for one,
+    restores the agreement.
     """
-    facts = []
+    written = {}  # label -> [premeasurement, stage, status, index written at]
     for i, (label, pm, stage) in enumerate(steps):
         if stage is None:
-            continue
-        later = steps[i + 1:]
-        if any(at is None and written == label for written, _, at in later):
-            status = "erased"
-        elif any(at is not None and other.observable.factors[pm.memory] in "XY"
-                 for _, other, at in later):
-            status = "disturbed"
-        else:
-            status = "current"
-        facts.append(RelativeFact(pm.owner, label, pm.memory, stage, status))
-    return tuple(facts)
+            entry = written.get(label)
+            if entry is None or entry[0] != pm or entry[2] != "current" or any(
+                    not commutes(other.observable, pm.observable)
+                    or pm.observable.factors[other.memory] != "I"
+                    for _, other, _ in steps[entry[3] + 1:i]):
+                raise ValueError(f"cannot judge the reversal of record {label!r}")
+            entry[2] = "erased"
+        elif label in written or any(pm.memory == e[0].memory for e in written.values()):
+            raise ValueError(f"record {label!r} or memory qubit {pm.memory} written twice")
+        for other, entry in written.items():
+            if pm.observable.factors[entry[0].memory] in "XY":
+                if stage is None or entry[2] == "erased":
+                    raise ValueError(
+                        f"cannot judge a step acting on the memory of record {other!r}")
+                entry[2] = "disturbed"
+        if stage is not None:
+            written[label] = [pm, stage, "current", i]
+    # tuple() of a list allocates once; of a generator it over-allocates and
+    # shrinks, which raised the memory peak of run cdr --experiment all.
+    return tuple([RelativeFact(pm.owner, label, pm.memory, stage, status)
+                  for label, (pm, stage, status, _) in written.items()])
 
 
 @dataclass(frozen=True)

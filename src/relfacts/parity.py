@@ -383,9 +383,15 @@ def _consistency(system: ConstraintSystem, analysis: dict) -> dict:
     multiply to the contradiction 1 = -1. Whenever the universe is small
     enough to enumerate, the enumeration must be printed and its count must
     agree with the solver's. The printed constraint texts must parse back
-    to the system's own constraints.
+    to the system's own constraints. The printed product of all constraints
+    is a contradiction exactly when no variable survives and its rhs is -1,
+    and only for an unsatisfiable system.
     """
     solve, enumeration = analysis["solve"], analysis["enumeration"]
+    identity = analysis["product_identity"]
+    contradiction = not identity["residual_variables"] and identity["rhs"] == -1
+    identity_verified = (identity["is_contradiction"] == contradiction
+                         and not (contradiction and solve["satisfiable"]))
     witness_verified = certificate_verified = agreement = None
     if solve["satisfiable"]:
         witness = solve["witness"]
@@ -411,6 +417,7 @@ def _consistency(system: ConstraintSystem, analysis: dict) -> dict:
         "certificate_verified": certificate_verified,
         "solver_enumeration_agree": agreement,
         "constraints_parse_back": parse_back,
+        "product_identity_verified": identity_verified,
     }
 
 

@@ -22,8 +22,9 @@ Exact certifications of a product use the operator product on the state.
 Sampled record readouts are commuting Z's on distinct memory qubits, so
 their joint distribution is the |amplitude|^2 mass of the basis states,
 binned on the record bits in one pass (_z_readout_distribution). The
-two-time agreement puts a premeasurement between its two readouts and goes
-through the exact outcome tree (_sequential_outcome_distribution).
+two-time agreement reads a system observable, then a record: by deferred
+measurement the first readout becomes Z on an ancilla, the row index of a
+two-row stack of branches, so the same bincount gives its distribution.
 
 Randomness: every sampled draw comes from rng.child_generator(master_seed,
 stream, scope), with streams STREAM_SAMPLE (scope = target index) and
@@ -325,54 +326,15 @@ def constraint_table(bhats: Sequence[PauliString],
     return tuple(specs)
 
 
-def _sequential_outcome_distribution(amplitudes: np.ndarray,
-                                     steps: Sequence) -> list:
-    """Joint distribution of the readouts among `steps`, run in order.
-
-    A step is a PauliString, read out projectively, or a Premeasurement,
-    applied to every branch between two readouts. A premeasurement needs
-    its memory cleared on every branch and raises ProtocolError otherwise,
-    as premeasure() does. p(v1..vm) = ||P_vm ... P_v1 psi||^2 with
-    P_v = (1 + v*O)/2 and any premeasurement unitaries in between, which is
-    the exact probability of that outcome sequence under repeated projective
-    collapse. Branches of probability <= ALG_TOL are pruned; the survivors'
-    probabilities must sum to 1 within PHYS_TOL. Returns [(values, p), ...].
-    """
-    leaves = [((), amplitudes)]
-    for step in steps:
-        if isinstance(step, Premeasurement):
-            for _, arr in leaves:
-                _require_cleared_memory(arr, step, float(np.vdot(arr, arr).real))
-            leaves = [(values, _premeasure_array(arr, step)) for values, arr in leaves]
-            continue
-        grown = []
-        for values, arr in leaves:
-            o_arr = step.apply_to_array(arr)
-            for v in (1, -1):
-                branch = (arr + v * o_arr) / 2.0
-                if float(np.vdot(branch, branch).real) > ALG_TOL:
-                    grown.append((values + (v,), branch))
-        leaves = grown
-    dist = [
-        (values, float(np.vdot(arr, arr).real)) for values, arr in leaves]
-    total = sum(p for _, p in dist)
-    if abs(total - 1.0) > PHYS_TOL:
-        raise InternalConsistencyError(
-            f"sequential outcome probabilities sum to {total!r}")
-    return dist
-
-
 def _z_readout_distribution(amplitudes: np.ndarray, qubits: Sequence[int]) -> list:
-    """Joint distribution of Z readouts of `qubits`, in order, equal to
-    _sequential_outcome_distribution's for those Z steps.
+    """Joint distribution of Z readouts of `qubits`, in order.
 
     A Z readout keeps each basis state or drops it, so p(v1..vm) is the
     |amplitude|^2 mass of the basis states whose bits read v1..vm, with +1
     for bit 0. One weighted bincount keyed on those bits, first readout as
-    the most significant bit, gives them in the tree's leaf order (+1 before
-    -1 at every step). Outcomes of probability <= ALG_TOL are dropped, as
-    the tree prunes them, and the rest must sum to 1 within PHYS_TOL.
-    Returns [(values, p), ...].
+    the most significant bit, lists them with +1 before -1 at every
+    readout. Outcomes of probability <= ALG_TOL are dropped, and the rest
+    must sum to 1 within PHYS_TOL. Returns [(values, p), ...].
     """
     index = np.arange(amplitudes.size)
     keys = np.zeros(amplitudes.size, dtype=np.intp)
@@ -484,17 +446,28 @@ def cpl_check(state: StateVector,
     Intact: reading the system observable and then its record must agree
     with certainty (expectation 1, every sampled shot matching). Disturbed:
     the same two-time experiment with `disturbance` applied between the two
-    readouts. Each variant's exact agreement E[v*w] and its shots come from
-    one outcome tree. The same-time product expectation after the
+    readouts. By deferred measurement, reading the system observable first
+    equals reading a copy of it at the end: the branches (1 +/- O)/2 psi,
+    stacked as rows, make that copy qubit n of the flattened stack. The
+    disturbance acts on both rows (memory cleared in each, as premeasure()
+    requires), and the Z readout of qubits (n, record_qubit) gives each
+    variant's E[v*w] and shots. The same-time product expectation after the
     disturbance is reported alongside, because it stays at +1: only the
     two-time agreement carries the premise.
     """
     record_obs = PauliString.single(state.num_qubits, record_qubit, "Z")
+    amps = state.amplitudes
+    o_amps = system_obs.apply_to_array(amps)
+    branches = np.stack((amps + o_amps, amps - o_amps)) / 2
+    del o_amps  # run lmz's memory peak lies in the premeasurement below
     exact = []
     matches = []
     for variant, between in enumerate(((), (disturbance,))):
-        dist = _sequential_outcome_distribution(
-            state.amplitudes, (system_obs, *between, record_obs))
+        for pm in between:
+            _require_cleared_memory(branches, pm)
+            branches = _premeasure_array(branches, pm)
+        dist = _z_readout_distribution(
+            branches.ravel(), (state.num_qubits, record_qubit))
         exact.append(sum(p * v * w for (v, w), p in dist))
         matched = 0
         if shots > 0:

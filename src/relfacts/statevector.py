@@ -2,13 +2,13 @@
 
 States are immutable: every operation returns a fresh StateVector and never
 mutates amplitude arrays in place. Basis-state index bit q is the value of
-qubit q (qubit 0 = least significant bit). Measurement lives in the outcome
-tree of the scenarios module, which tracks every branch exactly instead of
-collapsing one state.
+qubit q (qubit 0 = least significant bit). Measurement lives in the Z
+readout distribution of the scenarios module, which gives every outcome's
+exact probability instead of collapsing one state.
 
 Tolerances: PHYS_TOL bounds physically-meaningful drift (norms, realness of
-expectations); ALG_TOL bounds pure floating-point noise (branch
-probabilities treated as exactly 0 or 1).
+expectations); ALG_TOL bounds pure floating-point noise (outcome
+probabilities treated as exactly 0).
 """
 from __future__ import annotations
 

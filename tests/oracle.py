@@ -63,34 +63,58 @@ def expect(amps: np.ndarray, matrix: np.ndarray) -> float:
     return val.real
 
 
-def replay_ledger(num_qubits: int, steps) -> list:
-    """The (label, status) ledger after each prefix of `steps`: entry n
-    holds the records written by the first n steps, in writing order.
+def two_time_distribution(amps: np.ndarray, first: np.ndarray, between,
+                          second: np.ndarray) -> dict:
+    """{(v, w): p} for reading the dense observable `first` (value v), then
+    applying the dense unitaries `between` in order, then reading `second`
+    (value w): p(v, w) = ||P_w U P_v psi||^2 with P_x = (1 + x O)/2."""
+    eye = np.eye(amps.size)
+    dist = {}
+    for v in (1, -1):
+        for w in (1, -1):
+            vec = (eye + v * first) @ amps / 2
+            for u in between:
+                vec = u @ vec
+            vec = (eye + w * second) @ vec / 2
+            dist[(v, w)] = float(np.vdot(vec, vec).real)
+    return dist
+
+
+def replay_records(num_qubits: int, amps: np.ndarray, steps) -> list:
+    """Each record's Born-rule evidence after each prefix of `steps`.
 
     A step is (label, factors, memory, reversal): the premeasured
-    observable's single-qubit `factors` and the record's memory qubit.
-    Replayed forward: a premeasurement first marks "disturbed" every current
-    record whose Z on its memory fails to commute with the observable's
-    dense matrix, then writes its own record as "current"; a reversal marks
-    the record `label` "erased".
+    observable's single-qubit `factors` and the record's memory qubit; a
+    reversal applies the same unitary again. Replayed with dense matrices
+    from the state `amps`, entry n maps each record written by the first n
+    steps, in writing order, to (agreement, reversed, excited):
+    - agreement: E[v*w] for v, the observable read just before its record
+      was written, and w, Z on the record's memory after step n;
+    - reversed: whether one of the first n steps reversed it;
+    - excited: the probability that its memory reads 1 after step n.
     """
-    statuses = {}
-    record_z = {}  # the diagonal of Z on each record's memory
-    ledgers = [[]]
+    records = {}  # label -> (observable, memory, state before writing, unitaries since)
+    reversed_labels = set()
+    evidence = [{}]
     for label, factors, memory, reversal in steps:
+        observable = op(num_qubits, factors)
+        unitary = premeasure_unitary(num_qubits, observable, memory)
         if reversal:
-            statuses[label] = "erased"
+            reversed_labels.add(label)
         else:
-            applied = op(num_qubits, factors)
-            for written, status in statuses.items():
-                # Z is diagonal: Z @ applied scales rows, applied @ Z columns.
-                z = record_z[written]
-                if status == "current" and not np.allclose(z[:, None] * applied, applied * z):
-                    statuses[written] = "disturbed"
-            statuses[label] = "current"
-            record_z[label] = np.diag(op(num_qubits, {memory: "Z"}))
-        ledgers.append(list(statuses.items()))
-    return ledgers
+            records[label] = (observable, memory, amps, [])
+        for record in records.values():
+            record[3].append(unitary)
+        amps = unitary @ amps
+        entry = {}
+        for written, (observable, memory, before, since) in records.items():
+            z = op(num_qubits, {memory: "Z"})
+            dist = two_time_distribution(before, observable, since, z)
+            entry[written] = (sum(v * w * p for (v, w), p in dist.items()),
+                              written in reversed_labels,
+                              (1 - expect(amps, z)) / 2)
+        evidence.append(entry)
+    return evidence
 
 
 def brute_force_count(constraints, universe) -> int:

@@ -7,7 +7,8 @@ release that draws each target's shot counts with one multinomial. The
 JSON hashes of the run and check-assignments reports date from report
 schema 2, which dropped the fields that restate others (its version string
 still reads "1"); the verify --all JSON hash and every text hash predate
-it, unchanged.
+it, unchanged. The three check-assignments JSON hashes date from the
+release whose consistency block added `product_identity_verified`.
 The two planted 20-variable constraint files under tests/data/ (one
 satisfiable, one contradictory) are read by a relative path, which each
 report prints, so the test runs from the repository root.
@@ -73,15 +74,15 @@ GOLDEN = {
     ("run cdr --experiment all --shots 1000 --seed 7", "text"):
         "1ff97eb6fe3faae1b9d75c1e65af3e9c7cc841527cc02e4447c75f4b8d5f7535",
     ("check-assignments --builtin ghz", "json"):
-        "d828a7c9ddf39578c042eed18437b02e5d6780222010e4adfb66ac57f24c80e9",
+        "c065bbd8ea3e7f523e4a3feea5bd4dc822ba6487a63273ada9e9229ae091b031",
     ("check-assignments --builtin ghz", "text"):
         "04dddc2f4c410dc40788de8cce43ab23c7b8484ad57eb793ddeb32fa3f8057c7",
     ("check-assignments --constraints tests/data/planted-20-sat.txt", "json"):
-        "1338734cfba51cef1201b483d42f1fb86b0b2cbfd1e1061c03afa72559fbc4fb",
+        "4823f7e9aaa5e056ce2cba18498c582377fafe1a1b7b7488921456b1bd258eef",
     ("check-assignments --constraints tests/data/planted-20-sat.txt", "text"):
         "24cf8b05e7530df8106d46b8e25658024f3462d71d4f78f18b6eb31d8819a27b",
     ("check-assignments --constraints tests/data/planted-20-unsat.txt", "json"):
-        "4104faa2138f433b3805ac95209ddb83c1fa561d9f49412a56ca3b1257c29996",
+        "5349047caa759cf2b6bd7531484f47ccfc96618640617d6e6c5989cbce214490",
     ("check-assignments --constraints tests/data/planted-20-unsat.txt", "text"):
         "e9bba58cfdb67f31c0248461b404633ee009cabb47e8d32d040cc9231fd00ff6",
     ("verify --all", "json"):

@@ -6,9 +6,9 @@ default tolerance and at the largest accepted one; a miscounted tally,
 which no tolerance forgives, at 200 shots and the default tolerance only.
 Each verify mutant must
 make `verify --all` exit 1 and fail the acceptance row that judges the
-mutated piece. Each parity mutant changes what `check-assignments --builtin
-ghz` prints, and the command must exit 1 because its verdict reads the
-printed analysis.
+mutated piece. Each parity mutant changes what `check-assignments` prints
+for the builtin ghz system or a small constraints file, and the command
+must exit 1 because its verdict reads the printed analysis.
 """
 import dataclasses
 import json
@@ -274,3 +274,28 @@ def test_sign_flipped_constraint_text_fails_check_assignments(monkeypatch, capsy
     results = assert_ghz_fails(capsys)
     assert results["system"]["constraints"][0] == "B1*B2*B3 = -1"
     assert results["consistency"]["constraints_parse_back"] is False
+
+
+def test_product_identity_misread_as_contradiction_fails_check_assignments(
+        monkeypatch, capsys, tmp_path):
+    # Reading "no residual variable OR rhs -1" as the contradiction makes the
+    # satisfiable a*b = -1, b*c = 1 print its product a*c = -1 as one.
+    original = parity.product_identity
+
+    def misread(system, subset=None):
+        found = original(system, subset)
+        return dataclasses.replace(found, is_contradiction=(
+            not found.residual_variables or found.rhs == -1))
+
+    monkeypatch.setattr(parity, "product_identity", misread)
+    path = tmp_path / "sat.txt"
+    path.write_text("a*b = -1\nb*c = 1\n")
+    assert main(["check-assignments", "--constraints", str(path), "--format", "json"]) == 1
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["solve"]["satisfiable"] is True
+    assert results["product_identity"]["is_contradiction"] is True
+    assert results["consistency"]["product_identity_verified"] is False
+    assert main(["check-assignments", "--constraints", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "product of all constraints: a*c = -1  <- contradiction" in out
+    assert "verdict: FAIL" in out

@@ -2,15 +2,24 @@
 import dataclasses
 import math
 from itertools import permutations
+from itertools import product as iter_product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import expect, ghz_amps, op, premeasure_unitary, replay_ledger
+from oracle import (
+    expect,
+    ghz_amps,
+    op,
+    premeasure_unitary,
+    random_state,
+    replay_records,
+    two_time_distribution,
+)
 from relfacts.errors import InternalConsistencyError, ProtocolError
-from relfacts.observers import Premeasurement, RelativeFact, ledger, premeasure
+from relfacts.observers import Premeasurement, RelativeFact, ledger, lift, premeasure
 from relfacts.pauli import PauliString
 from relfacts.report import from_scenario
 from relfacts.scenarios import (
@@ -25,7 +34,6 @@ from relfacts.scenarios import (
     ScenarioConfig,
     _certify_records,
     _draw_outcome_counts,
-    _sequential_outcome_distribution,
     _z_readout_distribution,
     alice_premeasurements,
     certify_constraint,
@@ -67,6 +75,20 @@ def constraint(report, constraint_id, kind):
              if c.constraint_id == constraint_id and c.kind == kind]
     assert len(found) == 1
     return found[0]
+
+
+def assert_born_statuses(facts, evidence):
+    """Each fact's status against the dense Born-rule `evidence` of its
+    record (oracle.replay_records): 'erased' iff the record was reversed
+    and its memory reads 0; otherwise 'current' iff its agreement is 1 and
+    'disturbed' iff its agreement is at most 0.5."""
+    assert [f.label for f in facts] == list(evidence)
+    for fact in facts:
+        agreement, was_reversed, excited = evidence[fact.label]
+        assert (fact.status == "erased") == (was_reversed and excited <= 1e-12), fact
+        if fact.status != "erased":
+            assert (fact.status == "current") == (abs(agreement - 1) <= 1e-12), fact
+            assert (fact.status == "disturbed") == (agreement <= 0.5), fact
 
 
 class TestScenarioConfig:
@@ -252,11 +274,84 @@ class TestImpliedStatuses:
         else:
             report = cdr_suite_sampled[experiment - 1]
             steps, stage_steps = CDR_STEPS[experiment], CDR_STAGE_STEPS[experiment]
-        replayed = replay_ledger(NUM_QUBITS, steps)
+        evidence = replay_records(NUM_QUBITS, ghz_amps(NUM_QUBITS, SYSTEM_QUBITS), steps)
         assert len(report.snapshots) == len(stage_steps)
         for snap, applied in zip(report.snapshots, stage_steps):
-            assert [(f.label, f.status) for f in snap.facts] == replayed[applied], snap.label
-        assert [(f.label, f.status) for f in report.ledger_facts] == replayed[-1]
+            assert_born_statuses(snap.facts, evidence[applied])
+        assert_born_statuses(report.ledger_facts, evidence[-1])
+
+    def test_refuses_what_the_rule_cannot_judge(self):
+        # Alice premeasures Z0 onto memory 1, Bob premeasures lift(X0) = XX
+        # onto memory 2, and Bob's record is reversed: Alice's agreement
+        # drops to 0 while Bob's record exists and is back to 1 after.
+        steps = [("A", {0: "Z"}, 1, False), ("B", {0: "X", 1: "X"}, 2, False),
+                 ("B", {0: "X", 1: "X"}, 2, True)]
+        amps = random_state(np.random.default_rng(3), 3, zero_qubits=(1, 2))
+        agreements = [e["A"][0] for e in replay_records(3, amps, steps)[1:]]
+        assert agreements == pytest.approx([1.0, 0.0, 1.0], abs=1e-12)
+        a = Premeasurement(PauliString.from_label("ZII"), 1, "alice")
+        b = Premeasurement(lift(PauliString.from_label("XII"), a), 2, "bob")
+        assert b.observable.label() == "+XXI"
+        written = [("A", a, "s"), ("B", b, "s")]
+        assert [f.status for f in ledger(written)] == ["disturbed", "current"]
+        zz = Premeasurement(PauliString.from_label("ZIZI"), 1, "alice")
+        for refused in (
+                written + [("B", b, None)],   # undoes A's disturbance
+                written + [("A", a, None)],   # A is disturbed
+                written[:1] + [("B", b, None)],   # B was never written
+                written[:1] + [("A", a, None), ("A", a, None)],   # erased twice
+                written[:1] + [("A", Premeasurement(a.observable, 1, "bob"), None)],
+                written[:1] + [("A", a, "s")],   # label written twice
+                written[:1] + [("C", Premeasurement(   # A's memory again
+                    PauliString.from_label("XII"), 1, "c"), "s")],
+                [("A", a, "s"), ("A", a, None),   # X on an erased memory
+                 ("C", Premeasurement(PauliString.from_label("IXI"), 2, "c"), "s")],
+                [("A", a, "s"), ("C", Premeasurement(   # changes A's observable
+                    PauliString.from_label("XII"), 2, "c"), "s"), ("A", a, None)],
+                [("A", zz, "s"), ("C", Premeasurement(   # writes into A's support
+                    PauliString.from_label("IIIZ"), 2, "c"), "s"), ("A", zz, None)]):
+            with pytest.raises(ValueError):
+                ledger(refused)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=500, deadline=None)
+    def test_accepted_step_lists_match_the_born_rule(self, seed):
+        # Random Pauli premeasurements onto cleared memories and reversals of
+        # written records, on 2..5 qubits; a list ledger refuses is skipped.
+        rng = np.random.default_rng(seed)
+        num_qubits = int(rng.integers(2, 6))
+        amps = random_state(rng, num_qubits, zero_qubits=[
+            q for q in range(num_qubits) if rng.random() < 0.7])
+        steps, applied, state = [], [], amps
+        for _ in range(int(rng.integers(1, 7))):
+            written = [s for s in steps if not s[3]]
+            cleared = [q for q in range(num_qubits)
+                       if expect(state, op(num_qubits, {q: "Z"})) >= 1 - 2e-12]
+            if written and (rng.random() < 0.3 or not cleared):
+                label, factors, memory, _ = written[int(rng.integers(len(written)))]
+                step = (label, factors, memory, True)
+            elif cleared:
+                memory = int(rng.choice(cleared))
+                factors = {q: f for q in range(num_qubits)
+                           if q != memory and (f := str(rng.choice(list("IXYZ")))) != "I"}
+                if not factors:
+                    continue
+                step = (f"R{len(steps)}", factors, memory, False)
+            else:
+                break
+            label, factors, memory, reversal = step
+            steps.append(step)
+            applied.append((label, Premeasurement(
+                PauliString.from_map(num_qubits, factors), memory, "friend"),
+                None if reversal else "stage"))
+            state = premeasure_unitary(num_qubits, op(num_qubits, factors), memory) @ state
+        try:
+            ledger(applied)
+        except ValueError:
+            return
+        evidence = replay_records(num_qubits, amps, steps)
+        for n in range(len(applied) + 1):
+            assert_born_statuses(ledger(applied[:n]), evidence[n])
 
 
 class TestLmzAgainstDensePipeline:
@@ -482,31 +577,26 @@ class TestSampleTally:
 class TestSamplingMachinery:
     def test_distribution_matches_dense_projector_cascade(self):
         rng = np.random.default_rng(12)
-        observables = (
-            PauliString.from_label("ZII"),
-            PauliString.from_label("IXI"),
-            PauliString.from_label("IIZ"),
-        )
-        mats = [op(3, {0: "Z"}), op(3, {1: "X"}), op(3, {2: "Z"})]
+        qubits = (0, 2, 1, 0)
+        mats = [op(3, {q: "Z"}) for q in qubits]
         for _ in range(10):
             amps = rng.standard_normal(8) + 1j * rng.standard_normal(8)
             amps /= np.linalg.norm(amps)
-            dist = dict(_sequential_outcome_distribution(amps, observables))
+            dist = dict(_z_readout_distribution(amps, qubits))
             assert sum(dist.values()) == pytest.approx(1.0, abs=1e-10)
-            for values, prob in dist.items():
+            for values in iter_product((1, -1), repeat=len(qubits)):
                 vec = amps
                 for v, m in zip(values, mats):
                     vec = (np.eye(8) + v * m) @ vec / 2
-                assert prob == pytest.approx(
+                assert dist.get(values, 0.0) == pytest.approx(
                     float(np.vdot(vec, vec).real), abs=1e-10)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=200, deadline=None)
-    def test_z_readouts_bincount_equals_the_tree(self, seed):
+    def test_z_readouts_bincount_within_its_rounding_bound(self, seed):
         # Random 1..9-qubit states, 1..5 Z readouts with repeats allowed.
-        # Each side is held to an fsum reference under its own rounding
-        # bound, not to the other side: the two round differently and
-        # differ by up to about 1.1e-15.
+        # Each probability is held to an fsum reference under the bincount's
+        # own rounding bound.
         rng = np.random.default_rng(seed)
         num_qubits = int(rng.integers(1, 10))
         qubits = [int(q) for q in rng.integers(0, num_qubits, int(rng.integers(1, 6)))]
@@ -514,9 +604,6 @@ class TestSamplingMachinery:
                 + 1j * rng.standard_normal(1 << num_qubits))
         amps /= np.linalg.norm(amps)
         binned = _z_readout_distribution(amps, qubits)
-        tree = _sequential_outcome_distribution(
-            amps, [PauliString.single(num_qubits, q, "Z") for q in qubits])
-        assert [values for values, _ in binned] == [values for values, _ in tree]
         # The squared parts of the amplitudes each outcome keeps. Their
         # math.fsum is within 2 roundings of the exact mass P: one in each
         # square, one in the sum.
@@ -524,15 +611,14 @@ class TestSamplingMachinery:
         for i, a in enumerate(amps.tolist()):
             values = tuple(1 - 2 * ((i >> q) & 1) for q in qubits)
             parts.setdefault(values, []).extend((a.real * a.real, a.imag * a.imag))
-        for (values, p), (_, q) in zip(binned, tree):
+        # Every outcome with a kept state, +1 before -1 at every readout.
+        assert [values for values, _ in binned] == sorted(parts, reverse=True)
+        for values, p in binned:
             reference = math.fsum(parts[values])
             kept = len(parts[values]) // 2
             # bincount adds the m kept weights in sequence, each rounded
-            # twice: within gamma(m + 1) of P. vdot sums the 2m squared
-            # parts in its own order and adds each dropped state as an
-            # exact zero: within gamma(2m) of P.
+            # twice: within gamma(m + 1) of P.
             assert abs(p - reference) <= within(kept + 1, reference)
-            assert abs(q - reference) <= within(2 * kept, reference)
 
     def test_z_readouts_check_their_sum(self):
         with pytest.raises(InternalConsistencyError, match="sum to"):
@@ -542,30 +628,77 @@ class TestSamplingMachinery:
         rng = np.random.default_rng(41)
         system = PauliString.from_label("YII")
         pm = Premeasurement(PauliString.from_label("XII"), 2, "bob")
-        record = PauliString.from_label("IZI")
-        mats = [op(3, {0: "Y"}), None, op(3, {1: "Z"})]
         unitary = premeasure_unitary(3, op(3, {0: "X"}), 2)
         for _ in range(5):
             amps = np.zeros(8, dtype=complex)
             amps[:4] = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             amps /= np.linalg.norm(amps)
-            dist = dict(_sequential_outcome_distribution(amps, (system, pm, record)))
-            assert sum(dist.values()) == pytest.approx(1.0, abs=1e-10)
-            for (v, w), prob in dist.items():
-                vec = (np.eye(8) + v * mats[0]) @ amps / 2
-                vec = (np.eye(8) + w * mats[2]) @ (unitary @ vec) / 2
-                assert prob == pytest.approx(float(np.vdot(vec, vec).real), abs=1e-10)
+            result = cpl_check(StateVector(3, amps), system, "A", 1, pm,
+                               counters=OperationCounters())
+            for between, got in (((), result.intact_expectation),
+                                 ((unitary,), result.disturbed_expectation)):
+                dist = two_time_distribution(amps, op(3, {0: "Y"}), between, op(3, {1: "Z"}))
+                assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
+                want = sum(v * w * p for (v, w), p in dist.items())
+                assert got == pytest.approx(want, abs=1e-12)
 
     def test_premeasurement_step_needs_cleared_memory(self):
         pm = Premeasurement(PauliString.from_label("XII"), 2, "bob")
         dirty = np.zeros(8, dtype=complex)
         dirty[0b100] = 1.0  # memory qubit 2 already set
         with pytest.raises(ProtocolError):
-            _sequential_outcome_distribution(
-                dirty, (PauliString.from_label("ZII"), pm))
-        with pytest.raises(ProtocolError):
             cpl_check(StateVector(3, dirty), PauliString.from_label("ZII"), "A",
                       1, pm, counters=OperationCounters())
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0, 1000]))
+    @settings(max_examples=200, deadline=None)
+    def test_cpl_check_matches_the_dense_two_time_distribution(self, seed, shots):
+        # Random 2..5-qubit states whose disturbance memory is cleared, a
+        # random record qubit, system observable acting elsewhere (so that
+        # it commutes with the record) and disturbance. Reading the system
+        # observable can excite the disturbance's memory in a branch, which
+        # must then raise as premeasure() would.
+        rng = np.random.default_rng(seed)
+        num_qubits = int(rng.integers(2, 6))
+        memory, record = (int(q) for q in rng.integers(num_qubits, size=2))
+        amps = random_state(rng, num_qubits, zero_qubits=(memory,))
+
+        def random_factors(excluded):
+            factors = {q: str(rng.choice(list("XYZ"))) for q in range(num_qubits)
+                       if q != excluded and rng.random() < 0.6}
+            return factors or {(excluded + 1) % num_qubits: "Z"}
+
+        system, disturbance = random_factors(record), random_factors(memory)
+        sys_mat = op(num_qubits, system)
+        excited = (np.arange(1 << num_qubits) >> memory) & 1 == 1
+        branch_excited = max(
+            float(np.sum(np.abs((amps + v * sys_mat @ amps)[excited]) ** 2)) / 4
+            for v in (1, -1))
+        pm = Premeasurement(PauliString.from_map(num_qubits, disturbance), memory, "bob")
+        args = (StateVector(num_qubits, amps), PauliString.from_map(num_qubits, system),
+                "R", record, pm)
+        kwargs = dict(shots=shots, master_seed=seed, counters=OperationCounters())
+        if branch_excited > 1e-10:
+            with pytest.raises(ProtocolError, match="not in |0>"):
+                cpl_check(*args, **kwargs)
+            return
+        result = cpl_check(*args, **kwargs)
+        unitary = premeasure_unitary(num_qubits, op(num_qubits, disturbance), memory)
+        z_rec = op(num_qubits, {record: "Z"})
+        for between, expectation_, matches in (
+                ((), result.intact_expectation, result.intact_matches),
+                ((unitary,), result.disturbed_expectation, result.disturbed_matches)):
+            dist = two_time_distribution(amps, sys_mat, between, z_rec)
+            assert expectation_ == pytest.approx(
+                sum(v * w * p for (v, w), p in dist.items()), abs=1e-12)
+            agree = dist[(1, 1)] + dist[(-1, -1)]
+            if agree <= 1e-12:
+                assert matches == 0
+            elif agree >= 1 - 1e-12:
+                assert matches == shots
+            else:
+                sigma = math.sqrt(shots * agree * (1 - agree))
+                assert abs(matches - shots * agree) <= 6 * sigma
 
     def test_draw_outcome_counts(self):
         dist = [((1,), 0.25), ((-1,), 0.75)]

@@ -1,7 +1,7 @@
 """State preparation, Born-rule measurement, expectations and fidelity.
 
-Measurement is the exact outcome tree of the scenarios module; the tests
-here pin its single-observable behaviour.
+Measurement is the Z readout distribution of the scenarios module (one
+weighted bincount); the tests here pin its single-readout behaviour.
 """
 from math import sqrt
 
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from oracle import ghz_amps, op, random_state
 from relfacts.errors import ProtocolError, ResourceError
 from relfacts.pauli import PauliString
-from relfacts.scenarios import _draw_outcome_counts, _sequential_outcome_distribution
+from relfacts.scenarios import _draw_outcome_counts, _z_readout_distribution
 from relfacts.statevector import (
     StateVector,
     expectation,
@@ -107,15 +107,14 @@ class TestExpectationAndApply:
 
 class TestMeasure:
     def test_born_frequencies(self):
-        dist = _sequential_outcome_distribution(
-            sv([INV_SQRT2, INV_SQRT2]).amplitudes, (PauliString.from_label("Z"),))
+        dist = _z_readout_distribution(sv([INV_SQRT2, INV_SQRT2]).amplitudes, (0,))
         counts = dict(_draw_outcome_counts(dist, 400, np.random.default_rng(17)))
         assert 140 <= counts[(1,)] <= 260  # 5 sigma around 200
         assert counts[(1,)] + counts[(-1,)] == 400
 
     def test_determinism_same_seed(self):
         amps = sv([INV_SQRT2, INV_SQRT2, 0, 0]).amplitudes
-        dist = _sequential_outcome_distribution(amps, (PauliString.from_label("ZI"),))
+        dist = _z_readout_distribution(amps, (0,))
         a = _draw_outcome_counts(dist, 20, np.random.default_rng(3))
         b = _draw_outcome_counts(dist, 20, np.random.default_rng(3))
         assert a == b
@@ -125,17 +124,15 @@ class TestMeasure:
     def test_branch_probabilities_match_expectation(self, seed):
         rng = np.random.default_rng(seed)
         num_qubits = int(rng.integers(1, 4))
-        factors = tuple(rng.choice(list("IXYZ"), size=num_qubits))
-        obs = PauliString(num_qubits, factors)
+        qubit = int(rng.integers(num_qubits))
         state = StateVector(num_qubits, random_state(rng, num_qubits))
-        dist = dict(_sequential_outcome_distribution(state.amplitudes, (obs,)))
+        dist = dict(_z_readout_distribution(state.amplitudes, (qubit,)))
         p_plus = dist.get((1,), 0.0)
-        assert expectation(state, obs) == pytest.approx(2 * p_plus - 1, abs=1e-10)
+        z = PauliString.single(num_qubits, qubit, "Z")
+        assert expectation(state, z) == pytest.approx(2 * p_plus - 1, abs=1e-10)
 
     def test_repeat_readout_agrees(self):
-        obs = PauliString.from_label("Z")
-        dist = dict(_sequential_outcome_distribution(
-            sv([INV_SQRT2, INV_SQRT2]).amplitudes, (obs, obs)))
+        dist = dict(_z_readout_distribution(sv([INV_SQRT2, INV_SQRT2]).amplitudes, (0, 0)))
         assert set(dist) == {(1, 1), (-1, -1)}
         assert dist[(1, 1)] == pytest.approx(0.5, abs=1e-12)
 
