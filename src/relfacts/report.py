@@ -4,15 +4,16 @@ One report schema serves every subcommand: a command echo, the effective
 config, a results tree, a PASS/FAIL verdict, and a timing block. Timing is
 deterministic operation counting, never wall-clock, so that identical
 (command, flags) produce byte-identical output; wall-clock belongs on
-stderr. Floats are normalized to 12 significant digits, and the JSON bytes
-equal json.dumps(tree, sort_keys=True, indent=2) of the canonical tree.
-They come from one recursive writer in this module: with `indent` set,
-json.dumps on CPython 3.12 and earlier leaves its C encoder for the
-pure-Python one, which takes about twice as long on a report.
+stderr. A document keeps the values its flow returned; to_json() writes
+them in one recursive pass, and render_text() reads only what it prints.
+Both round floats to 12 significant digits. The JSON bytes equal
+json.dumps(tree, sort_keys=True, indent=2) of the canonical tree (see
+_json_text); with `indent` set, json.dumps on CPython 3.12 and earlier
+runs in pure Python, about twice as slow as this module's writer.
 
 Report keys are the field names of the result dataclasses (ScenarioConfig,
 OperationCounters, ConstraintResult, SampleTally, CplResult, RelativeFact,
-...): canonicalize serializes any dataclass field by field. Renaming a field
+...): the writer serializes any dataclass field by field. Renaming a field
 therefore changes the schema, and the pinned hashes in tests/test_golden.py
 catch it.
 
@@ -31,8 +32,8 @@ as that test.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, is_dataclass
-from functools import cached_property, lru_cache
+from dataclasses import asdict, dataclass, fields, is_dataclass
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
@@ -48,7 +49,8 @@ from .scenarios import (
 
 SCHEMA_VERSION = "1"
 
-_INFINITY = float("inf")
+# Float reprs that JSON spells differently, as json.dumps writes them.
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def round_float(x: float) -> float:
@@ -57,90 +59,73 @@ def round_float(x: float) -> float:
     return float(f"{float(x):.12g}")
 
 
-def canonicalize(value):
-    """Recursively convert to canonical JSON-ready primitives."""
-    # Exact types first: they are nearly every value of a report. Their
-    # subclasses, numpy scalars and complex values take the isinstance rules.
-    kind = type(value)
-    if kind is float:
-        return round_float(value)
-    if kind is str or kind is int or kind is bool or value is None:
-        return value
-    if kind is dict:
-        return {str(k): canonicalize(v) for k, v in value.items()}
-    if kind is list or kind is tuple:
-        return [canonicalize(v) for v in value]
-    if isinstance(value, (np.floating, float)):
-        return round_float(float(value))
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, complex):
-        return [round_float(value.real), round_float(value.imag)]
-    if isinstance(value, str):
-        return value
-    if isinstance(value, dict):
-        return {str(k): canonicalize(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [canonicalize(v) for v in value]
-    names = _field_names(kind)
-    if names is not None:
-        return {name: canonicalize(getattr(value, name)) for name in names}
-    raise TypeError(f"cannot canonicalize {type(value).__name__}")
-
-
 @lru_cache(maxsize=None)
-def _field_names(kind: type):
-    """A dataclass's field names in declaration order; None for any other
-    type. Keyed by class, so the memo grows with the program's types only."""
-    return tuple(f.name for f in fields(kind)) if is_dataclass(kind) else None
+def _field_keys(kind: type):
+    """Sorted (name, JSON key text) of a dataclass's fields; None for other
+    types and for a dataclass that is also a number, str or container, which
+    is written as that. The memo grows with the program's types only."""
+    if not is_dataclass(kind) or issubclass(
+            kind, (np.generic, float, int, complex, str, dict, list, tuple)):
+        return None
+    return tuple(sorted(
+        (f.name, encode_basestring_ascii(f.name) + ": ") for f in fields(kind)))
 
 
 def _json_text(value, newline: str) -> str:
-    """The JSON of a canonical tree, as json.dumps(value, sort_keys=True,
-    indent=2) writes it; `newline` is the line break and indent that close
-    a container at this depth. Each container is joined as soon as it is
-    written, so few pieces are alive at once."""
+    """The JSON of `value` as json.dumps(tree, sort_keys=True, indent=2)
+    writes its canonical tree: floats at 12 significant digits, dict keys
+    as str, tuples as lists, complex numbers as [re, im], numpy scalars as
+    their int or float, dataclasses as objects by field; other types raise
+    TypeError. `newline` closes a container at this depth. Each container
+    is joined as soon as it is written, so few pieces are alive at once."""
+    # Exact types and dataclasses first: they are nearly every value of a
+    # report. Subclasses, numpy scalars and complex values are converted to
+    # one of the exact types and written again.
     kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)
     if kind is float:
-        if value != value:
-            return "NaN"
-        if value == _INFINITY:
-            return "Infinity"
-        if value == -_INFINITY:
-            return "-Infinity"
-        return float.__repr__(value)
+        text = float.__repr__(round_float(value))
+        return _NONFINITE.get(text, text)
     if value is None:
         return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
+    if kind is bool:
+        return "true" if value else "false"
     if kind is int:
         return int.__repr__(value)
-    if kind is dict:
-        if not value:
-            return "{}"
-        inner = newline + "  "
-        items = [f"{encode_basestring_ascii(key)}: {_json_text(value[key], inner)}"
-                 for key in sorted(value)]
-        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
-    if kind is list:
-        if not value:
-            return "[]"
-        inner = newline + "  "
+    inner = newline + "  "
+    if kind is list or kind is tuple:
         items = [_json_text(item, inner) for item in value]
-        return f"[{inner}{(',' + inner).join(items)}{newline}]"
-    raise TypeError(f"not a canonical JSON value: {kind.__name__}")
+        return f"[{inner}{(',' + inner).join(items)}{newline}]" if items else "[]"
+    if kind is dict:
+        pairs = {str(k): v for k, v in value.items()}
+        items = [f"{encode_basestring_ascii(key)}: {_json_text(pairs[key], inner)}"
+                 for key in sorted(pairs)]
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}" if items else "{}"
+    keys = _field_keys(kind)
+    if keys is not None:
+        items = [key + _json_text(getattr(value, name), inner) for name, key in keys]
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}" if items else "{}"
+    if isinstance(value, (np.floating, float)):
+        return _json_text(float(value), newline)
+    if isinstance(value, (np.integer, int)):
+        return _json_text(int(value), newline)
+    if isinstance(value, complex):
+        return _json_text([value.real, value.imag], newline)
+    if isinstance(value, str):
+        return _json_text(str.__str__(value), newline)
+    if isinstance(value, dict):
+        return _json_text(dict(value.items()), newline)
+    if isinstance(value, (list, tuple)):
+        return _json_text(list(value), newline)
+    raise TypeError(f"cannot write {kind.__name__} as report JSON")
 
 
 @dataclass(frozen=True)
 class ReportDocument:
-    """One report. The results tree may still hold result dataclasses;
-    as_dict() canonicalizes the whole document, once per document, and
-    returns that same tree on every call, for to_json() and render_text()
-    alike. Callers must not modify it."""
+    """One report, holding its values as built (result dataclasses
+    included) with floats unrounded. Each rendering reads them afresh and
+    keeps no copy; callers must not modify them once the document exists."""
 
     command: str
     config: dict
@@ -148,15 +133,11 @@ class ReportDocument:
     verdict: str
     timing: dict
 
-    @cached_property
-    def _canonical(self) -> dict:
-        return dict(canonicalize(self), schema_version=SCHEMA_VERSION)
-
-    def as_dict(self) -> dict:
-        return self._canonical
-
     def to_json(self) -> str:
-        return _json_text(self.as_dict(), "\n") + "\n"
+        tree = {"command": self.command, "config": self.config,
+                "results": self.results, "verdict": self.verdict,
+                "timing": self.timing, "schema_version": SCHEMA_VERSION}
+        return _json_text(tree, "\n") + "\n"
 
 
 # ScenarioReport fields that are not results: the document carries config,
@@ -198,17 +179,17 @@ def _scenario_results(report) -> dict:
 
 def from_scenario(command: str, report) -> ReportDocument:
     return ReportDocument(
-        command=command, config=canonicalize(report.config),
+        command=command, config=asdict(report.config),
         results=_scenario_results(report),
         verdict="PASS" if report.passed else "FAIL",
-        timing=canonicalize(report.counters))
+        timing=asdict(report.counters))
 
 
 def from_cdr_suite(command: str, reports: Sequence) -> ReportDocument:
     config = {}
     timing: dict = {}
     for rep in reports:
-        config = config or dict(canonicalize(rep.config), experiment_id="all")
+        config = config or dict(asdict(rep.config), experiment_id="all")
         for f in fields(rep.counters):
             timing[f.name] = timing.get(f.name, 0) + getattr(rep.counters, f.name)
     return ReportDocument(
@@ -276,9 +257,12 @@ def build_check_document(command: str, system, config: dict) -> ReportDocument:
 
 
 def _fmt(value) -> str:
+    """A printed value; a float is rounded as in the JSON (round_float)
+    before it is printed."""
     if isinstance(value, bool):
         return "yes" if value else "no"
     if isinstance(value, float):
+        value = round_float(value)
         return f"{value:+.10g}" if value or value == 0 else str(value)
     if isinstance(value, (list, tuple)):
         return ",".join(_fmt(v) for v in value)
@@ -308,9 +292,9 @@ def _render_scenario_body(results: dict) -> list:
         lines.extend(_table(
             ["id", "kind", "product", "stage", "expected", "expectation",
              "shots", "violations", "certified"],
-            [[c["constraint_id"], c["kind"], "*".join(c["labels"]), c["stage"],
-              f"{c['expected']:+d}", c["expectation"], c["shots"],
-              c["violations"], c["certified"]] for c in constraints]))
+            [[c.constraint_id, c.kind, "*".join(c.labels), c.stage,
+              f"{c.expected:+d}", c.expectation, c.shots,
+              c.violations, c.certified] for c in constraints]))
         lines.append("")
     commutation = results.get("commutation") or {}
     if commutation:
@@ -365,16 +349,16 @@ def _render_scenario_body(results: dict) -> list:
     if cpl:
         lines.append("record-agreement premise:")
         lines.append(
-            f"  intact: expectation {_fmt(cpl['intact_expectation'])},"
-            f" matches {cpl['intact_matches']}/{cpl['shots']}")
+            f"  intact: expectation {_fmt(cpl.intact_expectation)},"
+            f" matches {cpl.intact_matches}/{cpl.shots}")
         lines.append(
-            f"  after {cpl['disturbance_label']}:"
-            f" expectation {_fmt(cpl['disturbed_expectation'])},"
-            f" matches {cpl['disturbed_matches']}/{cpl['shots']}")
+            f"  after {cpl.disturbance_label}:"
+            f" expectation {_fmt(cpl.disturbed_expectation)},"
+            f" matches {cpl.disturbed_matches}/{cpl.shots}")
         lines.append(
-            f"  same-time product stays {_fmt(cpl['operator_product_after'])};"
-            f" premise certified {_fmt(cpl['premise_certified'])},"
-            f" violation demonstrated {_fmt(cpl['violation_demonstrated'])}")
+            f"  same-time product stays {_fmt(cpl.operator_product_after)};"
+            f" premise certified {_fmt(cpl.premise_certified)},"
+            f" violation demonstrated {_fmt(cpl.violation_demonstrated)}")
         lines.append("")
     sampling = results.get("sampling", [])
     if sampling:
@@ -382,25 +366,24 @@ def _render_scenario_body(results: dict) -> list:
         lines.extend(_table(
             ["target", "stage", "records", "expected", "shots", "violations",
              "marginals in band"],
-            [[t["target"], t["stage"], "*".join(t["record_labels"]),
-              f"{t['expected_product']:+d}", t["shots"], t["violations"],
-              all(m["within_band"] for m in t["marginals"])] for t in sampling]))
+            [[t.target, t.stage, "*".join(t.record_labels),
+              f"{t.expected_product:+d}", t.shots, t.violations,
+              all(m.within_band for m in t.marginals)] for t in sampling]))
         lines.append("")
     return lines
 
 
 def render_text(doc: ReportDocument) -> str:
-    data = doc.as_dict()
     lines = [
-        f"command: {data['command']}",
-        f"verdict: {data['verdict']}",
+        f"command: {doc.command}",
+        f"verdict: {doc.verdict}",
     ]
-    if data["config"]:
+    if doc.config:
         config_items = ", ".join(
-            f"{k}={_fmt(v)}" for k, v in sorted(data["config"].items()))
+            f"{k}={_fmt(v)}" for k, v in sorted(doc.config.items()))
         lines.append(f"config: {config_items}")
     lines.append("")
-    results = data["results"]
+    results = doc.results
     if "experiments" in results:
         for body in results["experiments"]:
             lines.append(
@@ -457,6 +440,6 @@ def render_text(doc: ReportDocument) -> str:
     else:
         lines.extend(_render_scenario_body(results))
     timing_items = ", ".join(
-        f"{k}={v}" for k, v in sorted(data["timing"].items()))
+        f"{k}={v}" for k, v in sorted(doc.timing.items()))
     lines.append(f"timing: {timing_items}")
     return "\n".join(lines) + "\n"

@@ -453,9 +453,14 @@ def cpl_check(state: StateVector,
     requires), and the Z readout of qubits (n, record_qubit) gives each
     variant's E[v*w] and shots. The same-time product expectation after the
     disturbance is reported alongside, because it stays at +1: only the
-    two-time agreement carries the premise.
+    two-time agreement carries the premise. A `system_obs` acting with X or
+    Y on the record qubit raises ValueError before any distribution or draw.
     """
     record_obs = PauliString.single(state.num_qubits, record_qubit, "Z")
+    if system_obs.factors[record_qubit] in "XY":
+        raise ValueError(
+            f"system observable {system_obs.label()} acts with "
+            f"{system_obs.factors[record_qubit]} on record qubit {record_qubit}")
     amps = state.amplitudes
     o_amps = system_obs.apply_to_array(amps)
     branches = np.stack((amps + o_amps, amps - o_amps)) / 2
@@ -550,10 +555,12 @@ class _Flow:
     the stage snapshots and the record steps applied so far. Each
     snapshot's ledger is derived from the steps (observers.ledger)."""
 
-    def __init__(self):
-        self.counters = OperationCounters()
-        self.snapshots = []
-        self.steps = []  # (label, pm, stage) in the order applied
+    def __init__(self, start: Optional["_Flow"] = None):
+        """A new flow, or one that continues from `start`: copies of its
+        counters, snapshot list and step list, sharing the snapshots."""
+        self.counters = replace(start.counters) if start else OperationCounters()
+        self.snapshots = list(start.snapshots) if start else []
+        self.steps = list(start.steps) if start else []  # (label, pm, stage) applied
 
     def record(self, state: StateVector, pm: Premeasurement, label: str,
                stage: Optional[str] = None) -> StateVector:
@@ -568,11 +575,12 @@ class _Flow:
             len(self.snapshots), label, state, ledger(self.steps)))
 
 
-def _alice_complete(flow: _Flow) -> tuple:
+def _alice_complete() -> tuple:
     """The opening both flows share: prepare the shared state, then let
-    Alice's friends premeasure it. Records the stages "prepared" and
-    "alice-complete"; returns the stage-1 state and Alice's
+    Alice's friends premeasure it. Returns the flow so far, with the stages
+    "prepared" and "alice-complete", the stage-1 state and Alice's
     premeasurements."""
+    flow = _Flow()
     state = prepare_ghz(zero_state(NUM_QUBITS), SYSTEM_QUBITS)
     flow.counters.unitary_applications += 3  # H + two CX
     flow.snapshot("prepared", state)
@@ -580,7 +588,7 @@ def _alice_complete(flow: _Flow) -> tuple:
     for k, pm in enumerate(alice_pms):
         state = flow.record(state, pm, f"A{k + 1}", stage="alice-complete")
     flow.snapshot("alice-complete", state)
-    return state, alice_pms
+    return flow, state, alice_pms
 
 
 def _certify_records(state: StateVector, constraint_id: int, stage: str,
@@ -645,9 +653,8 @@ def run_lmz(config: ScenarioConfig) -> ScenarioReport:
     """
     if config.bob_mode != "lmz-lifted":
         raise ValueError("run_lmz needs a config with bob_mode='lmz-lifted'")
-    flow = _Flow()
+    flow, stage1, alice_pms = _alice_complete()
     counters = flow.counters
-    stage1, alice_pms = _alice_complete(flow)
 
     bhats = lifted_direct_observables(alice_pms)
     ahats = record_readout_observables()
@@ -715,7 +722,7 @@ def run_lmz(config: ScenarioConfig) -> ScenarioReport:
     early_val = expectation(bob1, trio)
     final_val = expectation(final, trio)
     counters.exact_expectations += 2
-    facts = ledger(flow.steps)
+    facts = flow.snapshots[-1].facts  # bob-3 follows the last record step
     disturbed_statuses = {
         f.label: f.status for f in facts if f.label in ("A2", "A3")}
     disturbed_diagnostic = {
@@ -770,10 +777,16 @@ def run_cdr(config: ScenarioConfig) -> ScenarioReport:
     """
     if config.bob_mode != "cdr-reversal":
         raise ValueError("run_cdr needs a config with bob_mode='cdr-reversal'")
-    exp = config.experiment_id
-    flow = _Flow()
+    return _run_experiment(config, *_alice_complete())
+
+
+def _run_experiment(config: ScenarioConfig, opening: _Flow, state: StateVector,
+                    alice_pms: tuple) -> ScenarioReport:
+    """run_cdr's experiment, continued from what _alice_complete returned;
+    the `opening` flow itself is left as it was."""
+    flow = _Flow(opening)
     counters = flow.counters
-    state, alice_pms = _alice_complete(flow)
+    exp = config.experiment_id
     prepared = flow.snapshots[0].state
 
     pattern = CONSTRAINT_PATTERNS[exp - 1]
@@ -830,7 +843,7 @@ def run_cdr(config: ScenarioConfig) -> ScenarioReport:
         state, exp, "bob-direct", f"experiment-{exp}-records", config,
         counters, sampling))
 
-    facts = ledger(flow.steps)
+    facts = flow.snapshots[-1].facts  # bob-direct follows the last record step
     current_labels = tuple(f.label for f in facts if f.status == "current")
     coexisting_records = {
         "current": list(current_labels),
@@ -855,12 +868,16 @@ def run_cdr(config: ScenarioConfig) -> ScenarioReport:
 
 def run_cdr_suite(shots: int = 0, master_seed: int = 0,
                   tolerance: float = DEFAULT_TOLERANCE) -> list:
-    """All four reversal experiments with shared seed and tolerance."""
-    return [
-        run_cdr(ScenarioConfig(
-            bob_mode="cdr-reversal", experiment_id=exp, shots=shots,
-            master_seed=master_seed, tolerance=tolerance))
-        for exp in (1, 2, 3, 4)]
+    """All four reversal experiments with shared seed and tolerance. The
+    opening (the GHZ register and Alice's three records) is built once, and
+    each experiment continues from copies of its snapshot, step and counter
+    lists: the four reports share its two snapshots, and each equals
+    run_cdr's for the same config."""
+    configs = [ScenarioConfig(
+        bob_mode="cdr-reversal", experiment_id=exp, shots=shots,
+        master_seed=master_seed, tolerance=tolerance) for exp in (1, 2, 3, 4)]
+    opening = _alice_complete()
+    return [_run_experiment(config, *opening) for config in configs]
 
 
 def _require_constraint_coverage(constraints: Sequence[ConstraintResult],

@@ -1,7 +1,8 @@
-"""Report serialization: dataclasses by field, stage summaries by weight,
-and JSON bytes equal to the standard library's."""
+"""Report serialization: the writer's canonical rules, dataclasses by
+field, stage summaries by weight, JSON bytes equal to the standard
+library's, and text that prints floats as the JSON rounds them."""
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -10,12 +11,48 @@ from hypothesis import strategies as st
 
 from relfacts.observers import StageSnapshot
 from relfacts.report import (
+    SCHEMA_VERSION,
     ReportDocument,
+    _json_text,
     _stage_summary,
     build_run_document,
-    canonicalize,
+    render_text,
+    round_float,
 )
+from relfacts.scenarios import ConstraintResult
 from relfacts.statevector import StateVector
+
+
+def canonicalize(value):
+    """Reference for the writer: the canonical tree of `value`, which
+    json.dumps(tree, sort_keys=True, indent=2) must write as the writer
+    does. Exact types first, then numpy scalars, complex numbers as
+    [re, im], dataclasses by field; any other type raises TypeError."""
+    kind = type(value)
+    if kind is float:
+        return round_float(value)
+    if kind is str or kind is int or kind is bool or value is None:
+        return value
+    if isinstance(value, (np.floating, float)):
+        return round_float(float(value))
+    if isinstance(value, (np.integer, int)):
+        return int(value)
+    if isinstance(value, complex):
+        return [round_float(value.real), round_float(value.imag)]
+    if isinstance(value, str):
+        return value
+    if isinstance(value, dict):
+        return {str(k): canonicalize(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [canonicalize(v) for v in value]
+    if is_dataclass(kind):
+        return {f.name: canonicalize(getattr(value, f.name)) for f in fields(kind)}
+    raise TypeError(f"cannot canonicalize {kind.__name__}")
+
+
+def written(value):
+    """What the writer's JSON of `value` reads back as."""
+    return json.loads(_json_text(value, "\n"))
 
 
 @dataclass
@@ -31,11 +68,17 @@ class Segment:
     end: object
 
 
+@dataclass(init=False)
+class Weight(float):
+    """A dataclass that is also a float: written as the float."""
+    unit: str = "kg"
+
+
 def test_canonicalize_dataclass_by_field():
-    assert canonicalize([Point("p", (1, 2.0), np.float64(1 / 3))]) == [
+    assert written([Point("p", (1, 2.0), np.float64(1 / 3))]) == [
         {"name": "p", "coords": [1, 2.0], "weight": 0.333333333333}]
     segment = Segment(Point("a", (), np.float64(0.5)), Point("b", (3,), np.float64(-1)))
-    assert canonicalize({"s": segment}) == {"s": {
+    assert written({"s": segment}) == {"s": {
         "start": {"name": "a", "coords": [], "weight": 0.5},
         "end": {"name": "b", "coords": [3], "weight": -1.0}}}
 
@@ -48,9 +91,10 @@ def test_canonicalize_dataclass_by_field():
     ((1, (2.5, "x")), [1, [2.5, "x"]]),
     (complex(1 / 3, -2), [0.333333333333, -2.0]),
     ({1: None, "k": 2 / 3}, {"1": None, "k": 0.666666666667}),
+    (Weight(1 / 3), 0.333333333333),
 ])
 def test_canonicalize_keeps_types_and_values(value, expected):
-    result = canonicalize(value)
+    result = written(value)
     assert result == expected
     assert json.dumps(result) == json.dumps(expected)  # bool stays bool, int stays int
 
@@ -58,14 +102,22 @@ def test_canonicalize_keeps_types_and_values(value, expected):
 @pytest.mark.parametrize("value", [{1, 2}, object(), Point, np.array([1.0])])
 def test_canonicalize_rejects_other_types(value):
     with pytest.raises(TypeError):
-        canonicalize(value)
+        _json_text(value, "\n")
+    with pytest.raises(TypeError):
+        ReportDocument(command="cmd", config={}, results={"v": [value]},
+                       verdict="PASS", timing={}).to_json()
 
 
 SCALARS = (
     st.none() | st.booleans() | st.floats()
     | st.integers() | st.integers(-10**40, 10**40)
     | st.text() | st.text(alphabet=st.characters(max_codepoint=0x1f))
-    | st.sampled_from(["", "é", "\u2028", "\U0001f600", '"\\/', -0.0, 2**100]))
+    | st.sampled_from(["", "é", "\u2028", "\U0001f600", '"\\/', -0.0, 2**100])
+    | st.floats().map(np.float64) | st.floats(width=32).map(np.float32)
+    | st.integers(-2**63, 2**63 - 1).map(np.int64) | st.integers(0, 255).map(np.uint8)
+    | st.complex_numbers()
+    | st.builds(Point, st.text(max_size=3), st.tuples(st.integers(), st.floats()),
+                st.floats().map(np.float64)))
 TREES = st.recursive(
     SCALARS,
     lambda children: st.lists(children, max_size=4) | st.tuples(children, children)
@@ -78,7 +130,8 @@ TREES = st.recursive(
 def test_to_json_matches_stdlib(results, config):
     doc = ReportDocument(command="cmd", config=config, results={"tree": results},
                          verdict="PASS", timing={})
-    assert doc.to_json() == json.dumps(doc.as_dict(), sort_keys=True, indent=2) + "\n"
+    tree = dict(canonicalize(doc), schema_version=SCHEMA_VERSION)
+    assert doc.to_json() == json.dumps(tree, sort_keys=True, indent=2) + "\n"
 
 
 def test_stage_summary_orders_by_weight_then_index():
@@ -98,7 +151,8 @@ def test_stage_summary_orders_by_weight_then_index():
 @pytest.mark.parametrize("shots", [0, 200])
 @pytest.mark.parametrize("scenario, experiment", [("lmz", None), ("cdr", "all")])
 def test_changed_facts_replay_to_the_final_ledger(scenario, experiment, shots):
-    results = build_run_document(scenario, experiment, shots, 0, 1e-9).as_dict()["results"]
+    doc = build_run_document(scenario, experiment, shots, 0, 1e-9)
+    results = json.loads(doc.to_json())["results"]
     for body in results.get("experiments", [results]):
         ledger = {}
         for stage in body["stages"]:
@@ -106,3 +160,22 @@ def test_changed_facts_replay_to_the_final_ledger(scenario, experiment, shots):
                 assert ledger.get(fact["label"]) != fact, stage["label"]
                 ledger[fact["label"]] = fact
         assert list(ledger.values()) == body["ledger"]
+
+
+def test_text_prints_each_float_as_the_json_rounds_it():
+    # Printed directly with +.10g this float reads +0.123456789; rounded
+    # to 12 digits first it is 0.12345678905 and reads +0.1234567891.
+    value = 0.1234567890499999
+    assert f"{value:+.10g}" == "+0.123456789"
+    certification = ConstraintResult(
+        constraint_id=1, kind="operator", labels=("B1",), stage="s", expected=1,
+        expectation=value, tolerance=1e-9, shots=0, violations=0, certified=False)
+    doc = ReportDocument(command="cmd", config={"tolerance": value},
+                         results={"constraints": [certification]},
+                         verdict="FAIL", timing={})
+    lines = render_text(doc).splitlines()
+    assert "config: tolerance=+0.1234567891" in lines
+    assert lines[7].split() == [
+        "1", "operator", "B1", "s", "+1", "+0.1234567891", "0", "0", "no"]
+    assert json.loads(doc.to_json())["results"]["constraints"][0]["expectation"] == (
+        0.12345678905)

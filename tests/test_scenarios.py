@@ -21,7 +21,8 @@ from oracle import (
 from relfacts.errors import InternalConsistencyError, ProtocolError
 from relfacts.observers import Premeasurement, RelativeFact, ledger, lift, premeasure
 from relfacts.pauli import PauliString
-from relfacts.report import from_scenario
+from relfacts import scenarios
+from relfacts.report import from_scenario, render_text
 from relfacts.scenarios import (
     ALICE_MEMORY,
     BOB_MEMORY,
@@ -41,6 +42,7 @@ from relfacts.scenarios import (
     lifted_direct_observables,
     record_readout_observables,
     run_cdr,
+    run_cdr_suite,
     run_lmz,
     sample_records,
 )
@@ -779,6 +781,22 @@ class TestFlippedSharedState:
 
 
 class TestCplStandalone:
+    @pytest.mark.parametrize("factor", ["X", "Y"])
+    def test_observable_acting_on_the_record_fails_first(self, monkeypatch, lmz_exact,
+                                                         factor):
+        def fail(*args, **kwargs):
+            raise AssertionError("no distribution or generator before the check")
+
+        monkeypatch.setattr(scenarios, "child_generator", fail)
+        monkeypatch.setattr(scenarios, "_z_readout_distribution", fail)
+        system = PauliString.from_map(
+            NUM_QUBITS, {SYSTEM_QUBITS[0]: "Y", ALICE_MEMORY[0]: factor})
+        harmless = Premeasurement(
+            PauliString.single(NUM_QUBITS, SYSTEM_QUBITS[2], "Y"), BOB_MEMORY[2], "bob")
+        with pytest.raises(ValueError, match=f"record qubit {ALICE_MEMORY[0]}"):
+            cpl_check(lmz_exact.snapshots[1].state, system, "A1", ALICE_MEMORY[0],
+                      harmless, shots=100, master_seed=77, counters=OperationCounters())
+
     def test_commuting_disturbance_preserves_agreement(self, lmz_exact):
         stage1 = lmz_exact.snapshots[1].state
         pms = alice_premeasurements()
@@ -874,6 +892,56 @@ class TestCdr:
         command = "run cdr --experiment 2 --shots 500 --seed 5"
         assert (from_scenario(command, again).to_json()
                 == from_scenario(command, cdr_suite_sampled[1]).to_json())
+        # Each experiment of a suite, which shares one opening, renders the
+        # same bytes as the experiment run alone.
+        for shots, seed in iter_product((0, 200), (0, 5)):
+            suite = run_cdr_suite(shots=shots, master_seed=seed)
+            for exp, report in enumerate(suite, 1):
+                alone = run_cdr(ScenarioConfig(
+                    bob_mode="cdr-reversal", experiment_id=exp, shots=shots,
+                    master_seed=seed))
+                command = f"run cdr --experiment {exp} --shots {shots} --seed {seed}"
+                shared, single = from_scenario(command, report), from_scenario(command, alone)
+                assert shared.to_json() == single.to_json(), (exp, shots, seed)
+                assert render_text(shared) == render_text(single), (exp, shots, seed)
+
+    def test_suite_builds_one_opening(self, monkeypatch):
+        calls = []
+        original = scenarios.prepare_ghz
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(scenarios, "prepare_ghz", counted)
+        suite = run_cdr_suite(shots=10, master_seed=1)
+        assert len(calls) == 1
+        opening = suite[0].snapshots[:2]
+        assert [s.label for s in opening] == ["prepared", "alice-complete"]
+        for report in suite:
+            assert len(report.snapshots) == 4
+            assert all(a is b for a, b in zip(report.snapshots[:2], opening))
+        # Each experiment counts the opening's six unitaries once.
+        assert [r.counters.unitary_applications for r in suite] == [12, 8, 8, 8]
+
+    @pytest.mark.parametrize("flow, calls", [
+        (lambda: run_lmz(ScenarioConfig(shots=10)), 5),
+        (lambda: run_cdr_suite(shots=10), 2 + 4 * 2),
+    ])
+    def test_ledger_once_per_snapshot(self, monkeypatch, flow, calls):
+        # The final ledger_facts are the last snapshot's, not derived again.
+        count = []
+        original = scenarios.ledger
+
+        def counted(steps):
+            count.append(len(steps))
+            return original(steps)
+
+        monkeypatch.setattr(scenarios, "ledger", counted)
+        result = flow()
+        assert len(count) == calls
+        for report in result if isinstance(result, list) else [result]:
+            assert report.ledger_facts is report.snapshots[-1].facts
 
     def test_reversed_state_matches_dense(self, cdr_suite_sampled):
         # experiment 2 reverses pair 1 only; rebuild with dense unitaries
