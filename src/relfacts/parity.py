@@ -29,7 +29,8 @@ _VARIABLE_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 @dataclass(frozen=True)
 class ParityConstraint:
     """A product constraint prod(variables) = rhs, reduced mod 2: a variable
-    listed an even number of times squares away to 1."""
+    listed an even number of times squares away to 1, so `variables` keeps
+    the names listed an odd number of times."""
 
     variables: frozenset
     rhs: int
@@ -37,18 +38,12 @@ class ParityConstraint:
     def __post_init__(self):
         if self.rhs not in (1, -1):
             raise ValueError(f"rhs must be +1 or -1, got {self.rhs!r}")
+        odd = set()
         for v in self.variables:
             if not _VARIABLE_RE.match(v):
                 raise ValueError(f"invalid variable name {v!r}")
-        object.__setattr__(self, "variables", frozenset(self.variables))
-
-    @classmethod
-    def of(cls, variables: Iterable[str], rhs: int) -> "ParityConstraint":
-        """Build from a variable list with repeats, cancelling pairs."""
-        odd = set()
-        for v in variables:
-            odd.symmetric_difference_update({v})
-        return cls(frozenset(odd), rhs)
+            odd ^= {v}
+        object.__setattr__(self, "variables", frozenset(odd))
 
     def evaluate(self, assignment: Mapping[str, int]) -> bool:
         product = 1
@@ -316,11 +311,10 @@ def parse_constraints(text: str,
             raise ConstraintParseError(line_no, "empty left-hand side")
         names = [token.strip() for token in lhs.split("*")]
         names = [name for name in names if name != "1"]
-        for name in names:
-            if not _VARIABLE_RE.match(name):
-                raise ConstraintParseError(
-                    line_no, f"invalid variable name {name!r}")
-        constraints.append(ParityConstraint.of(names, rhs))
+        try:
+            constraints.append(ParityConstraint(names, rhs))
+        except ValueError as exc:  # an invalid variable name
+            raise ConstraintParseError(line_no, str(exc)) from None
     return ConstraintSystem.from_constraints(constraints, universe)
 
 
@@ -361,11 +355,6 @@ def analyze(system: ConstraintSystem) -> dict:
             "residual_variables": list(identity.residual_variables),
             "rhs": identity.rhs,
             "is_contradiction": identity.is_contradiction,
-        },
-        "timing": {
-            "constraints": len(system.constraints),
-            "variables": system.num_variables,
-            "assignments_tested": enumeration.tested if enumeration else 0,
         },
     }
     analysis["consistency"] = _consistency(system, analysis)
@@ -426,10 +415,10 @@ def ghz_record_system() -> ConstraintSystem:
     protocols: one all-direct product pinned to +1 and three mixed products
     pinned to -1. Their full product is the contradiction 1 = -1."""
     constraints = (
-        ParityConstraint.of(("B1", "B2", "B3"), 1),
-        ParityConstraint.of(("B1", "A2", "A3"), -1),
-        ParityConstraint.of(("A1", "B2", "A3"), -1),
-        ParityConstraint.of(("A1", "A2", "B3"), -1),
+        ParityConstraint(("B1", "B2", "B3"), 1),
+        ParityConstraint(("B1", "A2", "A3"), -1),
+        ParityConstraint(("A1", "B2", "A3"), -1),
+        ParityConstraint(("A1", "A2", "B3"), -1),
     )
     universe = ("A1", "A2", "A3", "B1", "B2", "B3")
     return ConstraintSystem(constraints, universe)

@@ -130,17 +130,6 @@ class ScenarioConfig:
             raise ValueError(f"master_seed must be in [0, 2^64), got {self.master_seed}")
 
 
-@dataclass
-class OperationCounters:
-    """Deterministic effort accounting; stands in for wall-clock timing so
-    that reports stay byte-identical across machines."""
-
-    unitary_applications: int = 0
-    projective_measurements: int = 0
-    exact_expectations: int = 0
-    sampled_shots: int = 0
-
-
 @dataclass(frozen=True)
 class ConstraintResult:
     """One certification of a product constraint.
@@ -263,7 +252,6 @@ class ScenarioReport:
     coexisting_records: Optional[dict]
     cpl: Optional[CplResult]
     sampling: list
-    counters: OperationCounters
     passed: bool
 
 
@@ -370,8 +358,7 @@ def certify_constraint(state: StateVector,
                        constraint_id: int,
                        kind: str = "operator",
                        stage: str = "",
-                       tolerance: float = DEFAULT_TOLERANCE,
-                       counters: OperationCounters) -> ConstraintResult:
+                       tolerance: float = DEFAULT_TOLERANCE) -> ConstraintResult:
     """Certify that a product of pairwise-commuting Pauli strings has the
     expected definite value on `state`, from its exact Born expectation.
 
@@ -393,7 +380,6 @@ def certify_constraint(state: StateVector,
                 f"observables {la} and {lb} do not commute; "
                 "simultaneous certification is undefined")
     val = expectation(state, product_of(observables))
-    counters.exact_expectations += 1
     return ConstraintResult(
         constraint_id=constraint_id, kind=kind, labels=labels, stage=stage,
         expected=expected, expectation=val, tolerance=tolerance,
@@ -409,8 +395,7 @@ def sample_records(state: StateVector,
                    expected_product: int,
                    shots: int,
                    master_seed: int,
-                   target_index: int,
-                   counters: OperationCounters) -> SampleTally:
+                   target_index: int) -> SampleTally:
     """Repeatedly read the listed (label, qubit) records in order and tally
     their joint outcomes. Shots are drawn from the exact joint distribution
     of the Z readouts; the tally derives its products and marginals from
@@ -423,8 +408,6 @@ def sample_records(state: StateVector,
         for values, count in _draw_outcome_counts(dist, shots, rng):
             if count > 0:
                 counts["".join("+" if v == 1 else "-" for v in values)] = count
-        counters.projective_measurements += shots * len(records)
-        counters.sampled_shots += shots
     return SampleTally(
         target=target, constraint_id=constraint_id, stage=stage,
         record_labels=tuple(label for label, _ in records),
@@ -439,8 +422,7 @@ def cpl_check(state: StateVector,
               *,
               shots: int = 0,
               master_seed: int = 0,
-              tolerance: float = DEFAULT_TOLERANCE,
-              counters: OperationCounters) -> CplResult:
+              tolerance: float = DEFAULT_TOLERANCE) -> CplResult:
     """Certify the record-agreement premise and demonstrate its failure.
 
     Intact: reading the system observable and then its record must agree
@@ -480,14 +462,9 @@ def cpl_check(state: StateVector,
             for (v, w), count in _draw_outcome_counts(dist, shots, rng):
                 if v == w:
                     matched += count
-            counters.projective_measurements += 2 * shots
-            counters.unitary_applications += shots * len(between)
-            counters.sampled_shots += shots
         matches.append(matched)
     after_state = premeasure(state, disturbance)
     operator_after = expectation(after_state, system_obs * record_obs)
-    counters.exact_expectations += 3
-    counters.unitary_applications += 1
     return CplResult(
         system_label=system_obs.label(),
         record_label=record_label,
@@ -551,14 +528,13 @@ def _commutation_survey(specs: Sequence[ConstraintSpec],
 
 
 class _Flow:
-    """One flow run's bookkeeping beside its state: the operation counters,
-    the stage snapshots and the record steps applied so far. Each
-    snapshot's ledger is derived from the steps (observers.ledger)."""
+    """One flow run's bookkeeping beside its state: the stage snapshots and
+    the record steps applied so far. Each snapshot's ledger is derived from
+    the steps (observers.ledger)."""
 
     def __init__(self, start: Optional["_Flow"] = None):
         """A new flow, or one that continues from `start`: copies of its
-        counters, snapshot list and step list, sharing the snapshots."""
-        self.counters = replace(start.counters) if start else OperationCounters()
+        snapshot list and step list, sharing the snapshots."""
         self.snapshots = list(start.snapshots) if start else []
         self.steps = list(start.steps) if start else []  # (label, pm, stage) applied
 
@@ -566,7 +542,6 @@ class _Flow:
                stage: Optional[str] = None) -> StateVector:
         """One record unitary. With a stage: premeasure `pm`, writing the
         record `label`. Without one: reverse `pm`, erasing `label`."""
-        self.counters.unitary_applications += 1
         self.steps.append((label, pm, stage))
         return reverse(state, pm) if stage is None else premeasure(state, pm)
 
@@ -582,7 +557,6 @@ def _alice_complete() -> tuple:
     premeasurements."""
     flow = _Flow()
     state = prepare_ghz(zero_state(NUM_QUBITS), SYSTEM_QUBITS)
-    flow.counters.unitary_applications += 3  # H + two CX
     flow.snapshot("prepared", state)
     alice_pms = alice_premeasurements()
     for k, pm in enumerate(alice_pms):
@@ -592,8 +566,7 @@ def _alice_complete() -> tuple:
 
 
 def _certify_records(state: StateVector, constraint_id: int, stage: str,
-                     target: str, config: ScenarioConfig,
-                     counters: OperationCounters, sampling: list) -> ConstraintResult:
+                     target: str, config: ScenarioConfig, sampling: list) -> ConstraintResult:
     """Certify constraint `constraint_id` on the memory records of `state`.
 
     The (label, qubit) records follow CONSTRAINT_PATTERNS: Bob's memory for
@@ -612,14 +585,13 @@ def _certify_records(state: StateVector, constraint_id: int, stage: str,
         expected,
         labels=tuple(label for label, _ in records),
         constraint_id=constraint_id, kind="record", stage=stage,
-        tolerance=config.tolerance, counters=counters)
+        tolerance=config.tolerance)
     if config.shots == 0:
         return result
     tally = sample_records(
         state, target=target, constraint_id=constraint_id, stage=stage,
         records=records, expected_product=expected, shots=config.shots,
-        master_seed=config.master_seed, target_index=constraint_id,
-        counters=counters)
+        master_seed=config.master_seed, target_index=constraint_id)
     sampling.append(tally)
     return replace(
         result, shots=tally.shots, violations=tally.violations,
@@ -654,7 +626,6 @@ def run_lmz(config: ScenarioConfig) -> ScenarioReport:
     if config.bob_mode != "lmz-lifted":
         raise ValueError("run_lmz needs a config with bob_mode='lmz-lifted'")
     flow, stage1, alice_pms = _alice_complete()
-    counters = flow.counters
 
     bhats = lifted_direct_observables(alice_pms)
     ahats = record_readout_observables()
@@ -666,7 +637,7 @@ def run_lmz(config: ScenarioConfig) -> ScenarioReport:
             stage1, spec.observables, spec.expected,
             labels=spec.labels, constraint_id=spec.constraint_id,
             kind="operator", stage="alice-complete",
-            tolerance=config.tolerance, counters=counters))
+            tolerance=config.tolerance))
     commutation = _commutation_survey(specs, bhats, ahats)
 
     bob_pms = tuple(
@@ -691,11 +662,9 @@ def run_lmz(config: ScenarioConfig) -> ScenarioReport:
             st, stage_label = bob1, "bob-1"
         else:
             st = premeasure(stage1, bob_pms[cid - 2])
-            counters.unitary_applications += 1
             stage_label = f"bob-{cid - 1}-only"
         constraints.append(_certify_records(
-            st, cid, stage_label, f"constraint-{cid}-records", config,
-            counters, sampling))
+            st, cid, stage_label, f"constraint-{cid}-records", config, sampling))
 
     # Transported certificate: conjugate each product through Bob's three
     # premeasurements and certify it on the final state.
@@ -705,7 +674,6 @@ def run_lmz(config: ScenarioConfig) -> ScenarioReport:
         for pm in bob_pms:
             carried = lift(carried, pm)
         val = expectation(final, carried)
-        counters.exact_expectations += 1
         final_certificate.append({
             "constraint_id": spec.constraint_id,
             "observable": carried.label(),
@@ -721,7 +689,6 @@ def run_lmz(config: ScenarioConfig) -> ScenarioReport:
         for q in (BOB_MEMORY[0], ALICE_MEMORY[1], ALICE_MEMORY[2]))
     early_val = expectation(bob1, trio)
     final_val = expectation(final, trio)
-    counters.exact_expectations += 2
     facts = flow.snapshots[-1].facts  # bob-3 follows the last record step
     disturbed_statuses = {
         f.label: f.status for f in facts if f.label in ("A2", "A3")}
@@ -738,7 +705,7 @@ def run_lmz(config: ScenarioConfig) -> ScenarioReport:
     cpl = cpl_check(
         stage1, alice_pms[0].observable, "A1", ALICE_MEMORY[0], bob_pms[0],
         shots=config.shots, master_seed=config.master_seed,
-        tolerance=config.tolerance, counters=counters)
+        tolerance=config.tolerance)
 
     _require_constraint_coverage(constraints, {1, 2, 3, 4}, CONSTRAINT_KINDS)
     passed = (
@@ -761,7 +728,7 @@ def run_lmz(config: ScenarioConfig) -> ScenarioReport:
         final_certificate=final_certificate,
         disturbed_diagnostic=disturbed_diagnostic,
         restoration=None, coexisting_records=None, cpl=cpl,
-        sampling=sampling, counters=counters, passed=passed)
+        sampling=sampling, passed=passed)
 
 
 def run_cdr(config: ScenarioConfig) -> ScenarioReport:
@@ -785,7 +752,6 @@ def _run_experiment(config: ScenarioConfig, opening: _Flow, state: StateVector,
     """run_cdr's experiment, continued from what _alice_complete returned;
     the `opening` flow itself is left as it was."""
     flow = _Flow(opening)
-    counters = flow.counters
     exp = config.experiment_id
     prepared = flow.snapshots[0].state
 
@@ -827,7 +793,7 @@ def _run_experiment(config: ScenarioConfig, opening: _Flow, state: StateVector,
     constraints = [certify_constraint(
         state, spec.observables, spec.expected, labels=spec.labels,
         constraint_id=exp, kind="operator", stage=stage_label,
-        tolerance=config.tolerance, counters=counters)]
+        tolerance=config.tolerance)]
 
     # Bob measures the freed system qubits directly (premeasurement onto his
     # own memories, so the records coexist and can be read in any order).
@@ -840,8 +806,7 @@ def _run_experiment(config: ScenarioConfig, opening: _Flow, state: StateVector,
 
     sampling = []
     constraints.append(_certify_records(
-        state, exp, "bob-direct", f"experiment-{exp}-records", config,
-        counters, sampling))
+        state, exp, "bob-direct", f"experiment-{exp}-records", config, sampling))
 
     facts = flow.snapshots[-1].facts  # bob-direct follows the last record step
     current_labels = tuple(f.label for f in facts if f.status == "current")
@@ -863,15 +828,15 @@ def _run_experiment(config: ScenarioConfig, opening: _Flow, state: StateVector,
         constraints=constraints, commutation={},
         final_certificate=[], disturbed_diagnostic=None,
         restoration=restoration, coexisting_records=coexisting_records,
-        cpl=None, sampling=sampling, counters=counters, passed=passed)
+        cpl=None, sampling=sampling, passed=passed)
 
 
 def run_cdr_suite(shots: int = 0, master_seed: int = 0,
                   tolerance: float = DEFAULT_TOLERANCE) -> list:
     """All four reversal experiments with shared seed and tolerance. The
     opening (the GHZ register and Alice's three records) is built once, and
-    each experiment continues from copies of its snapshot, step and counter
-    lists: the four reports share its two snapshots, and each equals
+    each experiment continues from copies of its snapshot and step lists:
+    the four reports share its two snapshots, and each equals
     run_cdr's for the same config."""
     configs = [ScenarioConfig(
         bob_mode="cdr-reversal", experiment_id=exp, shots=shots,

@@ -26,7 +26,6 @@ from relfacts.scenarios import (
     CONSTRAINT_PATTERNS,
     NUM_QUBITS,
     SYSTEM_QUBITS,
-    OperationCounters,
     ScenarioConfig,
     alice_premeasurements,
     cpl_check,
@@ -174,7 +173,7 @@ def test_acceptance_08_record_agreement_premise(lmz):
         BOB_MEMORY[0], "bob")
     result = cpl_check(
         stage1, pms[0].observable, "A1", ALICE_MEMORY[0], disturbance,
-        shots=FULL_SHOTS, master_seed=13, counters=OperationCounters())
+        shots=FULL_SHOTS, master_seed=13)
     ok = (result.premise_certified
           and result.intact_matches == FULL_SHOTS
           and (1.0 - result.disturbed_expectation) > 0.1

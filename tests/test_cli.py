@@ -3,6 +3,7 @@ import json
 import os
 import re
 from contextlib import redirect_stderr
+from pathlib import Path
 
 import pytest
 
@@ -29,9 +30,7 @@ class TestRunCommand:
         assert doc["config"]["bob_mode"] == "lmz-lifted"
         assert len(doc["results"]["constraints"]) == 8
         assert doc["results"]["cpl"]["premise_certified"] is True
-        assert set(doc["timing"]) == {
-            "unitary_applications", "projective_measurements",
-            "exact_expectations", "sampled_shots"}
+        assert doc["timing"] == {}
 
     def test_cdr_single_experiment(self, capsys):
         rc = main(["run", "cdr", "--experiment", "2", "--shots", "50",
@@ -75,7 +74,10 @@ class TestRunCommand:
         rc = main(["run", "lmz", "--shots", str(MAX_SHOTS)])
         out = capsys.readouterr().out
         assert rc == 0
-        assert f"sampled_shots={6 * MAX_SHOTS}" in out
+        # Four record tallies and the two-time agreement's two variants.
+        tallies = out.split("sampled record products:\n")[1].splitlines()[2:]
+        assert [row.split()[4:] for row in tallies] == [[str(MAX_SHOTS), "0", "yes"]] * 4
+        assert f"matches {MAX_SHOTS}/{MAX_SHOTS}" in out
         assert "verdict: PASS" in out
 
     def test_unreachable_tolerance_fails(self, capsys):
@@ -83,6 +85,28 @@ class TestRunCommand:
         out = capsys.readouterr().out
         assert rc == 1
         assert "verdict: FAIL" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "lmz", "--shots", "20"],
+    ["run", "cdr", "--experiment", "all", "--shots", "20"],
+    ["run", "cdr", "--experiment", "3"],
+    ["check-assignments", "--builtin", "ghz"],
+    ["check-assignments", "--constraints", "tests/data/planted-20-sat.txt"],
+    ["verify", "--all"],
+])
+def test_reports_carry_no_operation_counts(argv, tmp_path, monkeypatch):
+    # JSON keeps an empty "timing" object; text ends on its last content
+    # line, with no timing line.
+    monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+    paths = {fmt: tmp_path / f"report.{fmt}" for fmt in ("json", "text")}
+    with open(os.devnull, "w") as devnull, redirect_stderr(devnull):
+        for fmt, path in paths.items():
+            assert main(argv + ["--format", fmt, "--out", str(path)]) == 0
+    assert json.loads(paths["json"].read_text())["timing"] == {}
+    text = paths["text"].read_text()
+    assert text.endswith("\n") and not text.endswith("\n\n")
+    assert not any(line.startswith("timing") for line in text.splitlines())
 
 
 class TestUsageErrors:

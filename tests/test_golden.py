@@ -2,13 +2,10 @@
 
 The hashes were generated from the reports of an earlier release, so a
 refactor that changes any byte of a report, in either format, fails here.
-The hashes of the sampled reports (--shots 1000 --seed 7) date from the
-release that draws each target's shot counts with one multinomial. The
-JSON hashes of the run and check-assignments reports date from report
-schema 2, which dropped the fields that restate others (its version string
-still reads "1"); the verify --all JSON hash and every text hash predate
-it, unchanged. The three check-assignments JSON hashes date from the
-release whose consistency block added `product_identity_verified`.
+All 32 date from the release that dropped the operation counts: each JSON
+report's "timing" object became empty (the key stays, and the version
+string still reads "1"), and each text report lost its closing blank line
+and `timing:` line. Every other byte was unchanged by that release.
 The two planted 20-variable constraint files under tests/data/ (one
 satisfiable, one contradictory) are read by a relative path, which each
 report prints, so the test runs from the repository root.
@@ -26,69 +23,69 @@ from relfacts.cli import main
 
 GOLDEN = {
     ("run lmz --shots 0", "json"):
-        "d5c11aa3ecf6c732579b8789df3aef7b00a2e1d5e299de58d3d3de8f7e6a6edc",
+        "7e778aaa4ee381aeaa9d5a483337d7989eefab0ad7870372c63764dd8b2e779a",
     ("run lmz --shots 0", "text"):
-        "fa26d48bef242f891106734a9600ab312081edbaad8a5c0af170c2ad1c8e196e",
+        "52e331cf5eb98fbdb4f77f9a8251d60b4d3d3af53a841f59aec5a46db8bec206",
     ("run lmz --shots 1000 --seed 7", "json"):
-        "6531e76cfdc91bf19d7e69e173f614137c19fe138992464c9a75a58c5937cae3",
+        "756d10a9eb269533375f62b15e8ba2890fde688f9c0bae1fa846793c11d1f368",
     ("run lmz --shots 1000 --seed 7", "text"):
-        "0b41ed132cd77962e10a2982cc8001c821cb95a6293783d68510cf2dfe03978a",
+        "5e1e4e07696887717721c097910c88f28502e757e0c46514f419aa19fa266b0f",
     ("run cdr --experiment 1 --shots 0", "json"):
-        "29ed44434d6965399cb14eefa6b44b5d5b2a8ed86d89fcf72705dd41a19d312c",
+        "ea6435a8113ed2b0c4f275925f6e1da22818bcddd42fb903e43b2f39d1403567",
     ("run cdr --experiment 1 --shots 0", "text"):
-        "8fd16885023bb6d1e5fc1887003300f332c66c03ecdf6d0ff05f153d054d7dad",
+        "e3311553e988d5f5e467914130160121dd34cc9fcb17750bc9ea8f2f48221e66",
     ("run cdr --experiment 1 --shots 1000 --seed 7", "json"):
-        "3be33d74c67bcd9251fe9546d1c9beca2903d694fd72eb8854aa16529ae5d320",
+        "6fb5541616e1011a425fa300145c98b57c4e47c87c90fec581aab683bfee613d",
     ("run cdr --experiment 1 --shots 1000 --seed 7", "text"):
-        "09df978cda6d5df72358409fcd1acb723792470c9339089675da02e3fc34b3e1",
+        "1e3b2ca67da2def09c8b0c5d55092e41443669d9f14e48c4271592f274068311",
     ("run cdr --experiment 2 --shots 0", "json"):
-        "62557d8dfddd41344ff1d34742835539988606a0c0acefad3b081e55a2970921",
+        "d2f758402ea0fdf2e874e0590043d59707a9c05e1798fad256eb15baab331d8a",
     ("run cdr --experiment 2 --shots 0", "text"):
-        "e48904f892fbd3b10720ac937abecd80927d5533ef6b561f50323216fcd53a10",
+        "42655e8b16a2ec7d3a0c0b9a6b64c80370e92b636b4c7e57d8dc41b42af3db09",
     ("run cdr --experiment 2 --shots 1000 --seed 7", "json"):
-        "aa0ef0310ee01e9ede544838427c87b2c8a3566fc31c99930a4a240cc4e7ad9c",
+        "45cf9b2a173eeeac2c51289a3571cbc750bf3fed6721275160a25f773d4b8c52",
     ("run cdr --experiment 2 --shots 1000 --seed 7", "text"):
-        "027d940146546246fcd9ea7ffd135a229be241938e7445b8eebb3411e29c56fc",
+        "e783b5fe80eae6688424af868201658b366d24a097e4971331a9ec261f09dc5f",
     ("run cdr --experiment 3 --shots 0", "json"):
-        "98e11f7b2eeca58c0c2fbf799f2a65f9c5fa08cda4cb83d202fd5bb8960badc0",
+        "424be499bbe83c9f754cf4addb225e0b3339f9cf7dfebe0bf29b5d77b5b3d80c",
     ("run cdr --experiment 3 --shots 0", "text"):
-        "608e7976f4c2896cfdba2acfc7b6c139e033253d12bfdb3124b6d436069afb4e",
+        "0afc56bdd0a7164eec4d563988535f1e87be4f90f43b33932973ef0c44ab108b",
     ("run cdr --experiment 3 --shots 1000 --seed 7", "json"):
-        "93fdfd8715e3f565ccd34dbe9d81f663d0ee8dc2741f53a8d378489913814369",
+        "f5d1848efde6b6e274d1409ce6501aa7f00f2b0342c0a13c1fc7527a12b9ea96",
     ("run cdr --experiment 3 --shots 1000 --seed 7", "text"):
-        "b527f87c714de5bbf8edae4900d7660dc032534b639c707097b3fb9f7c4b55ee",
+        "ad17b77abf7fb00631e8e59d55a10f8063887c92431eb0d4d09c9acd7f6bdd4a",
     ("run cdr --experiment 4 --shots 0", "json"):
-        "03e7e4849a4b0054fef0df8238cf89c24c2eb51679c7767548280f356662efcf",
+        "cded3220ee5662a1f962fa0f50703dbd810ff57d4cc5d0d09922e1bfe556056b",
     ("run cdr --experiment 4 --shots 0", "text"):
-        "dec2dfcee4b99dafcad1d9447fdd2343b0e0eb9c27738b6df355a9900081cc60",
+        "4f13a86de11456d92802704abcd4776efbd0db429c6b7b24a07765728100ea82",
     ("run cdr --experiment 4 --shots 1000 --seed 7", "json"):
-        "a6ebe6c28b4ad6efd179900e9166d27bdb70b1844f7b2fba6ed79f5536876884",
+        "95e2635290f5091a8ab28b3bbc78b86f7cba2c6a33cf64afa94a0d000bd57549",
     ("run cdr --experiment 4 --shots 1000 --seed 7", "text"):
-        "a66460c0a60f2df79ead8944846be8b9df73630d7bfc019807ce196e7aa6f300",
+        "4a368bb431fa03d8fbd6460f25a81529f816375c153c091d455f86670db61b6d",
     ("run cdr --experiment all --shots 0", "json"):
-        "d3674bb8f4c8bdcdf55418d7959bc5767515961084fbac88d701c81b68fe5e1f",
+        "d9db4c21a5d3366be82d91441a1bd9e78f63c242acbc0f74e5f508022f50e56f",
     ("run cdr --experiment all --shots 0", "text"):
-        "ff4f98a6a74926bae39be61b45c0ea40da6a403f058d3ecb198139f2bea4beba",
+        "849beae944708170721aa5ee4024af29f02b3d999325c37eadfeb17be31590c4",
     ("run cdr --experiment all --shots 1000 --seed 7", "json"):
-        "7e7532ab1052299d143001940e2e2e6576b4e26b79124abe8430224b3e958dda",
+        "23e189871ee3b62457b1080aa5b6654b2f7a8408050748753f493c478263bcc0",
     ("run cdr --experiment all --shots 1000 --seed 7", "text"):
-        "1ff97eb6fe3faae1b9d75c1e65af3e9c7cc841527cc02e4447c75f4b8d5f7535",
+        "9c835e89d1db5ddc541c1b7cc8016d59dfe381b971102f02d4cc48305f1c30c7",
     ("check-assignments --builtin ghz", "json"):
-        "c065bbd8ea3e7f523e4a3feea5bd4dc822ba6487a63273ada9e9229ae091b031",
+        "f4d7fa6d6cdf4ef8590669a28f372467e39cbf884b4be00fd0829ea221ba8113",
     ("check-assignments --builtin ghz", "text"):
-        "04dddc2f4c410dc40788de8cce43ab23c7b8484ad57eb793ddeb32fa3f8057c7",
+        "f46c6ff6b2d266609a1b1f3c4b2b5a0da3b5adf1225645c73c046accd9eaa752",
     ("check-assignments --constraints tests/data/planted-20-sat.txt", "json"):
-        "4823f7e9aaa5e056ce2cba18498c582377fafe1a1b7b7488921456b1bd258eef",
+        "0577244ae7d87353d70a263e55867b590205fbd902ad47bea5daed116dfef825",
     ("check-assignments --constraints tests/data/planted-20-sat.txt", "text"):
-        "24cf8b05e7530df8106d46b8e25658024f3462d71d4f78f18b6eb31d8819a27b",
+        "8301c25d10031fcdc6d6c99b17c25b33e809210c97924566972dc9316ad58cea",
     ("check-assignments --constraints tests/data/planted-20-unsat.txt", "json"):
-        "5349047caa759cf2b6bd7531484f47ccfc96618640617d6e6c5989cbce214490",
+        "3cdc652b3866571d771ecb989acc5476ff7114e094108f0d5ee2b162e34a1972",
     ("check-assignments --constraints tests/data/planted-20-unsat.txt", "text"):
-        "e9bba58cfdb67f31c0248461b404633ee009cabb47e8d32d040cc9231fd00ff6",
+        "2d576d28d7652cf3dc35a9754aae4dbb964a84ecce00a30e01f39ec24f145940",
     ("verify --all", "json"):
-        "4f05294a20f8dc359f630f2e34befc4fc896180c88b82c10a666886c3e670117",
+        "b7b7d3a89643a665b6eeff6692db3322eb5e2b3e6b38020830881005463a6139",
     ("verify --all", "text"):
-        "24e50bf0d60b87e0781f1dec5dcad572f1ec4aeabd50c987e521a7ff0092d756",
+        "7490e55fc10dd7911e219c2e7fa5d47fd241f4577666bebcd2780a5b3d61233e",
 }
 
 

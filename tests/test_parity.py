@@ -21,31 +21,45 @@ from relfacts.parity import (
 
 def system_of(*specs, universe=None):
     return ConstraintSystem.from_constraints(
-        [ParityConstraint.of(vs, rhs) for vs, rhs in specs], universe)
+        [ParityConstraint(vs, rhs) for vs, rhs in specs], universe)
 
 
 class TestParityConstraint:
     def test_pair_cancellation(self):
-        c = ParityConstraint.of(("x", "x", "y"), -1)
+        c = ParityConstraint(("x", "x", "y"), -1)
         assert c.variables == frozenset({"y"})
+
+    def test_constructor_cancels_repeats(self):
+        # The variables listed an even number of times square away, so
+        # a*a = -1 is the contradiction 1 = -1.
+        c = ParityConstraint(("a", "a"), -1)
+        assert c == ParityConstraint(frozenset(), -1)
+        assert str(c) == "1 = -1"
+        analysis = analyze(ConstraintSystem.from_constraints([c]))
+        assert analysis["solve"]["satisfiable"] is False
+        assert analysis["enumeration"]["count"] == 0
+
+    def test_cancelled_names_are_validated(self):
+        with pytest.raises(ValueError):
+            ParityConstraint(("2bad", "2bad"), 1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ParityConstraint.of(("x",), 0)
+            ParityConstraint(("x",), 0)
         with pytest.raises(ValueError):
-            ParityConstraint.of(("2bad",), 1)
+            ParityConstraint(("2bad",), 1)
 
     def test_evaluate(self):
-        c = ParityConstraint.of(("x", "y"), -1)
+        c = ParityConstraint(("x", "y"), -1)
         assert c.evaluate({"x": 1, "y": -1})
         assert not c.evaluate({"x": 1, "y": 1})
         with pytest.raises(ValueError):
             c.evaluate({"x": 0, "y": 1})
 
     def test_str_canonical(self):
-        c = ParityConstraint.of(("B1", "A3", "A2"), -1)
+        c = ParityConstraint(("B1", "A3", "A2"), -1)
         assert str(c) == "A2*A3*B1 = -1"
-        assert str(ParityConstraint.of(("x", "x"), 1)) == "1 = +1"
+        assert str(ParityConstraint(("x", "x"), 1)) == "1 = +1"
 
 
 class TestConstraintSystem:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relfacts import report
 from relfacts.observers import StageSnapshot
 from relfacts.report import (
     SCHEMA_VERSION,
@@ -105,7 +106,7 @@ def test_canonicalize_rejects_other_types(value):
         _json_text(value, "\n")
     with pytest.raises(TypeError):
         ReportDocument(command="cmd", config={}, results={"v": [value]},
-                       verdict="PASS", timing={}).to_json()
+                       verdict="PASS").to_json()
 
 
 SCALARS = (
@@ -129,8 +130,8 @@ TREES = st.recursive(
 @settings(max_examples=300, deadline=None)
 def test_to_json_matches_stdlib(results, config):
     doc = ReportDocument(command="cmd", config=config, results={"tree": results},
-                         verdict="PASS", timing={})
-    tree = dict(canonicalize(doc), schema_version=SCHEMA_VERSION)
+                         verdict="PASS")
+    tree = dict(canonicalize(doc), timing={}, schema_version=SCHEMA_VERSION)
     assert doc.to_json() == json.dumps(tree, sort_keys=True, indent=2) + "\n"
 
 
@@ -146,6 +147,33 @@ def test_stage_summary_orders_by_weight_then_index():
     summary = _stage_summary(StageSnapshot(0, "s", state, ()), limit=64)
     indices = [i for i, _ in summary["leading_amplitudes"]]
     assert indices == [i for i in expected if weights[i] > 1e-18]
+
+
+def test_stage_summary_cuts_amplitudes_at_1e_9():
+    # An amplitude of exactly 1e-9 is below the cut and is not listed.
+    state = StateVector(1, np.array([1.0, 1e-9], dtype=complex))
+    summary = _stage_summary(StageSnapshot(0, "s", state, ()))
+    assert [i for i, _ in summary["leading_amplitudes"]] == [0]
+
+
+def test_cdr_suite_summarizes_each_shared_stage_once(monkeypatch):
+    # Four experiments of four stages each share the opening's two
+    # snapshots: 2 + 4 * 2 distinct stages.
+    calls = []
+    original = report._stage_summary
+
+    def counted(snap, before=()):
+        calls.append(snap)
+        return original(snap, before)
+
+    monkeypatch.setattr(report, "_stage_summary", counted)
+    doc = build_run_document("cdr", "all", 0, 0, 1e-9)
+    assert len(calls) == 10
+    assert len({id(snap) for snap in calls}) == 10
+    experiments = doc.results["experiments"]
+    for body in experiments[1:]:
+        assert body["stages"][:2] == experiments[0]["stages"][:2]
+        assert body["stages"][2:] != experiments[0]["stages"][2:]
 
 
 @pytest.mark.parametrize("shots", [0, 200])
@@ -172,7 +200,7 @@ def test_text_prints_each_float_as_the_json_rounds_it():
         expectation=value, tolerance=1e-9, shots=0, violations=0, certified=False)
     doc = ReportDocument(command="cmd", config={"tolerance": value},
                          results={"constraints": [certification]},
-                         verdict="FAIL", timing={})
+                         verdict="FAIL")
     lines = render_text(doc).splitlines()
     assert "config: tolerance=+0.1234567891" in lines
     assert lines[7].split() == [

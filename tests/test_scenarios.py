@@ -30,7 +30,6 @@ from relfacts.scenarios import (
     MAX_SHOTS,
     NUM_QUBITS,
     SYSTEM_QUBITS,
-    OperationCounters,
     SampleTally,
     ScenarioConfig,
     _certify_records,
@@ -223,11 +222,6 @@ class TestLmzExact:
             "A1": "alice-complete", "A2": "alice-complete", "A3": "alice-complete",
             "B1": "bob-1", "B2": "bob-2", "B3": "bob-3",
         }
-
-    def test_counters(self, lmz_exact):
-        assert lmz_exact.counters.sampled_shots == 0
-        assert lmz_exact.counters.exact_expectations > 0
-        assert lmz_exact.counters.unitary_applications >= 11
 
 
 # The record steps each protocol applies, written out from its definition
@@ -448,9 +442,10 @@ class TestLmzSampled:
         b = [t.outcome_counts for t in other.sampling]
         assert a != b
 
-    def test_counter_accounting(self, lmz_sampled):
+    def test_shot_totals(self, lmz_sampled):
         # 4 record tallies + 2 two-time variants, 500 shots each
-        assert lmz_sampled.counters.sampled_shots == 3000
+        assert [t.shots for t in lmz_sampled.sampling] == [500] * 4
+        assert lmz_sampled.cpl.shots == 500
 
 
 class TestOrderIndependence:
@@ -489,36 +484,29 @@ class TestCertifyConstraint:
             certify_constraint(
                 state,
                 (PauliString.from_label("X"), PauliString.from_label("Z")),
-                1, labels=("a", "b"), constraint_id=1,
-                counters=OperationCounters())
+                1, labels=("a", "b"), constraint_id=1)
 
     def test_argument_validation(self):
         state = zero_state(2)
         obs = (PauliString.from_label("ZI"), PauliString.from_label("IZ"))
-        counters = OperationCounters()
         with pytest.raises(ValueError):
-            certify_constraint(state, obs, 1, labels=("a",), constraint_id=1,
-                               counters=counters)
+            certify_constraint(state, obs, 1, labels=("a",), constraint_id=1)
         with pytest.raises(ValueError):
-            certify_constraint(state, obs, 0, labels=("a", "b"), constraint_id=1,
-                               counters=counters)
+            certify_constraint(state, obs, 0, labels=("a", "b"), constraint_id=1)
         with pytest.raises(ValueError):
             certify_constraint(state, obs, 1, labels=("a", "b"),
-                               constraint_id=1, kind="other", counters=counters)
+                               constraint_id=1, kind="other")
         with pytest.raises(ValueError):
             certify_constraint(
-                zero_state(3), obs, 1, labels=("a", "b"), constraint_id=1,
-                counters=counters)
+                zero_state(3), obs, 1, labels=("a", "b"), constraint_id=1)
 
     def test_sampled_certification(self, lmz_exact):
         # Record certification of constraint 2 right after Bob's first step:
         # exact product plus per-shot evidence drawn on the sampling stream.
         config = ScenarioConfig(shots=100, master_seed=9)
-        counters = OperationCounters()
         sampling = []
         result = _certify_records(
-            lmz_exact.snapshots[2].state, 2, "bob-1", "t", config, counters,
-            sampling)
+            lmz_exact.snapshots[2].state, 2, "bob-1", "t", config, sampling)
         assert result.kind == "record"
         assert result.labels == ("B1", "A2", "A3")
         assert result.expectation == pytest.approx(-1.0, abs=1e-12)
@@ -531,12 +519,9 @@ class TestCertifyConstraint:
             stage="bob-1", records=(("B1", BOB_MEMORY[0]), ("A2", ALICE_MEMORY[1]),
                                     ("A3", ALICE_MEMORY[2])),
             expected_product=-1, shots=100, master_seed=9,
-            target_index=2, counters=OperationCounters()).outcome_counts
-        assert counters.exact_expectations == 1
-        assert counters.sampled_shots == 100
+            target_index=2).outcome_counts
         exact_only = _certify_records(
-            lmz_exact.snapshots[2].state, 2, "bob-1", "t", ScenarioConfig(),
-            OperationCounters(), sampling)
+            lmz_exact.snapshots[2].state, 2, "bob-1", "t", ScenarioConfig(), sampling)
         assert exact_only.shots == 0 and exact_only.certified
         assert len(sampling) == 1
 
@@ -544,8 +529,7 @@ class TestCertifyConstraint:
         state = zero_state(2)
         obs = (PauliString.from_label("ZI"), PauliString.from_label("IZ"))
         result = certify_constraint(
-            state, obs, -1, labels=("a", "b"), constraint_id=1,
-            counters=OperationCounters())
+            state, obs, -1, labels=("a", "b"), constraint_id=1)
         assert not result.certified
         assert result.expectation == pytest.approx(1.0)
         assert result.shots == 0 and result.violations == 0
@@ -635,8 +619,7 @@ class TestSamplingMachinery:
             amps = np.zeros(8, dtype=complex)
             amps[:4] = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             amps /= np.linalg.norm(amps)
-            result = cpl_check(StateVector(3, amps), system, "A", 1, pm,
-                               counters=OperationCounters())
+            result = cpl_check(StateVector(3, amps), system, "A", 1, pm)
             for between, got in (((), result.intact_expectation),
                                  ((unitary,), result.disturbed_expectation)):
                 dist = two_time_distribution(amps, op(3, {0: "Y"}), between, op(3, {1: "Z"}))
@@ -649,8 +632,7 @@ class TestSamplingMachinery:
         dirty = np.zeros(8, dtype=complex)
         dirty[0b100] = 1.0  # memory qubit 2 already set
         with pytest.raises(ProtocolError):
-            cpl_check(StateVector(3, dirty), PauliString.from_label("ZII"), "A",
-                      1, pm, counters=OperationCounters())
+            cpl_check(StateVector(3, dirty), PauliString.from_label("ZII"), "A", 1, pm)
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from([0, 1000]))
     @settings(max_examples=200, deadline=None)
@@ -679,7 +661,7 @@ class TestSamplingMachinery:
         pm = Premeasurement(PauliString.from_map(num_qubits, disturbance), memory, "bob")
         args = (StateVector(num_qubits, amps), PauliString.from_map(num_qubits, system),
                 "R", record, pm)
-        kwargs = dict(shots=shots, master_seed=seed, counters=OperationCounters())
+        kwargs = dict(shots=shots, master_seed=seed)
         if branch_excited > 1e-10:
             with pytest.raises(ProtocolError, match="not in |0>"):
                 cpl_check(*args, **kwargs)
@@ -729,7 +711,8 @@ class TestSamplingMachinery:
         assert report.passed
         assert all(t.violations == 0 for t in report.sampling)
         assert report.cpl.intact_matches == MAX_SHOTS
-        assert report.counters.sampled_shots == 6 * MAX_SHOTS
+        assert sum(t.shots for t in report.sampling) + 2 * report.cpl.shots == (
+            6 * MAX_SHOTS)
 
     def test_sample_records_deterministic(self, lmz_exact):
         final = lmz_exact.snapshots[4].state
@@ -738,8 +721,8 @@ class TestSamplingMachinery:
             records=(("B1", BOB_MEMORY[0]), ("B2", BOB_MEMORY[1]),
                      ("B3", BOB_MEMORY[2])),
             expected_product=1, shots=200, master_seed=21, target_index=1)
-        a = sample_records(final, **kwargs, counters=OperationCounters())
-        b = sample_records(final, **kwargs, counters=OperationCounters())
+        a = sample_records(final, **kwargs)
+        b = sample_records(final, **kwargs)
         assert a.outcome_counts == b.outcome_counts
         assert a.violations == 0
 
@@ -747,8 +730,7 @@ class TestSamplingMachinery:
         tally = sample_records(
             lmz_exact.snapshots[4].state, target="t", constraint_id=1,
             stage="s", records=(("B1", BOB_MEMORY[0]),), expected_product=1,
-            shots=0, master_seed=0, target_index=1,
-            counters=OperationCounters())
+            shots=0, master_seed=0, target_index=1)
         assert tally.outcome_counts == {}
         assert tally.shots == tally.violations == 0
         assert all(m.within_band for m in tally.marginals)
@@ -774,8 +756,7 @@ class TestFlippedSharedState:
             expected = CONSTRAINT_SIGNS[cid - 1]
             result = certify_constraint(
                 state, observables, expected,
-                labels=("p1", "p2", "p3"), constraint_id=cid,
-                counters=OperationCounters())
+                labels=("p1", "p2", "p3"), constraint_id=cid)
             assert not result.certified
             assert result.expectation == pytest.approx(-expected, abs=1e-12)
 
@@ -795,7 +776,7 @@ class TestCplStandalone:
             PauliString.single(NUM_QUBITS, SYSTEM_QUBITS[2], "Y"), BOB_MEMORY[2], "bob")
         with pytest.raises(ValueError, match=f"record qubit {ALICE_MEMORY[0]}"):
             cpl_check(lmz_exact.snapshots[1].state, system, "A1", ALICE_MEMORY[0],
-                      harmless, shots=100, master_seed=77, counters=OperationCounters())
+                      harmless, shots=100, master_seed=77)
 
     def test_commuting_disturbance_preserves_agreement(self, lmz_exact):
         stage1 = lmz_exact.snapshots[1].state
@@ -805,7 +786,7 @@ class TestCplStandalone:
             BOB_MEMORY[2], "bob")
         result = cpl_check(
             stage1, pms[0].observable, "A1", ALICE_MEMORY[0], harmless,
-            shots=100, master_seed=77, counters=OperationCounters())
+            shots=100, master_seed=77)
         assert result.premise_certified
         assert result.intact_expectation == pytest.approx(1.0, abs=1e-12)
         assert result.disturbed_expectation == pytest.approx(1.0, abs=1e-12)
@@ -921,8 +902,6 @@ class TestCdr:
         for report in suite:
             assert len(report.snapshots) == 4
             assert all(a is b for a, b in zip(report.snapshots[:2], opening))
-        # Each experiment counts the opening's six unitaries once.
-        assert [r.counters.unitary_applications for r in suite] == [12, 8, 8, 8]
 
     @pytest.mark.parametrize("flow, calls", [
         (lambda: run_lmz(ScenarioConfig(shots=10)), 5),
