@@ -12,7 +12,6 @@ from itertools import product as iter_product
 
 from relfacts.parity import (
     ConstraintSystem,
-    enumerate_assignments,
     ghz_record_system,
     product_identity,
     satisfiable,
@@ -32,11 +31,15 @@ def main() -> int:
         print(f"  ({i}) {c}")
     print()
 
+    kept = tuple(c for i, c in enumerate(system.constraints, 1) if i != args.drop)
+    sub = ConstraintSystem(kept, system.universe)
     histogram = [0] * 5
+    solutions = []
     for values in iter_product((1, -1), repeat=len(system.universe)):
         assignment = dict(zip(system.universe, values))
-        satisfied = sum(system.check(assignment))
-        histogram[satisfied] += 1
+        histogram[sum(system.check(assignment))] += 1
+        if all(sub.check(assignment)):
+            solutions.append(assignment)
     print("satisfied constraints -> number of assignments")
     for k, count in enumerate(histogram):
         marker = " <- none reach 4" if k == 4 else ""
@@ -53,13 +56,10 @@ def main() -> int:
           "cannot hold together")
     print()
 
-    kept = tuple(c for i, c in enumerate(system.constraints, 1) if i != args.drop)
-    sub = ConstraintSystem(kept, system.universe)
-    enum = enumerate_assignments(sub, return_assignments=True)
-    print(f"dropping constraint ({args.drop}) leaves {enum.count} solutions:")
+    print(f"dropping constraint ({args.drop}) leaves {len(solutions)} solutions:")
     header = " ".join(f"{v:>3}" for v in system.universe)
     print(f"  {header}")
-    for assignment in enum.assignments:
+    for assignment in solutions:
         row = " ".join(f"{assignment[v]:+3d}" for v in system.universe)
         print(f"  {row}")
     return 0

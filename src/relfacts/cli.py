@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import parity
-from .errors import ConstraintParseError, ProtocolError, ResourceError
+from .errors import ProtocolError
 from .report import (
     ReportDocument,
     build_check_document,
@@ -165,10 +165,7 @@ def main(argv: Optional[list] = None) -> int:
         if args.command == "check-assignments":
             return _cmd_check(args)
         return _cmd_verify(args)
-    except ConstraintParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ResourceError, ValueError) as exc:
+    except ValueError as exc:  # ConstraintParseError and ResourceError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ProtocolError as exc:

@@ -1,8 +1,10 @@
 """Exception taxonomy shared across the package.
 
 Plain ValueError is used for malformed arguments (bad labels, dimension
-mismatches, out-of-range parameters). The classes below mark the three
-failure modes that deserve a distinct catch site.
+mismatches, out-of-range parameters). The classes below name the failure
+modes a caller may want to tell apart; ResourceError and
+ConstraintParseError are ValueErrors, so the CLI's one ValueError handler
+turns them, like any bad input, into exit 2.
 """
 
 

@@ -166,7 +166,6 @@ def satisfiable(system: ConstraintSystem) -> SolveResult:
 class EnumerationResult:
     count: int
     tested: int
-    assignments: Optional[tuple]
 
 
 _KEY_BITS = 64
@@ -193,8 +192,7 @@ def _parity_keys(masks: np.ndarray, width: int) -> np.ndarray:
     return keys
 
 
-def enumerate_assignments(system: ConstraintSystem,
-                          return_assignments: bool = False) -> EnumerationResult:
+def enumerate_assignments(system: ConstraintSystem) -> EnumerationResult:
     """Count the assignments satisfying every constraint, over all 2^n of
     them (guarded to n <= 20), without elimination.
 
@@ -208,9 +206,6 @@ def enumerate_assignments(system: ConstraintSystem,
     halves, the number of low halves in the same group. Time and memory are
     O(2^(n/2) * ceil(m/64)) for m constraints; no array of 2^n entries is
     built. `tested` is 2^n, the number of assignments the count covers.
-
-    With return_assignments, the satisfying assignments are listed in
-    ascending index order, taken from the same join.
     """
     n = system.num_variables
     if n > ENUMERATE_MAX_VARIABLES:
@@ -230,20 +225,8 @@ def enumerate_assignments(system: ConstraintSystem,
     rows_as_bytes = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))
     distinct, groups = np.unique(rows_as_bytes.ravel(), return_inverse=True)
     lo_groups, hi_groups = groups[:1 << low], groups[1 << low:]
-    lo_counts = np.bincount(lo_groups, minlength=len(distinct))
-    count = int(lo_counts[hi_groups].sum())
-    assignments = None
-    if return_assignments:
-        # Low halves sorted by group, ascending within each group.
-        order = np.argsort(lo_groups, kind="stable")
-        ends = np.cumsum(lo_counts)
-        indices = [(hi << low) | int(lo)
-                   for hi, group in enumerate(hi_groups)
-                   for lo in order[ends[group] - lo_counts[group]:ends[group]]]
-        assignments = tuple(
-            {v: (-1 if (i >> j) & 1 else 1) for j, v in enumerate(system.universe)}
-            for i in indices)
-    return EnumerationResult(count=count, tested=1 << n, assignments=assignments)
+    count = int(np.bincount(lo_groups, minlength=len(distinct))[hi_groups].sum())
+    return EnumerationResult(count=count, tested=1 << n)
 
 
 @dataclass(frozen=True)
@@ -321,41 +304,23 @@ def parse_constraints(text: str,
 def analyze(system: ConstraintSystem) -> dict:
     """Full satisfiability analysis with internal cross-checks.
 
-    Runs elimination, the all-constraints product identity, and (when the
-    universe is small enough) exhaustive enumeration. The cross-checks read
-    the dict returned here, not the results behind it, so `consistent`
-    holds only if what the report prints agrees with itself (see
-    _consistency).
+    Holds the solver's own results: the SolveResult of elimination as
+    "solve", the EnumerationResult of exhaustive enumeration as
+    "enumeration" (None above ENUMERATE_MAX_VARIABLES), and the
+    ProductIdentity of all constraints as "product_identity". The report
+    writes each of them field by field, and the cross-checks read the same
+    objects, so `consistent` holds only if what the report prints agrees
+    with itself (see _consistency).
     """
-    solve = satisfiable(system)
-    identity = product_identity(system)
-    enumeration = None
-    if system.num_variables <= ENUMERATE_MAX_VARIABLES:
-        enumeration = enumerate_assignments(system)
     analysis = {
         "system": {
             "constraints": [str(c) for c in system.constraints],
             "universe": list(system.universe),
         },
-        "solve": {
-            "satisfiable": solve.satisfiable,
-            "witness": (None if solve.witness is None
-                        else dict(sorted(solve.witness.items()))),
-            "certificate": (None if solve.certificate is None
-                            else list(solve.certificate)),
-            "rank": solve.rank,
-            "num_solutions": solve.num_solutions,
-        },
-        "enumeration": None if enumeration is None else {
-            "count": enumeration.count,
-            "tested": enumeration.tested,
-        },
-        "product_identity": {
-            "subset": list(identity.subset),
-            "residual_variables": list(identity.residual_variables),
-            "rhs": identity.rhs,
-            "is_contradiction": identity.is_contradiction,
-        },
+        "solve": satisfiable(system),
+        "enumeration": (enumerate_assignments(system)
+                        if system.num_variables <= ENUMERATE_MAX_VARIABLES else None),
+        "product_identity": product_identity(system),
     }
     analysis["consistency"] = _consistency(system, analysis)
     analysis["consistent"] = all(
@@ -364,35 +329,38 @@ def analyze(system: ConstraintSystem) -> dict:
 
 
 def _consistency(system: ConstraintSystem, analysis: dict) -> dict:
-    """The cross-checks of an analysis, read from its printed entries; a
-    flag is None where it does not apply.
+    """The cross-checks of an analysis, read from the result objects it
+    holds, which are what its report prints; a flag is None where it does
+    not apply.
 
-    A printed witness must satisfy every constraint. When the system is
-    unsatisfiable, the printed certificate must be present, non-empty and
-    multiply to the contradiction 1 = -1. Whenever the universe is small
-    enough to enumerate, the enumeration must be printed and its count must
-    agree with the solver's. The printed constraint texts must parse back
-    to the system's own constraints. The printed product of all constraints
-    is a contradiction exactly when no variable survives and its rhs is -1,
-    and only for an unsatisfiable system.
+    A witness must give every universe variable +1 or -1 and satisfy every
+    constraint. When the system is unsatisfiable, the certificate must be
+    present, non-empty and multiply to the contradiction 1 = -1. Whenever
+    the universe is small enough to enumerate, the enumeration must be
+    present and its count must agree with the solver's. The printed
+    constraint texts must parse back to the system's own constraints. The
+    product of all constraints is a contradiction exactly when no variable
+    survives and its rhs is -1, and only for an unsatisfiable system.
     """
     solve, enumeration = analysis["solve"], analysis["enumeration"]
     identity = analysis["product_identity"]
-    contradiction = not identity["residual_variables"] and identity["rhs"] == -1
-    identity_verified = (identity["is_contradiction"] == contradiction
-                         and not (contradiction and solve["satisfiable"]))
+    contradiction = not identity.residual_variables and identity.rhs == -1
+    identity_verified = (identity.is_contradiction == contradiction
+                         and not (contradiction and solve.satisfiable))
     witness_verified = certificate_verified = agreement = None
-    if solve["satisfiable"]:
-        witness = solve["witness"]
-        witness_verified = witness is not None and all(system.check(witness))
+    if solve.satisfiable:
+        witness = solve.witness
+        witness_verified = (
+            witness is not None
+            and all(witness.get(v) in (1, -1) for v in system.universe)
+            and all(system.check(witness)))
     else:
-        certificate = solve["certificate"]
-        certificate_verified = bool(certificate) and product_identity(
-            system, certificate).is_contradiction
+        certificate_verified = bool(solve.certificate) and product_identity(
+            system, solve.certificate).is_contradiction
     if enumeration is not None:
-        count = enumeration["count"]
-        agreement = ((count > 0) == solve["satisfiable"]
-                     and (not solve["satisfiable"] or count == solve["num_solutions"]))
+        agreement = ((enumeration.count > 0) == solve.satisfiable
+                     and (not solve.satisfiable
+                          or enumeration.count == solve.num_solutions))
     elif system.num_variables <= ENUMERATE_MAX_VARIABLES:
         agreement = False
     try:

@@ -407,36 +407,35 @@ def render_text(doc: ReportDocument) -> str:
         lines.append("constraints:" if constraints else "constraints: none")
         for i, text in enumerate(constraints, 1):
             lines.append(f"  ({i}) {text}")
-        solve = results["solve"]
+        solve, enumeration = results["solve"], results["enumeration"]
         lines.append("")
-        if solve["satisfiable"]:
-            witness = " ".join(
-                f"{k}={v:+d}" for k, v in sorted(solve["witness"].items())
+        if solve.satisfiable:
+            witness = "none" if solve.witness is None else " ".join(
+                f"{k}={v:+d}" for k, v in sorted(solve.witness.items())
             ) or "(empty assignment)"
+            tested = (enumeration.tested if enumeration
+                      else 2 ** len(results["system"]["universe"]))
             lines.append(
-                f"satisfiable: yes ({solve['num_solutions']} of "
-                f"{results['enumeration']['tested'] if results.get('enumeration') else 2 ** len(results['system']['universe'])}"
-                f" assignments)")
+                f"satisfiable: yes ({solve.num_solutions} of {tested} assignments)")
             lines.append(f"witness: {witness}")
         else:
             lines.append("satisfiable: no")
-            if solve["certificate"]:
-                subset = ",".join(str(i) for i in solve["certificate"])
+            if solve.certificate:
+                subset = ",".join(str(i) for i in solve.certificate)
                 lines.append(
                     f"certificate: constraints {{{subset}}} multiply to the "
                     "contradiction 1 = -1")
             else:
                 lines.append("certificate: none")
         identity = results["product_identity"]
-        residual = "*".join(identity["residual_variables"]) or "1"
+        residual = "*".join(identity.residual_variables) or "1"
         lines.append(
             f"product of all constraints: {residual} = "
-            f"{'+1' if identity['rhs'] == 1 else '-1'}"
-            + ("  <- contradiction" if identity["is_contradiction"] else ""))
-        enumeration = results.get("enumeration")
+            f"{'+1' if identity.rhs == 1 else '-1'}"
+            + ("  <- contradiction" if identity.is_contradiction else ""))
         if enumeration:
             lines.append(
-                f"enumeration: {enumeration['count']} of {enumeration['tested']}"
+                f"enumeration: {enumeration.count} of {enumeration.tested}"
                 " assignments satisfy every constraint")
         lines.append("")
     else:

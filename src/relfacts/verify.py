@@ -264,16 +264,15 @@ def _commutation(monomials) -> tuple:
 
 def _no_assignment(ghz_analysis) -> tuple:
     analysis = ghz_analysis.result
-    solve = analysis["solve"]
-    enum = analysis["enumeration"]
-    ok = (not solve["satisfiable"]
-          and solve["certificate"] == [1, 2, 3, 4]
-          and enum["count"] == 0 and enum["tested"] == 64
-          and analysis["product_identity"]["is_contradiction"]
+    solve, enum = analysis["solve"], analysis["enumeration"]
+    ok = (not solve.satisfiable
+          and solve.certificate == (1, 2, 3, 4)
+          and enum.count == 0 and enum.tested == 64
+          and analysis["product_identity"].is_contradiction
           and analysis["consistent"])
     return ok, (
-        f"{enum['count']}/{enum['tested']} assignments satisfy all four; "
-        f"certificate {{{','.join(map(str, solve['certificate']))}}}")
+        f"{enum.count}/{enum.tested} assignments satisfy all four; "
+        f"certificate {{{','.join(map(str, solve.certificate))}}}")
 
 
 def _three_of_four(subsystems) -> tuple:
@@ -282,12 +281,12 @@ def _three_of_four(subsystems) -> tuple:
     # misreads the right-hand sides fails here.
     *dropped, asymmetric = subsystems
     for drop, analysis in enumerate(dropped, 1):
-        if not (analysis["solve"]["satisfiable"]
+        if not (analysis["solve"].satisfiable
                 and analysis["consistency"]["witness_verified"]):
             return False, f"subsystem without ({drop}) reported unsatisfiable"
-    counts = [analysis["enumeration"]["count"] for analysis in dropped]
+    counts = [analysis["enumeration"].count for analysis in dropped]
     return (all(c == 8 for c in counts)
-            and asymmetric["enumeration"]["count"] == 2,
+            and asymmetric["enumeration"].count == 2,
             f"solution counts without each constraint: {counts}")
 
 

@@ -121,12 +121,11 @@ def test_sign_flipped_enumeration_fails_verify(monkeypatch, capsys):
     # under a global sign flip; row 4's asymmetric system does not.
     original = parity.enumerate_assignments
 
-    def flipped_rhs(system, return_assignments=False):
-        flipped = parity.ConstraintSystem(
+    def flipped_rhs(system):
+        return original(parity.ConstraintSystem(
             tuple(parity.ParityConstraint(c.variables, -c.rhs)
                   for c in system.constraints),
-            system.universe)
-        return original(flipped, return_assignments)
+            system.universe))
 
     monkeypatch.setattr(parity, "enumerate_assignments", flipped_rhs)
     row = assert_verify_row_fails(4, capsys)
@@ -256,6 +255,31 @@ def test_null_certificate_fails_check_assignments(monkeypatch, capsys):
     assert main(["check-assignments", "--builtin", "ghz"]) == 1
     out = capsys.readouterr().out
     assert "certificate: none" in out
+    assert "verdict: FAIL" in out
+
+
+@pytest.mark.parametrize("witness, printed", [
+    (None, "witness: none"),
+    ({"a": 1, "b": -1}, "witness: a=+1 b=-1"),            # no value for c
+    ({"a": 0, "b": -1, "c": -1}, "witness: a=+0 b=-1 c=-1"),
+], ids=["null", "missing-variable", "zero-value"])
+def test_malformed_witness_fails_check_assignments(
+        witness, printed, monkeypatch, capsys, tmp_path):
+    # A witness is checked, not trusted: it fails the verdict (exit 1)
+    # rather than crashing the command or exiting 2 as for bad input.
+    original = parity.satisfiable
+    monkeypatch.setattr(parity, "satisfiable", lambda system: dataclasses.replace(
+        original(system), witness=witness))
+    path = tmp_path / "sat.txt"
+    path.write_text("a*b = -1\nb*c = 1\n")
+    assert main(["check-assignments", "--constraints", str(path), "--format", "json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"] == "FAIL"
+    assert doc["results"]["solve"]["witness"] == witness
+    assert doc["results"]["consistency"]["witness_verified"] is False
+    assert main(["check-assignments", "--constraints", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert printed in out.splitlines()
     assert "verdict: FAIL" in out
 
 

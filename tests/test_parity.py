@@ -1,4 +1,5 @@
 """GF(2) satisfiability: solver, enumeration, certificates, parsing."""
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from relfacts.parity import (
     BUILTIN_SYSTEMS,
     ConstraintSystem,
     ParityConstraint,
+    _consistency,
     analyze,
     enumerate_assignments,
     ghz_record_system,
@@ -24,6 +26,13 @@ def system_of(*specs, universe=None):
         [ParityConstraint(vs, rhs) for vs, rhs in specs], universe)
 
 
+def chain(n):
+    """v0*v1 = 1, ..., v(n-2)*v(n-1) = 1: two solutions over n variables."""
+    return parse_constraints(
+        "".join(f"v{i}*v{i + 1} = 1\n" for i in range(n - 1)),
+        tuple(f"v{i}" for i in range(n)))
+
+
 class TestParityConstraint:
     def test_pair_cancellation(self):
         c = ParityConstraint(("x", "x", "y"), -1)
@@ -36,8 +45,8 @@ class TestParityConstraint:
         assert c == ParityConstraint(frozenset(), -1)
         assert str(c) == "1 = -1"
         analysis = analyze(ConstraintSystem.from_constraints([c]))
-        assert analysis["solve"]["satisfiable"] is False
-        assert analysis["enumeration"]["count"] == 0
+        assert analysis["solve"].satisfiable is False
+        assert analysis["enumeration"].count == 0
 
     def test_cancelled_names_are_validated(self):
         with pytest.raises(ValueError):
@@ -115,6 +124,12 @@ class TestSolver:
         with pytest.raises(ResourceError):
             satisfiable(sys_)
 
+    def test_solves_exactly_the_guard_size(self):
+        result = satisfiable(chain(64))
+        assert result.satisfiable
+        assert result.rank == 63
+        assert result.num_solutions == 2
+
     def test_random_systems_500_cases_match_enumeration_and_brute_force(self):
         rng = np.random.default_rng(90125)
         for _ in range(500):
@@ -173,16 +188,6 @@ PROPERTY_CASES = sorted(
 
 
 class TestEnumeration:
-    def test_listing(self):
-        sys_ = system_of((("x", "y"), -1))
-        enum = enumerate_assignments(sys_, return_assignments=True)
-        assert enum.count == 2
-        assert enum.tested == 4
-        assert {frozenset(a.items()) for a in enum.assignments} == {
-            frozenset({("x", 1), ("y", -1)}),
-            frozenset({("x", -1), ("y", 1)}),
-        }
-
     def test_guard(self):
         universe = tuple(f"v{i}" for i in range(21))
         sys_ = ConstraintSystem((), universe)
@@ -192,14 +197,14 @@ class TestEnumeration:
     @pytest.mark.parametrize("planted", [False, True])
     @pytest.mark.parametrize("n,m", PROPERTY_CASES)
     def test_count_and_listing_match_brute_force(self, n, m, planted):
+        # The count must equal the oracle's count and the length of this
+        # file's own listing of the solutions.
         rng = np.random.default_rng([n, m, planted])
         sys_ = random_system(rng, n, m, planted)
-        enum = enumerate_assignments(sys_, return_assignments=True)
-        expected = ascending_solutions(sys_)
+        enum = enumerate_assignments(sys_)
         assert enum.count == brute_force_count(
             [(c.variables, c.rhs) for c in sys_.constraints], sys_.universe)
-        assert enum.count == len(expected)
-        assert list(enum.assignments) == expected
+        assert enum.count == len(ascending_solutions(sys_))
         assert enum.tested == 1 << n
         if planted or m == 0:
             assert enum.count > 0
@@ -342,14 +347,20 @@ class TestParsing:
             parse_constraints("x*q = 1\n", universe=("x",))
 
 
+def replaced(analysis, key, **changes):
+    """The analysis with the fields `changes` of its result object `key`
+    replaced."""
+    return {**analysis, key: dataclasses.replace(analysis[key], **changes)}
+
+
 class TestAnalyze:
     def test_record_system_report(self):
         doc = analyze(ghz_record_system())
-        assert doc["solve"]["satisfiable"] is False
-        assert doc["solve"]["certificate"] == [1, 2, 3, 4]
-        assert doc["enumeration"]["count"] == 0
-        assert doc["enumeration"]["tested"] == 64
-        assert doc["product_identity"]["is_contradiction"] is True
+        assert doc["solve"].satisfiable is False
+        assert doc["solve"].certificate == (1, 2, 3, 4)
+        assert doc["enumeration"].count == 0
+        assert doc["enumeration"].tested == 64
+        assert doc["product_identity"].is_contradiction is True
         assert doc["consistency"]["certificate_verified"] is True
         assert doc["consistency"]["constraints_parse_back"] is True
         assert doc["consistent"] is True
@@ -357,13 +368,75 @@ class TestAnalyze:
     def test_cancelled_constraint_prints_a_text_that_parses_back(self):
         doc = analyze(parse_constraints("x*x = -1\n"))
         assert doc["system"]["constraints"] == ["1 = -1"]
-        assert doc["solve"]["certificate"] == [1]
+        assert doc["solve"].certificate == (1,)
         assert doc["consistency"]["constraints_parse_back"] is True
         assert doc["consistent"] is True
 
     def test_satisfiable_report(self):
         doc = analyze(system_of((("x", "y"), -1)))
-        assert doc["solve"]["satisfiable"] is True
+        assert doc["solve"].satisfiable is True
         assert doc["consistency"]["witness_verified"] is True
         assert doc["consistency"]["solver_enumeration_agree"] is True
         assert doc["consistent"] is True
+
+    def test_twenty_variables_are_enumerated(self):
+        doc = analyze(chain(20))
+        assert doc["enumeration"].count == 2
+        assert doc["enumeration"].tested == 1 << 20
+        assert doc["consistency"]["solver_enumeration_agree"] is True
+        assert doc["consistent"] is True
+
+    @pytest.mark.parametrize("n", [21, 64])
+    def test_larger_systems_are_solved_without_enumeration(self, n):
+        doc = analyze(chain(n))
+        assert doc["enumeration"] is None
+        assert doc["solve"].num_solutions == 2
+        assert doc["consistency"]["solver_enumeration_agree"] is None
+        assert doc["consistent"] is True
+
+
+class TestConsistency:
+    """Each cross-check fails on an analysis whose result objects disagree
+    with the system or with each other."""
+
+    SAT = system_of((("a", "b"), -1), (("b", "c"), 1))
+
+    @pytest.mark.parametrize("witness", [
+        None,
+        {"a": 1, "b": 1, "c": 1},       # violates a*b = -1
+        {"a": 1, "b": -1},              # no value for c
+        {"a": 0, "b": -1, "c": -1},     # 0 is not +/-1
+    ])
+    def test_bad_witness(self, witness):
+        analysis = replaced(analyze(self.SAT), "solve", witness=witness)
+        assert _consistency(self.SAT, analysis)["witness_verified"] is False
+
+    @pytest.mark.parametrize("certificate", [None, (), (1, 2, 3)])
+    def test_bad_certificate(self, certificate):
+        sys_ = ghz_record_system()
+        analysis = replaced(analyze(sys_), "solve", certificate=certificate)
+        assert _consistency(sys_, analysis)["certificate_verified"] is False
+
+    @pytest.mark.parametrize("system, count", [
+        (SAT, 0),                        # satisfiable, none counted
+        (SAT, 4),                        # the solver counts 2
+        (ghz_record_system(), 1),        # unsatisfiable, one counted
+    ])
+    def test_count_that_disagrees_with_the_solver(self, system, count):
+        analysis = replaced(analyze(system), "enumeration", count=count)
+        assert _consistency(system, analysis)["solver_enumeration_agree"] is False
+
+    def test_missing_enumeration_of_twenty_variables(self):
+        sys_ = chain(20)
+        analysis = {**analyze(sys_), "enumeration": None}
+        assert _consistency(sys_, analysis)["solver_enumeration_agree"] is False
+
+    def test_misread_product_identity(self):
+        sys_ = ghz_record_system()
+        analysis = replaced(analyze(sys_), "product_identity", is_contradiction=False)
+        assert _consistency(sys_, analysis)["product_identity_verified"] is False
+
+    def test_contradiction_in_a_satisfiable_system(self):
+        sys_ = ghz_record_system()
+        analysis = replaced(analyze(sys_), "solve", satisfiable=True)
+        assert _consistency(sys_, analysis)["product_identity_verified"] is False

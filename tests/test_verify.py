@@ -3,7 +3,6 @@ read-back and its monomial arithmetic against dense matrix products, every
 judge on hand-built evidence (each conjunct of a
 pass condition made false on its own), and the runner that builds each
 piece of evidence once and each report of check 9 twice."""
-import copy
 import dataclasses
 import json
 import tracemalloc
@@ -192,21 +191,25 @@ def test_commutation_judges_both_norms(products, pairs, expected):
 
 
 GHZ_ANALYSIS = {
-    "solve": {"satisfiable": False, "certificate": [1, 2, 3, 4]},
-    "enumeration": {"count": 0, "tested": 64},
-    "product_identity": {"is_contradiction": True},
+    "solve": parity.SolveResult(
+        satisfiable=False, witness=None, certificate=(1, 2, 3, 4), rank=3,
+        num_solutions=0),
+    "enumeration": parity.EnumerationResult(count=0, tested=64),
+    "product_identity": parity.ProductIdentity(
+        subset=(1, 2, 3, 4), residual_variables=(), rhs=-1, is_contradiction=True),
     "consistent": True,
 }
 
 
 def altered(base, path, value):
-    changed = copy.deepcopy(base)
-    *parents, key = path
-    target = changed
-    for parent in parents:
-        target = target[parent]
-    target[key] = value
-    return changed
+    """`base` with the entry at `path` set to `value`: a dict key, or a
+    field of a result object, replaced in a copy."""
+    key, *rest = path
+    old = getattr(base, key) if dataclasses.is_dataclass(base) else base[key]
+    new = altered(old, rest, value) if rest else value
+    if dataclasses.is_dataclass(base):
+        return dataclasses.replace(base, **{key: new})
+    return {**base, key: new}
 
 
 def test_no_assignment_passes_on_the_ghz_analysis():
@@ -216,7 +219,7 @@ def test_no_assignment_passes_on_the_ghz_analysis():
 
 @pytest.mark.parametrize("path, value", [
     (("solve", "satisfiable"), True),
-    (("solve", "certificate"), [1, 2, 3]),
+    (("solve", "certificate"), (1, 2, 3)),
     (("enumeration", "count"), 1),
     (("enumeration", "tested"), 32),
     (("product_identity", "is_contradiction"), False),
@@ -226,15 +229,19 @@ def test_no_assignment_fails_on_each_conjunct(path, value):
     assert not passes(verify._no_assignment, built(altered(GHZ_ANALYSIS, path, value)))
 
 
-SUBSYSTEM = {"solve": {"satisfiable": True},
-             "consistency": {"witness_verified": True},
-             "enumeration": {"count": 8}}
+SUBSYSTEM = {
+    "solve": parity.SolveResult(
+        satisfiable=True, witness=None, certificate=None, rank=3, num_solutions=8),
+    "consistency": {"witness_verified": True},
+    "enumeration": parity.EnumerationResult(count=8, tested=64),
+}
 
 
 def subsystems(index=None, path=(), value=None):
     """Four eight-solution subsystems, then the two-solution asymmetric
     system; entry `index` altered at `path`."""
-    analyses = [SUBSYSTEM] * 4 + [{"enumeration": {"count": 2}}]
+    analyses = [SUBSYSTEM] * 4 + [
+        {"enumeration": parity.EnumerationResult(count=2, tested=8)}]
     if index is not None:
         analyses[index] = altered(analyses[index], path, value)
     return analyses
