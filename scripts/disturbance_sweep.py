@@ -13,40 +13,27 @@ import argparse
 from relfacts.observers import Premeasurement, ledger, premeasure
 from relfacts.pauli import PauliString
 from relfacts.scenarios import (
-    ALICE_MEMORY,
     BOB_MEMORY,
-    CONSTRAINT_PATTERNS,
     CONSTRAINT_SIGNS,
     NUM_QUBITS,
     ScenarioConfig,
     alice_premeasurements,
     lifted_direct_observables,
+    record_slots,
     run_lmz,
 )
 from relfacts.statevector import expectation
-
-
-def record_products():
-    """The four Z-string products over the record qubits."""
-    products = []
-    for pattern in CONSTRAINT_PATTERNS:
-        factors = {}
-        for k, slot in enumerate(pattern):
-            qubit = BOB_MEMORY[k] if slot == "B" else ALICE_MEMORY[k]
-            factors[qubit] = "Z"
-        products.append(PauliString.from_map(NUM_QUBITS, factors))
-    return products
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.parse_args()
 
-    products = record_products()
-    headers = ["stage"] + [
-        "*".join(f"{slot}{k + 1}" for k, slot in enumerate(pattern))
-        for pattern in CONSTRAINT_PATTERNS
-    ] + ["ledger"]
+    slots = [record_slots(cid) for cid in range(1, len(CONSTRAINT_SIGNS) + 1)]
+    products = [PauliString.from_map(NUM_QUBITS, {q: "Z" for _, q in records})
+                for records in slots]
+    headers = (["stage"] + ["*".join(label for label, _ in records) for records in slots]
+               + ["ledger"])
 
     def snapshot(rows, state, facts, label):
         values = [f"{expectation(state, p):+.3f}" for p in products]

@@ -18,6 +18,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
+from . import scenarios
 from .errors import ConstraintParseError, ResourceError
 
 SOLVE_MAX_VARIABLES = 64
@@ -335,12 +336,13 @@ def _consistency(system: ConstraintSystem, analysis: dict) -> dict:
 
     A witness must give every universe variable +1 or -1 and satisfy every
     constraint. When the system is unsatisfiable, the certificate must be
-    present, non-empty and multiply to the contradiction 1 = -1. Whenever
-    the universe is small enough to enumerate, the enumeration must be
-    present and its count must agree with the solver's. The printed
-    constraint texts must parse back to the system's own constraints. The
-    product of all constraints is a contradiction exactly when no variable
-    survives and its rhs is -1, and only for an unsatisfiable system.
+    present and non-empty, name each constraint index in 1..m at most once,
+    and multiply to the contradiction 1 = -1. Whenever the universe is
+    small enough to enumerate, the enumeration must be present and its
+    count must agree with the solver's. The printed constraint texts must
+    parse back to the system's own constraints. The product of all
+    constraints is a contradiction exactly when no variable survives and
+    its rhs is -1, and only for an unsatisfiable system.
     """
     solve, enumeration = analysis["solve"], analysis["enumeration"]
     identity = analysis["product_identity"]
@@ -355,8 +357,12 @@ def _consistency(system: ConstraintSystem, analysis: dict) -> dict:
             and all(witness.get(v) in (1, -1) for v in system.universe)
             and all(system.check(witness)))
     else:
-        certificate_verified = bool(solve.certificate) and product_identity(
-            system, solve.certificate).is_contradiction
+        certificate = solve.certificate or ()
+        certificate_verified = (
+            bool(certificate)
+            and len(set(certificate)) == len(certificate)
+            and set(certificate) <= set(range(1, len(system.constraints) + 1))
+            and product_identity(system, certificate).is_contradiction)
     if enumeration is not None:
         agreement = ((enumeration.count > 0) == solve.satisfiable
                      and (not solve.satisfiable
@@ -380,16 +386,14 @@ def _consistency(system: ConstraintSystem, analysis: dict) -> dict:
 
 def ghz_record_system() -> ConstraintSystem:
     """The four record-product constraints realized by the simulated
-    protocols: one all-direct product pinned to +1 and three mixed products
-    pinned to -1. Their full product is the contradiction 1 = -1."""
+    protocols, built from scenarios' constraint table (record_slots and
+    CONSTRAINT_SIGNS) at each call: one all-direct product pinned to +1 and
+    three mixed products pinned to -1, over the universe A1..B3. Their full
+    product is the contradiction 1 = -1."""
     constraints = (
-        ParityConstraint(("B1", "B2", "B3"), 1),
-        ParityConstraint(("B1", "A2", "A3"), -1),
-        ParityConstraint(("A1", "B2", "A3"), -1),
-        ParityConstraint(("A1", "A2", "B3"), -1),
-    )
-    universe = ("A1", "A2", "A3", "B1", "B2", "B3")
-    return ConstraintSystem(constraints, universe)
+        ParityConstraint([label for label, _ in scenarios.record_slots(cid)], sign)
+        for cid, sign in enumerate(scenarios.CONSTRAINT_SIGNS, 1))
+    return ConstraintSystem(constraints, ("A1", "A2", "A3", "B1", "B2", "B3"))
 
 
 BUILTIN_SYSTEMS = {"ghz": ghz_record_system}

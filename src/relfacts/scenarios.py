@@ -15,8 +15,9 @@ when that record still exists) and Alice-record readouts A_k (Z on memory
 Two flows realize them. The single-experiment flow keeps Alice's records
 and lets Bob address lifted observables; the four-experiment flow reverses
 the relevant records and lets Bob measure directly. Both reproduce the same
-four expectations, while the parity module shows no fixed +/-1 assignment
-to {A_k, B_k} satisfies all four at once.
+four expectations, while the parity module, whose ghz_record_system is
+built from this module's table, shows no fixed +/-1 assignment to
+{A_k, B_k} satisfies all four at once.
 
 Exact certifications of a product use the operator product on the state.
 Sampled record readouts are commuting Z's on distinct memory qubits, so
@@ -82,8 +83,9 @@ MAX_SHOTS = 10**18
 
 BOB_MODES = ("lmz-lifted", "cdr-reversal")
 
-# Constraint table: per pair k the slot is "B" (direct outcome) or "A"
-# (record readout). Products of the chosen observables carry these signs.
+# The constraint table, read at call time through record_slots: per pair k
+# the slot is "B" (direct outcome) or "A" (record readout). Products of the
+# chosen observables carry these signs.
 CONSTRAINT_PATTERNS = (
     ("B", "B", "B"),
     ("B", "A", "A"),
@@ -296,21 +298,27 @@ class ConstraintSpec:
     expected: int
 
 
+def record_slots(constraint_id: int) -> tuple:
+    """The (label, memory qubit) record of each pair of constraint
+    `constraint_id`, in pair order, per CONSTRAINT_PATTERNS: Bob's memory
+    (B_k) for a B slot, Alice's (A_k) for an A slot."""
+    # Lists, not generators, here and in constraint_table: each generator is
+    # one more GC-tracked object per call, and on the flows' path they moved
+    # the collections enough to raise verify's tracemalloc peak by 2%.
+    return tuple([
+        (f"{slot}{k + 1}", (BOB_MEMORY if slot == "B" else ALICE_MEMORY)[k])
+        for k, slot in enumerate(CONSTRAINT_PATTERNS[constraint_id - 1])])
+
+
 def constraint_table(bhats: Sequence[PauliString],
                      ahats: Sequence[PauliString]) -> tuple:
     """The four certified products over direct/record observables."""
     specs = []
-    for cid, (pattern, sign) in enumerate(zip(CONSTRAINT_PATTERNS, CONSTRAINT_SIGNS), 1):
-        labels = []
-        observables = []
-        for k, slot in enumerate(pattern):
-            if slot == "B":
-                labels.append(f"B{k + 1}")
-                observables.append(bhats[k])
-            else:
-                labels.append(f"A{k + 1}")
-                observables.append(ahats[k])
-        specs.append(ConstraintSpec(cid, tuple(labels), tuple(observables), sign))
+    for cid, sign in enumerate(CONSTRAINT_SIGNS, 1):
+        labels = tuple([label for label, _ in record_slots(cid)])
+        observables = tuple([(bhats if label[0] == "B" else ahats)[k]
+                             for k, label in enumerate(labels)])
+        specs.append(ConstraintSpec(cid, labels, observables, sign))
     return tuple(specs)
 
 
@@ -569,16 +577,14 @@ def _certify_records(state: StateVector, constraint_id: int, stage: str,
                      target: str, config: ScenarioConfig, sampling: list) -> ConstraintResult:
     """Certify constraint `constraint_id` on the memory records of `state`.
 
-    The (label, qubit) records follow CONSTRAINT_PATTERNS: Bob's memory for
-    a B slot, Alice's for an A slot. Their Z product is certified exactly;
-    when config.shots > 0 the readouts are also sampled on STREAM_SAMPLE
-    (scope = constraint id), the tally is appended to `sampling`, and the
-    returned certification carries the shot evidence.
+    The (label, qubit) records are record_slots(constraint_id), and the
+    expected sign comes from CONSTRAINT_SIGNS. Their Z product is certified
+    exactly; when config.shots > 0 the readouts are also sampled on
+    STREAM_SAMPLE (scope = constraint id), the tally is appended to
+    `sampling`, and the returned certification carries the shot evidence.
     """
     expected = CONSTRAINT_SIGNS[constraint_id - 1]
-    records = tuple(
-        (f"{slot}{k + 1}", (BOB_MEMORY if slot == "B" else ALICE_MEMORY)[k])
-        for k, slot in enumerate(CONSTRAINT_PATTERNS[constraint_id - 1]))
+    records = record_slots(constraint_id)
     result = certify_constraint(
         state,
         tuple(PauliString.single(NUM_QUBITS, q, "Z") for _, q in records),
@@ -647,24 +653,25 @@ def run_lmz(config: ScenarioConfig) -> ScenarioReport:
         state = flow.record(state, pm, f"B{k + 1}", stage=f"bob-{k + 1}")
         flow.snapshot(f"bob-{k + 1}", state)
     final = state
-    bob1 = flow.snapshots[2].state
 
     # Record-level certification and sampling: constraint 1 from the full
     # pipeline's Bob records, constraint 2 from the pipeline right after
     # Bob's first step, constraints 3 and 4 from a side branch where only
     # the matching Bob premeasurement has run.
     sampling = []
+    records = []
     for spec in specs:
         cid = spec.constraint_id
         if cid == 1:
             st, stage_label = final, "bob-3"
         elif cid == 2:
-            st, stage_label = bob1, "bob-1"
+            st, stage_label = flow.snapshots[2].state, "bob-1"
         else:
             st = premeasure(stage1, bob_pms[cid - 2])
             stage_label = f"bob-{cid - 1}-only"
-        constraints.append(_certify_records(
+        records.append(_certify_records(
             st, cid, stage_label, f"constraint-{cid}-records", config, sampling))
+    constraints += records
 
     # Transported certificate: conjugate each product through Bob's three
     # premeasurements and certify it on the final state.
@@ -682,19 +689,20 @@ def run_lmz(config: ScenarioConfig) -> ScenarioReport:
             "certified": abs(val - spec.expected) <= config.tolerance,
         })
 
-    # Disturbed diagnostic: the mixed record product that held right after
-    # Bob's first premeasurement no longer holds on the final state.
-    trio = product_of(
-        PauliString.single(NUM_QUBITS, q, "Z")
-        for q in (BOB_MEMORY[0], ALICE_MEMORY[1], ALICE_MEMORY[2]))
-    early_val = expectation(bob1, trio)
-    final_val = expectation(final, trio)
+    # Disturbed diagnostic: the mixed record product of constraint 2, which
+    # its record certification read right after Bob's first premeasurement,
+    # no longer holds on the final state.
+    early = records[1]
+    early_val = early.expectation
+    final_val = expectation(final, product_of(
+        PauliString.single(NUM_QUBITS, q, "Z") for _, q in record_slots(2)))
     facts = flow.snapshots[-1].facts  # bob-3 follows the last record step
     disturbed_statuses = {
-        f.label: f.status for f in facts if f.label in ("A2", "A3")}
+        f.label: f.status for f in facts
+        if f.label in early.labels and f.label.startswith("A")}
     disturbed_diagnostic = {
-        "records": ["B1", "A2", "A3"],
-        "early_stage": "bob-1",
+        "records": list(early.labels),
+        "early_stage": early.stage,
         "early_expectation": early_val,
         "final_expectation": final_val,
         "gap": abs(final_val - early_val),

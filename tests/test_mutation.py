@@ -6,9 +6,11 @@ default tolerance and at the largest accepted one; a miscounted tally,
 which no tolerance forgives, at 200 shots and the default tolerance only.
 Each verify mutant must
 make `verify --all` exit 1 and fail the acceptance row that judges the
-mutated piece. Each parity mutant changes what `check-assignments` prints
-for the builtin ghz system or a small constraints file, and the command
-must exit 1 because its verdict reads the printed analysis.
+mutated piece; a GHZ record system that differs from the products the
+flows measure fails row 3. Each parity mutant changes what
+`check-assignments` prints for the builtin ghz system or a small
+constraints file, and the command must exit 1 because its verdict reads
+the printed analysis.
 """
 import dataclasses
 import json
@@ -114,6 +116,48 @@ def test_non_monomial_dense_matrix_fails_verify(monkeypatch, capsys):
     monkeypatch.setattr(PauliString, "dense_matrix", crowded_first_column)
     row = assert_verify_row_fails(2, capsys)
     assert "not monomial" in row["detail"]
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_flipped_constraint_sign_fails_verify(index, monkeypatch, capsys):
+    # The GHZ system reads the same table, so the parity half now analyses a
+    # sign that neither flow measures.
+    flipped = list(scenarios.CONSTRAINT_SIGNS)
+    flipped[index] = -flipped[index]
+    monkeypatch.setattr(scenarios, "CONSTRAINT_SIGNS", tuple(flipped))
+    row = assert_verify_row_fails(3, capsys)
+    assert row["detail"].startswith(f"constraint {index + 1}: lmz measured ")
+
+
+def test_record_system_reads_the_constraint_signs(monkeypatch):
+    monkeypatch.setattr(scenarios, "CONSTRAINT_SIGNS", (-1, 1, 1, 1))
+    assert [str(c) for c in parity.ghz_record_system().constraints] == [
+        "B1*B2*B3 = -1", "A2*A3*B1 = +1", "A1*A3*B2 = +1", "A1*A2*B3 = +1"]
+
+
+def record_system_of(*constraints):
+    return lambda: parity.ConstraintSystem(
+        tuple(parity.ParityConstraint(labels, rhs) for labels, rhs in constraints),
+        ("A1", "A2", "A3", "B1", "B2", "B3"))
+
+
+# Record systems the flows do not measure that are still contradictory, so
+# every parity cross-check of theirs holds: only the tie of check 3 to the
+# flows' certifications sees them.
+@pytest.mark.parametrize("system, detail", [
+    (record_system_of(                          # signs of (2) and (3) flipped
+        (("B1", "B2", "B3"), 1), (("B1", "A2", "A3"), 1),
+        (("A1", "B2", "A3"), 1), (("A1", "A2", "B3"), -1)),
+     "constraint 2: lmz measured A2*A3*B1 = -1, analysed A2*A3*B1 = +1"),
+    (record_system_of(                          # B2 and A2 swapped, (1) <-> (2)
+        (("B1", "A2", "B3"), 1), (("B1", "B2", "A3"), -1),
+        (("A1", "B2", "A3"), -1), (("A1", "A2", "B3"), -1)),
+     "constraint 1: lmz measured B1*B2*B3 = +1, analysed A2*B1*B3 = +1"),
+], ids=["two-signs", "swapped-labels"])
+def test_unmeasured_record_system_fails_verify(system, detail, monkeypatch, capsys):
+    assert not parity.satisfiable(system()).satisfiable
+    monkeypatch.setattr(parity, "ghz_record_system", system)
+    assert assert_verify_row_fails(3, capsys)["detail"] == detail
 
 
 def test_sign_flipped_enumeration_fails_verify(monkeypatch, capsys):
@@ -280,6 +324,26 @@ def test_malformed_witness_fails_check_assignments(
     assert main(["check-assignments", "--constraints", str(path)]) == 1
     out = capsys.readouterr().out
     assert printed in out.splitlines()
+    assert "verdict: FAIL" in out
+
+
+@pytest.mark.parametrize("certificate", [(1, 2, 3, 5), (1, 2, 3, 4, 4, 4)],
+                         ids=["out-of-range", "repeated"])
+def test_malformed_certificate_fails_check_assignments(certificate, monkeypatch, capsys):
+    # A certificate is checked, not trusted: an index outside 1..4 fails the
+    # verdict (exit 1) instead of exiting 2 as for bad input, and a repeated
+    # index is not a subset even though it multiplies to 1 = -1.
+    original = parity.satisfiable
+    monkeypatch.setattr(parity, "satisfiable", lambda system: dataclasses.replace(
+        original(system), certificate=certificate))
+    results = assert_ghz_fails(capsys)
+    assert results["solve"]["certificate"] == list(certificate)
+    assert results["consistency"]["certificate_verified"] is False
+    assert main(["check-assignments", "--builtin", "ghz"]) == 1
+    out = capsys.readouterr().out
+    subset = ",".join(map(str, certificate))
+    assert (f"certificate: constraints {{{subset}}} multiply to the "
+            "contradiction 1 = -1") in out.splitlines()
     assert "verdict: FAIL" in out
 
 

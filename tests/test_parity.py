@@ -411,7 +411,12 @@ class TestConsistency:
         analysis = replaced(analyze(self.SAT), "solve", witness=witness)
         assert _consistency(self.SAT, analysis)["witness_verified"] is False
 
-    @pytest.mark.parametrize("certificate", [None, (), (1, 2, 3)])
+    @pytest.mark.parametrize("certificate", [
+        None, (), (1, 2, 3),
+        (1, 2, 3, 5),           # no constraint 5
+        (0, 1, 2, 3, 4),        # no constraint 0
+        (1, 2, 3, 4, 4, 4),     # multiplies to 1 = -1, but not a subset
+    ])
     def test_bad_certificate(self, certificate):
         sys_ = ghz_record_system()
         analysis = replaced(analyze(sys_), "solve", certificate=certificate)

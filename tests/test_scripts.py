@@ -1,5 +1,6 @@
-"""Every demo script runs to completion against the package, and the
-assignment search lists what it claims."""
+"""Every demo script runs to completion against the package, the
+disturbance sweep prints the constraint table, and the assignment search
+lists what it claims."""
 import math
 import os
 import subprocess
@@ -28,6 +29,15 @@ def run_script(script, *args):
 @pytest.mark.parametrize("script", SCRIPTS)
 def test_script_exits_zero(script):
     run_script(script)
+
+
+def test_disturbance_sweep_prints_the_four_products_and_their_signs():
+    lines = run_script("disturbance_sweep.py").splitlines()
+    header = lines[lines.index("straight pipeline (Bob's steps in order):") + 1]
+    assert header.split() == [
+        "stage", "B1*B2*B3", "B1*A2*A3", "A1*B2*A3", "A1*A2*B3", "ledger"]
+    assert ("expected signs once every record in the product exists: "
+            "+1 -1 -1 -1") in lines
 
 
 @pytest.mark.parametrize("drop", [1, 2, 3, 4])

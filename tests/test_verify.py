@@ -140,6 +140,8 @@ def constraint(cid, kind, expectation, **fields):
 
 
 SIGNS = {1: 1, 2: -1, 3: -1, 4: -1}
+LABELS = {1: ("B1", "B2", "B3"), 2: ("B1", "A2", "A3"),
+          3: ("A1", "B2", "A3"), 4: ("A1", "A2", "B3")}
 
 
 def built(result, rendered=("json", "text")):
@@ -149,10 +151,11 @@ def built(result, rendered=("json", "text")):
 
 def exact_flows():
     lmz = SimpleNamespace(constraints=[
-        constraint(cid, kind, sign) for kind in ("operator", "record")
+        constraint(cid, kind, sign, labels=LABELS[cid]) for kind in ("operator", "record")
         for cid, sign in SIGNS.items()])
     cdr = [SimpleNamespace(constraints=[
-        constraint(cid, kind, SIGNS[cid]) for kind in ("operator", "record")])
+        constraint(cid, kind, SIGNS[cid], labels=LABELS[cid])
+        for kind in ("operator", "record")])
         for cid in SIGNS]
     return lmz, cdr
 
@@ -191,6 +194,8 @@ def test_commutation_judges_both_norms(products, pairs, expected):
 
 
 GHZ_ANALYSIS = {
+    "system": {"constraints": [
+        "B1*B2*B3 = +1", "A2*A3*B1 = -1", "A1*A3*B2 = -1", "A1*A2*B3 = -1"]},
     "solve": parity.SolveResult(
         satisfiable=False, witness=None, certificate=(1, 2, 3, 4), rank=3,
         num_solutions=0),
@@ -212,8 +217,14 @@ def altered(base, path, value):
     return {**base, key: new}
 
 
+def no_assignment(analysis, flows=None):
+    """Check 3's judge on exact flows (or `flows`) and `analysis`."""
+    lmz, cdr = flows or exact_flows()
+    return verify._no_assignment(built(lmz), built(cdr), built(analysis))
+
+
 def test_no_assignment_passes_on_the_ghz_analysis():
-    assert verify._no_assignment(built(GHZ_ANALYSIS)) == (
+    assert no_assignment(GHZ_ANALYSIS) == (
         True, "0/64 assignments satisfy all four; certificate {1,2,3,4}")
 
 
@@ -226,7 +237,43 @@ def test_no_assignment_passes_on_the_ghz_analysis():
     (("consistent",), False),
 ])
 def test_no_assignment_fails_on_each_conjunct(path, value):
-    assert not passes(verify._no_assignment, built(altered(GHZ_ANALYSIS, path, value)))
+    assert not no_assignment(altered(GHZ_ANALYSIS, path, value))[0]
+
+
+@pytest.mark.parametrize("index, printed, detail", [
+    (2, ["A1*A3*B2 = +1"],
+     "constraint 3: lmz measured A1*A3*B2 = -1, analysed A1*A3*B2 = +1"),
+    (0, ["A2*B1*B3 = +1", "A3*B1*B2 = -1"],         # B2 and A2 swapped
+     "constraint 1: lmz measured B1*B2*B3 = +1, analysed A2*B1*B3 = +1"),
+])
+def test_no_assignment_fails_on_an_analysis_the_flows_did_not_measure(
+        index, printed, detail):
+    analysed = list(GHZ_ANALYSIS["system"]["constraints"])
+    analysed[index:index + len(printed)] = printed
+    assert no_assignment(altered(GHZ_ANALYSIS, ("system", "constraints"), analysed)) == (
+        False, detail)
+
+
+def test_no_assignment_reads_the_born_values_of_each_flow():
+    lmz, cdr = exact_flows()
+    cdr[1].constraints[0].expectation = 0.999999
+    assert no_assignment(GHZ_ANALYSIS, (lmz, cdr)) == (
+        False, "constraint 2: cdr measured A2*A3*B1 = +1, analysed A2*A3*B1 = -1")
+
+
+def test_no_assignment_reads_the_operator_certifications_only():
+    # A record product is sampled on a later state and may read 0 there.
+    lmz, cdr = exact_flows()
+    for c in lmz.constraints[4:] + [rep.constraints[1] for rep in cdr]:
+        c.expectation = 0.0
+    assert no_assignment(GHZ_ANALYSIS, (lmz, cdr))[0]
+
+
+def test_no_assignment_needs_every_certification():
+    lmz, cdr = exact_flows()
+    del lmz.constraints[3]    # the operator certification of constraint 4
+    assert no_assignment(GHZ_ANALYSIS, (lmz, cdr)) == (
+        False, "constraint 4: lmz measured nothing, analysed A1*A2*B3 = -1")
 
 
 SUBSYSTEM = {
@@ -576,6 +623,6 @@ def test_failing_evidence_fails_only_the_rows_that_need_it(monkeypatch, capsys):
     rows, _, _ = verify.run_all_checks()
     assert [row["id"] for row in rows] == list(range(1, 11))
     failed = {row["id"]: row["detail"] for row in rows if not row["passed"]}
-    assert failed == dict.fromkeys((1, 5, 6, 9), "raised RuntimeError: suite unavailable")
+    assert failed == dict.fromkeys((1, 3, 5, 6, 9), "raised RuntimeError: suite unavailable")
     assert main(["verify", "--all"]) == 1
     assert "verdict: FAIL" in capsys.readouterr().out
