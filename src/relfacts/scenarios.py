@@ -302,22 +302,26 @@ def record_slots(constraint_id: int) -> tuple:
     """The (label, memory qubit) record of each pair of constraint
     `constraint_id`, in pair order, per CONSTRAINT_PATTERNS: Bob's memory
     (B_k) for a B slot, Alice's (A_k) for an A slot."""
-    # Lists, not generators, here and in constraint_table: each generator is
-    # one more GC-tracked object per call, and on the flows' path they moved
-    # the collections enough to raise verify's tracemalloc peak by 2%.
-    return tuple([
+    return tuple(
         (f"{slot}{k + 1}", (BOB_MEMORY if slot == "B" else ALICE_MEMORY)[k])
-        for k, slot in enumerate(CONSTRAINT_PATTERNS[constraint_id - 1])])
+        for k, slot in enumerate(CONSTRAINT_PATTERNS[constraint_id - 1]))
+
+
+def constraint_readouts(constraint_id: int) -> tuple:
+    """The Z readout of each record of constraint `constraint_id`, in
+    record_slots order; their product is the constraint's record product."""
+    return tuple(PauliString.single(NUM_QUBITS, q, "Z")
+                 for _, q in record_slots(constraint_id))
 
 
 def constraint_table(bhats: Sequence[PauliString],
                      ahats: Sequence[PauliString]) -> tuple:
     """The four certified products over direct/record observables."""
     specs = []
-    for cid, sign in enumerate(CONSTRAINT_SIGNS, 1):
-        labels = tuple([label for label, _ in record_slots(cid)])
-        observables = tuple([(bhats if label[0] == "B" else ahats)[k]
-                             for k, label in enumerate(labels)])
+    for cid, (pattern, sign) in enumerate(zip(CONSTRAINT_PATTERNS, CONSTRAINT_SIGNS), 1):
+        labels = tuple(label for label, _ in record_slots(cid))
+        observables = tuple((bhats if slot == "B" else ahats)[k]
+                            for k, slot in enumerate(pattern))
         specs.append(ConstraintSpec(cid, labels, observables, sign))
     return tuple(specs)
 
@@ -578,17 +582,16 @@ def _certify_records(state: StateVector, constraint_id: int, stage: str,
     """Certify constraint `constraint_id` on the memory records of `state`.
 
     The (label, qubit) records are record_slots(constraint_id), and the
-    expected sign comes from CONSTRAINT_SIGNS. Their Z product is certified
-    exactly; when config.shots > 0 the readouts are also sampled on
-    STREAM_SAMPLE (scope = constraint id), the tally is appended to
-    `sampling`, and the returned certification carries the shot evidence.
+    expected sign comes from CONSTRAINT_SIGNS. The product of their Z
+    readouts (constraint_readouts) is certified exactly; when config.shots > 0
+    the readouts are also sampled on STREAM_SAMPLE (scope = constraint id),
+    the tally is appended to `sampling`, and the returned certification
+    carries the shot evidence.
     """
     expected = CONSTRAINT_SIGNS[constraint_id - 1]
     records = record_slots(constraint_id)
     result = certify_constraint(
-        state,
-        tuple(PauliString.single(NUM_QUBITS, q, "Z") for _, q in records),
-        expected,
+        state, constraint_readouts(constraint_id), expected,
         labels=tuple(label for label, _ in records),
         constraint_id=constraint_id, kind="record", stage=stage,
         tolerance=config.tolerance)
@@ -694,12 +697,10 @@ def run_lmz(config: ScenarioConfig) -> ScenarioReport:
     # no longer holds on the final state.
     early = records[1]
     early_val = early.expectation
-    final_val = expectation(final, product_of(
-        PauliString.single(NUM_QUBITS, q, "Z") for _, q in record_slots(2)))
+    final_val = expectation(final, product_of(constraint_readouts(early.constraint_id)))
     facts = flow.snapshots[-1].facts  # bob-3 follows the last record step
     disturbed_statuses = {
-        f.label: f.status for f in facts
-        if f.label in early.labels and f.label.startswith("A")}
+        f.label: f.status for f in facts if f.label in ("A2", "A3")}
     disturbed_diagnostic = {
         "records": list(early.labels),
         "early_stage": early.stage,
@@ -804,12 +805,14 @@ def _run_experiment(config: ScenarioConfig, opening: _Flow, state: StateVector,
         tolerance=config.tolerance)]
 
     # Bob measures the freed system qubits directly (premeasurement onto his
-    # own memories, so the records coexist and can be read in any order).
-    for k in reversed_pairs:
-        pm = Premeasurement(
-            PauliString.single(NUM_QUBITS, SYSTEM_QUBITS[k], "X"),
-            memory=BOB_MEMORY[k], owner="bob")
-        state = flow.record(state, pm, f"B{k + 1}", stage="bob-direct")
+    # own memories, the constraint's B records, so the records coexist and
+    # can be read in any order).
+    for k, (slot, (label, memory)) in enumerate(zip(pattern, record_slots(exp))):
+        if slot == "B":
+            pm = Premeasurement(
+                PauliString.single(NUM_QUBITS, SYSTEM_QUBITS[k], "X"),
+                memory=memory, owner="bob")
+            state = flow.record(state, pm, label, stage="bob-direct")
     flow.snapshot("bob-direct", state)
 
     sampling = []

@@ -237,7 +237,7 @@ def test_no_assignment_passes_on_the_ghz_analysis():
     (("consistent",), False),
 ])
 def test_no_assignment_fails_on_each_conjunct(path, value):
-    assert not no_assignment(altered(GHZ_ANALYSIS, path, value))[0]
+    assert not passes(no_assignment, altered(GHZ_ANALYSIS, path, value))
 
 
 @pytest.mark.parametrize("index, printed, detail", [
@@ -266,7 +266,7 @@ def test_no_assignment_reads_the_operator_certifications_only():
     lmz, cdr = exact_flows()
     for c in lmz.constraints[4:] + [rep.constraints[1] for rep in cdr]:
         c.expectation = 0.0
-    assert no_assignment(GHZ_ANALYSIS, (lmz, cdr))[0]
+    assert passes(no_assignment, GHZ_ANALYSIS, (lmz, cdr))
 
 
 def test_no_assignment_needs_every_certification():
