@@ -21,8 +21,9 @@ Each mutant lands in one class:
 
 `output` and `identical` are survivors and are listed one per line. The
 sweep exits 1 if any `output` survivor remains; `identical` survivors are
-listed for review and do not fail it. The sweep takes minutes, so no test
-suite runs it:
+listed for review and do not fail it. SIGTERM stops the sweep like
+Ctrl-C: the running command is killed and the temporary copy removed. The
+sweep takes minutes, so no test suite runs it to the end:
 
     python scripts/mutation_sweep.py --modules verify --tests tests/test_verify.py
 """
@@ -31,6 +32,7 @@ import ast
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -173,7 +175,14 @@ def sweep(module: str, copy: Path, env: dict, tests: list) -> tuple:
     return counts, survivors
 
 
+def _stop(signum, frame):
+    # Unwinds like KeyboardInterrupt: subprocess.run kills its child and
+    # the TemporaryDirectory removes the copy.
+    raise SystemExit(128 + signum)
+
+
 def main() -> int:
+    signal.signal(signal.SIGTERM, _stop)
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument(

@@ -12,9 +12,12 @@ json.dumps on CPython 3.12 and earlier runs in pure Python, about twice as
 slow as this module's writer.
 
 Report keys are the field names of the result dataclasses (ScenarioConfig,
-ConstraintResult, SampleTally, CplResult, RelativeFact, ...): the writer
-serializes any dataclass field by field. Renaming a field therefore
-changes the schema, and the pinned hashes in tests/test_golden.py catch it.
+ConstraintResult, SampleTally, CplResult, RelativeFact, the lmz flow's
+CommutationSurvey with its SamePairAnticommute rows, TransportedCertificate
+and DisturbedDiagnostic, the cdr flow's FullRestoration or MemoryRestoration
+and CoexistingRecords, ...): the writer serializes any dataclass field by
+field. Renaming a field therefore changes the schema, and the pinned hashes
+in tests/test_golden.py catch it.
 
 Reports carry measurements, not restatements of them. A sampled tally's
 shots, violations and marginal counts are derived from its outcome counts
@@ -236,8 +239,7 @@ def run_flow(scenario: str, experiment: Optional[str], shots: int,
             shots=shots, master_seed=seed, tolerance=tolerance)
     exp = int(experiment)
     return f"run cdr --experiment {exp} {flags}", run_cdr(ScenarioConfig(
-        bob_mode="cdr-reversal", experiment_id=exp, shots=shots,
-        master_seed=seed, tolerance=tolerance))
+        experiment_id=exp, shots=shots, master_seed=seed, tolerance=tolerance))
 
 
 def build_run_document(scenario: str, experiment: Optional[str], shots: int,
@@ -298,54 +300,51 @@ def _render_scenario_body(results: dict) -> list:
               f"{c.expected:+d}", c.expectation, c.shots,
               c.violations, c.certified] for c in constraints]))
         lines.append("")
-    commutation = results.get("commutation") or {}
+    commutation = results.get("commutation")
     if commutation:
         lines.append(
-            "commutation: products pairwise "
-            + _fmt(commutation["all_products_commute"])
-            + ", triples "
-            + _fmt(all(commutation["triples_commute"].values()))
-            + ", same-pair direct/record anticommute "
-            + _fmt(all(r["anticommute"] for r in commutation["same_pair_anticommute"]))
-            + ", cross-pair commute "
-            + _fmt(commutation["cross_pair_commute"]))
+            f"commutation: products pairwise {_fmt(commutation.all_products_commute)},"
+            f" triples {_fmt(all(commutation.triples_commute.values()))},"
+            " same-pair direct/record anticommute"
+            f" {_fmt(all(r.anticommute for r in commutation.same_pair_anticommute))},"
+            f" cross-pair commute {_fmt(commutation.cross_pair_commute)}")
         lines.append("")
     final_certificate = results.get("final_certificate") or []
     if final_certificate:
         lines.append("final-state transported certificate:")
         lines.extend(_table(
             ["id", "observable", "expected", "expectation", "certified"],
-            [[e["constraint_id"], e["observable"], f"{e['expected']:+d}",
-              e["expectation"], e["certified"]] for e in final_certificate]))
+            [[e.constraint_id, e.observable, f"{e.expected:+d}",
+              e.expectation, e.certified] for e in final_certificate]))
         lines.append("")
     diag = results.get("disturbed_diagnostic")
     if diag:
         lines.append(
-            f"disturbed records: {'*'.join(diag['records'])} went from "
-            f"{_fmt(diag['early_expectation'])} at {diag['early_stage']} to "
-            f"{_fmt(diag['final_expectation'])} at the final stage "
-            f"(gap {_fmt(diag['gap'])}, exceeds {MAX_TOLERANCE:g}: "
-            f"{_fmt(diag['gap_exceeds_half'])})")
+            f"disturbed records: {'*'.join(diag.records)} went from "
+            f"{_fmt(diag.early_expectation)} at {diag.early_stage} to "
+            f"{_fmt(diag.final_expectation)} at the final stage "
+            f"(gap {_fmt(diag.gap)}, exceeds {MAX_TOLERANCE:g}: "
+            f"{_fmt(diag.gap_exceeds_half)})")
         lines.append("")
     restoration = results.get("restoration")
     if restoration:
-        if restoration["kind"] == "full":
+        if restoration.kind == "full":
             lines.append(
-                f"restoration: full register, fidelity {_fmt(restoration['fidelity'])},"
-                f" restored {_fmt(restoration['restored'])}")
+                f"restoration: full register, fidelity {_fmt(restoration.fidelity)},"
+                f" restored {_fmt(restoration.restored)}")
         else:
             lines.append(
-                f"restoration: memory qubit {restoration['memory_qubit']},"
-                f" purity {_fmt(restoration['purity'])},"
-                f" excitation {_fmt(restoration['excitation'])},"
-                f" restored {_fmt(restoration['restored'])}")
+                f"restoration: memory qubit {restoration.memory_qubit},"
+                f" purity {_fmt(restoration.purity)},"
+                f" excitation {_fmt(restoration.excitation)},"
+                f" restored {_fmt(restoration.restored)}")
         lines.append("")
     coexisting = results.get("coexisting_records")
     if coexisting:
         lines.append(
-            "coexisting records: " + ",".join(coexisting["current"])
+            "coexisting records: " + ",".join(coexisting.current)
             + " (match constraint: "
-            + _fmt(coexisting["records_match_constraint"]) + ")")
+            + _fmt(coexisting.records_match_constraint) + ")")
         lines.append("")
     cpl = results.get("cpl")
     if cpl:

@@ -81,8 +81,6 @@ MAX_TOLERANCE = 0.5
 # signed 64-bit integer.
 MAX_SHOTS = 10**18
 
-BOB_MODES = ("lmz-lifted", "cdr-reversal")
-
 # The constraint table, read at call time through record_slots: per pair k
 # the slot is "B" (direct outcome) or "A" (record readout). Products of the
 # chosen observables carry these signs.
@@ -101,28 +99,24 @@ CONSTRAINT_KINDS = ("operator", "record")
 class ScenarioConfig:
     """Run parameters shared by both flows.
 
-    experiment_id selects one of the four reversal experiments and must be
-    present exactly when bob_mode is "cdr-reversal". shots = 0 disables
-    sampling, leaving only exact Born-rule certification; at most MAX_SHOTS.
+    experiment_id selects the flow: None for run_lmz, 1..4 for that
+    reversal experiment of run_cdr; bob_mode, "lmz-lifted" or
+    "cdr-reversal", is derived from it. shots = 0 disables sampling,
+    leaving only exact Born-rule certification; at most MAX_SHOTS.
     """
 
-    bob_mode: str = "lmz-lifted"
     experiment_id: Optional[int] = None
     shots: int = 0
     master_seed: int = 0
     tolerance: float = DEFAULT_TOLERANCE
+    bob_mode: str = field(init=False)
 
     def __post_init__(self):
-        if self.bob_mode not in BOB_MODES:
+        if self.experiment_id not in (None, 1, 2, 3, 4):
             raise ValueError(
-                f"bob_mode must be one of {BOB_MODES}, got {self.bob_mode!r}")
-        needs_experiment = self.bob_mode == "cdr-reversal"
-        if needs_experiment and self.experiment_id not in (1, 2, 3, 4):
-            raise ValueError(
-                "cdr-reversal mode needs experiment_id in 1..4, "
-                f"got {self.experiment_id!r}")
-        if not needs_experiment and self.experiment_id is not None:
-            raise ValueError("experiment_id is only meaningful in cdr-reversal mode")
+                f"experiment_id must be None or in 1..4, got {self.experiment_id!r}")
+        object.__setattr__(self, "bob_mode", (
+            "lmz-lifted" if self.experiment_id is None else "cdr-reversal"))
         if not 0 <= self.shots <= MAX_SHOTS:
             raise ValueError(f"shots must lie in [0, {MAX_SHOTS:g}], got {self.shots}")
         if not 0 < self.tolerance < MAX_TOLERANCE:
@@ -231,6 +225,77 @@ class CplResult:
     violation_demonstrated: bool
 
 
+@dataclass(frozen=True)
+class SamePairAnticommute:
+    """Whether pair k's direct observable B_k anticommutes with A_k."""
+    pair: int
+    direct_label: str
+    record_label: str
+    anticommute: bool
+
+
+@dataclass(frozen=True)
+class CommutationSurvey:
+    """The lmz flow's commutation evidence: the four products pairwise (keyed
+    "i,j") and inside each triple (keyed by constraint id), and each direct
+    observable against its own record readout and the other pairs' ones."""
+    product_labels: dict
+    product_pairwise_commute: dict
+    all_products_commute: bool
+    triples_commute: dict
+    same_pair_anticommute: tuple
+    cross_pair_commute: bool
+
+
+@dataclass(frozen=True)
+class TransportedCertificate:
+    """A product carried through Bob's premeasurements to lmz's final state."""
+    constraint_id: int
+    observable: str
+    expected: int
+    expectation: float
+    certified: bool
+
+
+@dataclass(frozen=True)
+class DisturbedDiagnostic:
+    """A mixed record product that held at `early_stage` and fails on lmz's
+    final state, with the final statuses of the records it disturbed."""
+    records: tuple
+    early_stage: str
+    early_expectation: float
+    final_expectation: float
+    gap: float
+    gap_exceeds_half: bool
+    record_statuses: dict
+
+
+@dataclass(frozen=True)
+class FullRestoration:
+    """Experiment 1 reversed every record: fidelity to the prepared state."""
+    fidelity: float
+    restored: bool
+    kind: str = field(default="full", init=False)
+
+
+@dataclass(frozen=True)
+class MemoryRestoration:
+    """Experiments 2..4 reversed one record: its memory's purity and excitation."""
+    memory_qubit: int
+    purity: float
+    excitation: float
+    restored: bool
+    kind: str = field(default="memory", init=False)
+
+
+@dataclass(frozen=True)
+class CoexistingRecords:
+    """The records current after Bob's step, against the constraint's labels."""
+    current: tuple
+    constraint_labels: tuple
+    records_match_constraint: bool
+
+
 @dataclass
 class ScenarioReport:
     """Everything one flow certifies, plus the stage-by-stage evidence.
@@ -247,11 +312,11 @@ class ScenarioReport:
     snapshots: list
     ledger_facts: tuple
     constraints: list
-    commutation: dict
+    commutation: CommutationSurvey | dict  # {} in a reversal experiment
     final_certificate: list
-    disturbed_diagnostic: Optional[dict]
-    restoration: Optional[dict]
-    coexisting_records: Optional[dict]
+    disturbed_diagnostic: Optional[DisturbedDiagnostic]
+    restoration: FullRestoration | MemoryRestoration | None
+    coexisting_records: Optional[CoexistingRecords]
     cpl: Optional[CplResult]
     sampling: list
     passed: bool
@@ -260,12 +325,12 @@ class ScenarioReport:
 # -- protocol building blocks ------------------------------------------------
 
 
-def alice_premeasurements(basis: str = "Y") -> tuple:
-    """Alice's friends each premeasure `basis` on their system qubit onto
-    the matching memory."""
+def alice_premeasurements() -> tuple:
+    """Alice's friends each premeasure Y on their system qubit onto the
+    matching memory."""
     return tuple(
         Premeasurement(
-            PauliString.single(NUM_QUBITS, SYSTEM_QUBITS[k], basis),
+            PauliString.single(NUM_QUBITS, SYSTEM_QUBITS[k], "Y"),
             memory=ALICE_MEMORY[k],
             owner="alice")
         for k in range(3))
@@ -495,45 +560,26 @@ def cpl_check(state: StateVector,
 
 def _commutation_survey(specs: Sequence[ConstraintSpec],
                         bhats: Sequence[PauliString],
-                        ahats: Sequence[PauliString]) -> dict:
-    """Pairwise commutation of the four product observables, commutation
-    inside each certified triple, and the pair-local obstruction: each
-    direct observable anticommutes with its own record observable."""
+                        ahats: Sequence[PauliString]) -> CommutationSurvey:
+    """The commutation survey of the four products `specs`, over Bob's
+    direct observables `bhats` and Alice's record readouts `ahats`."""
     products = [product_of(spec.observables) for spec in specs]
-    pairwise = {}
-    all_commute = True
-    for (i, pi), (j, pj) in combinations(enumerate(products, 1), 2):
-        ok = commutes(pi, pj)
-        pairwise[f"{i},{j}"] = ok
-        all_commute = all_commute and ok
-    triples = {}
-    for spec in specs:
-        ok = all(
-            commutes(a, b) for a, b in combinations(spec.observables, 2))
-        triples[str(spec.constraint_id)] = ok
-    noncoexistence = []
-    cross_ok = True
-    for k in range(3):
-        for j in range(3):
-            same = j == k
-            anti = not commutes(bhats[k], ahats[j])
-            if same:
-                noncoexistence.append({
-                    "pair": k + 1,
-                    "direct_label": f"B{k + 1}",
-                    "record_label": f"A{k + 1}",
-                    "anticommute": anti,
-                })
-            else:
-                cross_ok = cross_ok and not anti
-    return {
-        "product_labels": {str(i): p.label() for i, p in enumerate(products, 1)},
-        "product_pairwise_commute": pairwise,
-        "all_products_commute": all_commute,
-        "triples_commute": triples,
-        "same_pair_anticommute": noncoexistence,
-        "cross_pair_commute": cross_ok,
-    }
+    pairwise = {f"{i},{j}": commutes(pi, pj)
+                for (i, pi), (j, pj) in combinations(enumerate(products, 1), 2)}
+    return CommutationSurvey(
+        product_labels={str(i): p.label() for i, p in enumerate(products, 1)},
+        product_pairwise_commute=pairwise,
+        all_products_commute=all(pairwise.values()),
+        triples_commute={
+            str(spec.constraint_id): all(
+                commutes(a, b) for a, b in combinations(spec.observables, 2))
+            for spec in specs},
+        same_pair_anticommute=tuple(
+            SamePairAnticommute(k + 1, f"B{k + 1}", f"A{k + 1}",
+                                not commutes(bhats[k], ahats[k]))
+            for k in range(3)),
+        cross_pair_commute=all(commutes(bhats[k], ahats[j])
+                               for k in range(3) for j in range(3) if j != k))
 
 
 # -- scenario flows ----------------------------------------------------------
@@ -632,8 +678,8 @@ def run_lmz(config: ScenarioConfig) -> ScenarioReport:
     right after the matching Bob premeasurement alone, since later Bob steps
     disturb the records the mixed products need.
     """
-    if config.bob_mode != "lmz-lifted":
-        raise ValueError("run_lmz needs a config with bob_mode='lmz-lifted'")
+    if config.experiment_id is not None:
+        raise ValueError("run_lmz needs a config without an experiment_id")
     flow, stage1, alice_pms = _alice_complete()
 
     bhats = lifted_direct_observables(alice_pms)
@@ -684,32 +730,21 @@ def run_lmz(config: ScenarioConfig) -> ScenarioReport:
         for pm in bob_pms:
             carried = lift(carried, pm)
         val = expectation(final, carried)
-        final_certificate.append({
-            "constraint_id": spec.constraint_id,
-            "observable": carried.label(),
-            "expected": spec.expected,
-            "expectation": val,
-            "certified": abs(val - spec.expected) <= config.tolerance,
-        })
+        final_certificate.append(TransportedCertificate(
+            spec.constraint_id, carried.label(), spec.expected, val,
+            certified=abs(val - spec.expected) <= config.tolerance))
 
     # Disturbed diagnostic: the mixed record product of constraint 2, which
     # its record certification read right after Bob's first premeasurement,
     # no longer holds on the final state.
     early = records[1]
-    early_val = early.expectation
     final_val = expectation(final, product_of(constraint_readouts(early.constraint_id)))
     facts = flow.snapshots[-1].facts  # bob-3 follows the last record step
-    disturbed_statuses = {
-        f.label: f.status for f in facts if f.label in ("A2", "A3")}
-    disturbed_diagnostic = {
-        "records": list(early.labels),
-        "early_stage": early.stage,
-        "early_expectation": early_val,
-        "final_expectation": final_val,
-        "gap": abs(final_val - early_val),
-        "gap_exceeds_half": abs(final_val - early_val) > MAX_TOLERANCE,
-        "record_statuses": disturbed_statuses,
-    }
+    gap = abs(final_val - early.expectation)
+    disturbed_diagnostic = DisturbedDiagnostic(
+        early.labels, early.stage, early.expectation, final_val, gap,
+        gap_exceeds_half=gap > MAX_TOLERANCE, record_statuses={
+            f.label: f.status for f in facts if f.label in ("A2", "A3")})
 
     cpl = cpl_check(
         stage1, alice_pms[0].observable, "A1", ALICE_MEMORY[0], bob_pms[0],
@@ -719,13 +754,13 @@ def run_lmz(config: ScenarioConfig) -> ScenarioReport:
     _require_constraint_coverage(constraints, {1, 2, 3, 4}, CONSTRAINT_KINDS)
     passed = (
         all(c.certified for c in constraints)
-        and commutation["all_products_commute"]
-        and all(commutation["triples_commute"].values())
-        and all(row["anticommute"] for row in commutation["same_pair_anticommute"])
-        and commutation["cross_pair_commute"]
-        and all(entry["certified"] for entry in final_certificate)
-        and disturbed_diagnostic["gap_exceeds_half"]
-        and disturbed_statuses == {"A2": "disturbed", "A3": "disturbed"}
+        and commutation.all_products_commute
+        and all(commutation.triples_commute.values())
+        and all(row.anticommute for row in commutation.same_pair_anticommute)
+        and commutation.cross_pair_commute
+        and all(entry.certified for entry in final_certificate)
+        and disturbed_diagnostic.gap_exceeds_half
+        and disturbed_diagnostic.record_statuses == {"A2": "disturbed", "A3": "disturbed"}
         and cpl.premise_certified
         and cpl.violation_demonstrated
         and abs(cpl.operator_product_after - 1.0) <= config.tolerance
@@ -751,8 +786,8 @@ def run_cdr(config: ScenarioConfig) -> ScenarioReport:
     m in 2..4 reverses only pair m-1 and certifies the mixed product -1,
     with the two kept records coexisting untouched next to Bob's record.
     """
-    if config.bob_mode != "cdr-reversal":
-        raise ValueError("run_cdr needs a config with bob_mode='cdr-reversal'")
+    if config.experiment_id is None:
+        raise ValueError("run_cdr needs a config with an experiment_id in 1..4")
     return _run_experiment(config, *_alice_complete())
 
 
@@ -772,12 +807,8 @@ def _run_experiment(config: ScenarioConfig, opening: _Flow, state: StateVector,
     flow.snapshot(stage_label, state)
 
     if exp == 1:
-        restoration_fid = fidelity(state, prepared)
-        restoration = {
-            "kind": "full",
-            "fidelity": restoration_fid,
-            "restored": restoration_fid >= 1.0 - config.tolerance,
-        }
+        fid = fidelity(state, prepared)
+        restoration = FullRestoration(fid, restored=fid >= 1.0 - config.tolerance)
     else:
         mem = ALICE_MEMORY[reversed_pairs[0]]
         # Purity of the memory's reduced state from its Bloch vector.
@@ -785,14 +816,8 @@ def _run_experiment(config: ScenarioConfig, opening: _Flow, state: StateVector,
                  for f in "XYZ"]
         purity = (1.0 + sum(b * b for b in bloch)) / 2.0
         excitation = state.probability_of_bit(mem)
-        restoration = {
-            "kind": "memory",
-            "memory_qubit": mem,
-            "purity": purity,
-            "excitation": excitation,
-            "restored": (purity >= 1.0 - config.tolerance
-                         and excitation <= config.tolerance),
-        }
+        restoration = MemoryRestoration(mem, purity, excitation, restored=(
+            purity >= 1.0 - config.tolerance and excitation <= config.tolerance))
 
     # Operator certification on the reversed state: direct X for freed
     # pairs, record Z for kept ones.
@@ -820,18 +845,15 @@ def _run_experiment(config: ScenarioConfig, opening: _Flow, state: StateVector,
         state, exp, "bob-direct", f"experiment-{exp}-records", config, sampling))
 
     facts = flow.snapshots[-1].facts  # bob-direct follows the last record step
-    current_labels = tuple(f.label for f in facts if f.status == "current")
-    coexisting_records = {
-        "current": list(current_labels),
-        "constraint_labels": list(spec.labels),
-        "records_match_constraint": sorted(current_labels) == sorted(spec.labels),
-    }
+    current = tuple(f.label for f in facts if f.status == "current")
+    coexisting_records = CoexistingRecords(
+        current, spec.labels, sorted(current) == sorted(spec.labels))
 
     _require_constraint_coverage(constraints, {exp}, CONSTRAINT_KINDS)
     passed = (
         all(c.certified for c in constraints)
-        and restoration["restored"]
-        and coexisting_records["records_match_constraint"]
+        and restoration.restored
+        and coexisting_records.records_match_constraint
         and _sampling_holds(constraints, sampling, config.shots))
     return ScenarioReport(
         scenario="cdr", experiment_id=exp, config=config,
@@ -850,8 +872,8 @@ def run_cdr_suite(shots: int = 0, master_seed: int = 0,
     the four reports share its two snapshots, and each equals
     run_cdr's for the same config."""
     configs = [ScenarioConfig(
-        bob_mode="cdr-reversal", experiment_id=exp, shots=shots,
-        master_seed=master_seed, tolerance=tolerance) for exp in (1, 2, 3, 4)]
+        experiment_id=exp, shots=shots, master_seed=master_seed,
+        tolerance=tolerance) for exp in (1, 2, 3, 4)]
     opening = _alice_complete()
     return [_run_experiment(config, *opening) for config in configs]
 

@@ -352,7 +352,7 @@ def _reversal_per_shot(cdr) -> tuple:
 
 def _reversal_identity(round_trips, cdr) -> tuple:
     worst = min(round_trips)
-    restored = cdr.result[0].restoration["fidelity"]
+    restored = cdr.result[0].restoration.fidelity
     return (worst >= 1.0 - 1e-12 and restored >= 1.0 - 1e-12,
             f"min round-trip fidelity {worst:.15f} over {len(round_trips)} "
             f"random cases; full restoration fidelity {restored:.15f}")
@@ -360,14 +360,12 @@ def _reversal_identity(round_trips, cdr) -> tuple:
 
 def _disturbed_records(lmz) -> tuple:
     diag = lmz.result.disturbed_diagnostic
-    statuses = diag["record_statuses"]
-    ok = (diag["gap_exceeds_half"]
-          and abs(diag["early_expectation"] + 1.0) <= 1e-9
-          and statuses.get("A2") == "disturbed"
-          and statuses.get("A3") == "disturbed")
+    ok = (diag.gap_exceeds_half
+          and abs(diag.early_expectation + 1.0) <= 1e-9
+          and diag.record_statuses == {"A2": "disturbed", "A3": "disturbed"})
     return ok, (
-        f"mixed record product {diag['early_expectation']:+.6f} -> "
-        f"{diag['final_expectation']:+.6f} (gap {diag['gap']:.6f}) once "
+        f"mixed record product {diag.early_expectation:+.6f} -> "
+        f"{diag.final_expectation:+.6f} (gap {diag.gap:.6f}) once "
         "later premeasurements disturb the records")
 
 

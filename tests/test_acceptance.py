@@ -61,7 +61,7 @@ def test_acceptance_01_exact_products(lmz, cdr_exact):
     for c in lmz.constraints:
         deviations.append(abs(c.expectation - c.expected))
     for entry in lmz.final_certificate:
-        deviations.append(abs(entry["expectation"] - entry["expected"]))
+        deviations.append(abs(entry.expectation - entry.expected))
     for report in cdr_exact:
         for c in report.constraints:
             deviations.append(abs(c.expectation - c.expected))
@@ -150,18 +150,18 @@ def test_acceptance_06_reversal_is_exact_inverse(cdr_exact):
         back = reverse(premeasure(state, pm), pm)
         ok = ok and fidelity(back, state) >= 1.0 - 1e-12
     restoration = cdr_exact[0].restoration
-    ok = ok and restoration["fidelity"] >= 1.0 - 1e-12
+    ok = ok and restoration.fidelity >= 1.0 - 1e-12
     announce(6, "reversal inverts the record unitary exactly (100 random "
                 "round trips and full register restoration at 1e-12)", ok)
 
 
 def test_acceptance_07_later_operations_disturb_records(lmz):
     diag = lmz.disturbed_diagnostic
-    ok = (diag["gap_exceeds_half"]
-          and abs(diag["early_expectation"] - (-1.0)) <= 1e-9
-          and diag["record_statuses"] == {"A2": "disturbed", "A3": "disturbed"})
+    ok = (diag.gap_exceeds_half
+          and abs(diag.early_expectation - (-1.0)) <= 1e-9
+          and diag.record_statuses == {"A2": "disturbed", "A3": "disturbed"})
     announce(7, "the mixed record product that held early is destroyed by "
-                f"later steps (gap {diag['gap']:.3g} > 0.5, ledger agrees)", ok)
+                f"later steps (gap {diag.gap:.3g} > 0.5, ledger agrees)", ok)
 
 
 def test_acceptance_08_record_agreement_premise(lmz):

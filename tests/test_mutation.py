@@ -70,8 +70,12 @@ def test_skipped_reversal_fails_cdr(tolerance, monkeypatch, capsys):
 
 @pytest.mark.parametrize("tolerance", TOLERANCES)
 def test_alice_premeasures_x_fails_both_flows(tolerance, monkeypatch, capsys):
+    # The same friends and memories, premeasuring X instead of Y.
     original = scenarios.alice_premeasurements
-    monkeypatch.setattr(scenarios, "alice_premeasurements", lambda: original("X"))
+    monkeypatch.setattr(scenarios, "alice_premeasurements", lambda: tuple(
+        dataclasses.replace(pm, observable=PauliString.single(
+            scenarios.NUM_QUBITS, scenarios.SYSTEM_QUBITS[k], "X"))
+        for k, pm in enumerate(original())))
     assert_fails((LMZ, CDR), tolerance, capsys)
 
 

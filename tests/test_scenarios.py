@@ -30,8 +30,15 @@ from relfacts.scenarios import (
     MAX_SHOTS,
     NUM_QUBITS,
     SYSTEM_QUBITS,
+    CoexistingRecords,
+    CommutationSurvey,
+    DisturbedDiagnostic,
+    FullRestoration,
+    MemoryRestoration,
+    SamePairAnticommute,
     SampleTally,
     ScenarioConfig,
+    TransportedCertificate,
     _certify_records,
     _draw_outcome_counts,
     _z_readout_distribution,
@@ -99,11 +106,20 @@ class TestScenarioConfig:
         assert config.experiment_id is None
         assert config.shots == 0
 
+    def test_experiment_id_selects_the_flow(self):
+        assert ScenarioConfig(experiment_id=2).bob_mode == "cdr-reversal"
+        assert dataclasses.replace(
+            ScenarioConfig(experiment_id=4), experiment_id=None).bob_mode == "lmz-lifted"
+        assert [f.name for f in dataclasses.fields(ScenarioConfig) if f.init] == [
+            "experiment_id", "shots", "master_seed", "tolerance"]
+        with pytest.raises(TypeError):
+            ScenarioConfig(bob_mode="cdr-reversal", experiment_id=2)
+
     @pytest.mark.parametrize("kwargs", [
-        {"bob_mode": "other"},
-        {"bob_mode": "cdr-reversal"},                      # missing experiment
-        {"bob_mode": "cdr-reversal", "experiment_id": 5},
-        {"experiment_id": 1},                              # lmz takes none
+        {"experiment_id": 0},
+        {"experiment_id": 5},
+        {"experiment_id": 2.5},
+        {"experiment_id": "1"},                            # a str, not an int
         {"shots": -1},
         {"tolerance": 0.0},
         {"master_seed": -1},
@@ -121,7 +137,7 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             run_cdr(ScenarioConfig())
         with pytest.raises(ValueError):
-            run_lmz(ScenarioConfig(bob_mode="cdr-reversal", experiment_id=1))
+            run_lmz(ScenarioConfig(experiment_id=1))
 
 
 class TestObservableTables:
@@ -164,17 +180,17 @@ class TestLmzExact:
 
     def test_commutation_survey(self, lmz_exact):
         survey = lmz_exact.commutation
-        assert survey["product_labels"] == {
+        assert survey.product_labels == {
             "1": "+XXXXXXIII",
             "2": "+XIIXZZIII",
             "3": "+IXIZXZIII",
             "4": "+IIXZZXIII",
         }
-        assert survey["all_products_commute"] is True
-        assert all(survey["triples_commute"].values())
-        assert len(survey["same_pair_anticommute"]) == 3
-        assert all(row["anticommute"] for row in survey["same_pair_anticommute"])
-        assert survey["cross_pair_commute"] is True
+        assert survey.all_products_commute is True
+        assert all(survey.triples_commute.values())
+        assert len(survey.same_pair_anticommute) == 3
+        assert all(row.anticommute for row in survey.same_pair_anticommute)
+        assert survey.cross_pair_commute is True
 
     def test_transported_final_certificate(self, lmz_exact):
         # frozen from the independent dense computation
@@ -184,20 +200,20 @@ class TestLmzExact:
             ("+IXIZXZXIX", -1),
             ("+IIXZZXXXI", -1),
         ]
-        assert [(e["observable"], e["expected"])
+        assert [(e.observable, e.expected)
                 for e in lmz_exact.final_certificate] == want
         for entry in lmz_exact.final_certificate:
-            assert entry["expectation"] == pytest.approx(entry["expected"], abs=1e-12)
-            assert entry["certified"]
+            assert entry.expectation == pytest.approx(entry.expected, abs=1e-12)
+            assert entry.certified
 
     def test_disturbed_diagnostic(self, lmz_exact):
         diag = lmz_exact.disturbed_diagnostic
-        assert diag["records"] == ["B1", "A2", "A3"]
-        assert diag["early_expectation"] == pytest.approx(-1.0, abs=1e-12)
-        assert diag["final_expectation"] == pytest.approx(0.0, abs=1e-10)
-        assert diag["gap"] == pytest.approx(1.0, abs=1e-10)
-        assert diag["gap_exceeds_half"] is True
-        assert diag["record_statuses"] == {"A2": "disturbed", "A3": "disturbed"}
+        assert diag.records == ("B1", "A2", "A3")
+        assert diag.early_expectation == pytest.approx(-1.0, abs=1e-12)
+        assert diag.final_expectation == pytest.approx(0.0, abs=1e-10)
+        assert diag.gap == pytest.approx(1.0, abs=1e-10)
+        assert diag.gap_exceeds_half is True
+        assert diag.record_statuses == {"A2": "disturbed", "A3": "disturbed"}
 
     def test_cpl_exact(self, lmz_exact):
         cpl = lmz_exact.cpl
@@ -222,6 +238,37 @@ class TestLmzExact:
             "A1": "alice-complete", "A2": "alice-complete", "A3": "alice-complete",
             "B1": "bob-1", "B2": "bob-2", "B3": "bob-3",
         }
+
+
+class TestFlowResultTypes:
+    def test_results_are_frozen_dataclasses(self, lmz_exact, cdr_suite_sampled):
+        survey = lmz_exact.commutation
+        assert type(survey) is CommutationSurvey
+        assert [type(row) for row in survey.same_pair_anticommute] == [SamePairAnticommute] * 3
+        assert [type(e) for e in lmz_exact.final_certificate] == [TransportedCertificate] * 4
+        assert type(lmz_exact.disturbed_diagnostic) is DisturbedDiagnostic
+        assert [type(r.restoration) for r in cdr_suite_sampled] == [
+            FullRestoration, MemoryRestoration, MemoryRestoration, MemoryRestoration]
+        assert [type(r.coexisting_records) for r in cdr_suite_sampled] == [CoexistingRecords] * 4
+        results = [survey, *survey.same_pair_anticommute, *lmz_exact.final_certificate,
+                   lmz_exact.disturbed_diagnostic]
+        results += [x for r in cdr_suite_sampled for x in (r.restoration, r.coexisting_records)]
+        for result in results:
+            for f in dataclasses.fields(result):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(result, f.name, getattr(result, f.name))
+
+    def test_restoration_kind_is_fixed_by_the_type(self):
+        assert FullRestoration(1.0, True).kind == "full"
+        assert MemoryRestoration(3, 1.0, 0.0, True).kind == "memory"
+        with pytest.raises(TypeError):
+            FullRestoration(1.0, True, kind="memory")
+
+    def test_each_flow_keeps_the_other_flows_placeholders(self, lmz_exact, cdr_suite_sampled):
+        assert (lmz_exact.restoration, lmz_exact.coexisting_records) == (None, None)
+        for report in cdr_suite_sampled:
+            assert (report.commutation, report.final_certificate,
+                    report.disturbed_diagnostic, report.cpl) == ({}, [], None, None)
 
 
 # The record steps each protocol applies, written out from its definition
@@ -821,15 +868,15 @@ class TestCdr:
 
     def test_restoration(self, cdr_suite_sampled):
         full = cdr_suite_sampled[0].restoration
-        assert full["kind"] == "full"
-        assert full["fidelity"] == pytest.approx(1.0, abs=1e-12)
-        assert full["restored"]
+        assert full.kind == "full"
+        assert full.fidelity == pytest.approx(1.0, abs=1e-12)
+        assert full.restored
         for report in cdr_suite_sampled[1:]:
             mem = report.restoration
-            assert mem["kind"] == "memory"
-            assert mem["purity"] == pytest.approx(1.0, abs=1e-12)
-            assert mem["excitation"] == pytest.approx(0.0, abs=1e-12)
-            assert mem["restored"]
+            assert mem.kind == "memory"
+            assert mem.purity == pytest.approx(1.0, abs=1e-12)
+            assert mem.excitation == pytest.approx(0.0, abs=1e-12)
+            assert mem.restored
 
     def test_coexisting_records_match_constraints(self, cdr_suite_sampled):
         want = [
@@ -840,8 +887,8 @@ class TestCdr:
         ]
         for report, labels in zip(cdr_suite_sampled, want):
             coexist = report.coexisting_records
-            assert sorted(coexist["current"]) == labels
-            assert coexist["records_match_constraint"]
+            assert sorted(coexist.current) == labels
+            assert coexist.records_match_constraint
 
     def test_ledger_statuses(self, cdr_suite_sampled):
         statuses = {f.label: f.status
@@ -868,8 +915,7 @@ class TestCdr:
             assert all(m.within_band for m in tally.marginals)
 
     def test_deterministic_rerun(self, cdr_suite_sampled):
-        again = run_cdr(ScenarioConfig(
-            bob_mode="cdr-reversal", experiment_id=2, shots=500, master_seed=5))
+        again = run_cdr(ScenarioConfig(experiment_id=2, shots=500, master_seed=5))
         command = "run cdr --experiment 2 --shots 500 --seed 5"
         assert (from_scenario(command, again).to_json()
                 == from_scenario(command, cdr_suite_sampled[1]).to_json())
@@ -879,8 +925,7 @@ class TestCdr:
             suite = run_cdr_suite(shots=shots, master_seed=seed)
             for exp, report in enumerate(suite, 1):
                 alone = run_cdr(ScenarioConfig(
-                    bob_mode="cdr-reversal", experiment_id=exp, shots=shots,
-                    master_seed=seed))
+                    experiment_id=exp, shots=shots, master_seed=seed))
                 command = f"run cdr --experiment {exp} --shots {shots} --seed {seed}"
                 shared, single = from_scenario(command, report), from_scenario(command, alone)
                 assert shared.to_json() == single.to_json(), (exp, shots, seed)

@@ -1,10 +1,12 @@
 """Every demo script runs to completion against the package, the
-disturbance sweep prints the constraint table, and the assignment search
-lists what it claims."""
+disturbance sweep prints the constraint table, the assignment search
+lists what it claims, and a stopped mutation sweep leaves nothing behind."""
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -55,3 +57,23 @@ def test_assignment_search_lists_the_subsystem_solutions(drop):
         assert set(row.values()) <= {1, -1}
         for c in kept:
             assert math.prod(row[v] for v in c.variables) == c.rhs, (row, str(c))
+
+
+def test_mutation_sweep_removes_its_copy_when_terminated(tmp_path):
+    sweep = subprocess.Popen(
+        [sys.executable, str(ROOT / "scripts" / "mutation_sweep.py"), "--modules", "cli"],
+        cwd=ROOT, env=dict(os.environ, TMPDIR=str(tmp_path)),
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        # pyproject.toml is copied last: the baseline commands start next.
+        deadline = time.monotonic() + 60
+        while not list(tmp_path.glob("relfacts-mutants-*/pyproject.toml")):
+            assert sweep.poll() is None and time.monotonic() < deadline
+            time.sleep(0.02)
+        sweep.send_signal(signal.SIGTERM)
+        assert sweep.wait(timeout=60) == 128 + signal.SIGTERM
+    finally:
+        if sweep.poll() is None:
+            sweep.kill()
+            sweep.wait()
+    assert list(tmp_path.iterdir()) == []

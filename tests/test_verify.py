@@ -18,6 +18,7 @@ from relfacts.observers import (
     Premeasurement, _premeasure_array, _require_cleared_memory, premeasure, reverse)
 from relfacts.pauli import PauliString, commutes
 from relfacts.rng import STREAM_SCRIPT, child_generator
+from relfacts.scenarios import DisturbedDiagnostic, FullRestoration
 from relfacts.statevector import StateVector, fidelity
 from relfacts.verify import (
     FULL_SHOTS, _bracket_norm, _kron_monomial, _monomial, _monomial_product,
@@ -326,7 +327,7 @@ def cdr_suite():
     """Four clean reversal reports; experiment 1 restores the register."""
     return [SimpleNamespace(
         experiment_id=cid, passed=True,
-        restoration={"kind": "full", "fidelity": 1.0} if cid == 1 else {},
+        restoration=FullRestoration(1.0, restored=True) if cid == 1 else None,
         constraints=[
             constraint(cid, "operator", SIGNS[cid]),
             constraint(cid, "record", SIGNS[cid], expected=SIGNS[cid],
@@ -405,7 +406,7 @@ def test_reversal_per_shot_needs_all_four_experiments():
 ])
 def test_reversal_identity_judges_round_trips_and_restoration(worst, restored, expected):
     cdr = cdr_suite()
-    cdr[0].restoration["fidelity"] = restored
+    cdr[0].restoration = dataclasses.replace(cdr[0].restoration, fidelity=restored)
     round_trips = [1.0] * 99 + [worst]
     passed, detail = verify._reversal_identity(round_trips, built(cdr))
     assert passed is expected
@@ -475,11 +476,11 @@ def test_unit_rows_name_the_first_row_off_by_more_than_phys_tol():
         verify._require_unit_rows(stack)
 
 
-DIAGNOSTIC = {
-    "early_expectation": -1.0, "final_expectation": 0.0, "gap": 1.0,
-    "gap_exceeds_half": True,
-    "record_statuses": {"A2": "disturbed", "A3": "disturbed"},
-}
+DIAGNOSTIC = DisturbedDiagnostic(
+    records=("B1", "A2", "A3"), early_stage="bob-1",
+    early_expectation=-1.0, final_expectation=0.0, gap=1.0,
+    gap_exceeds_half=True,
+    record_statuses={"A2": "disturbed", "A3": "disturbed"})
 
 
 @pytest.mark.parametrize("path, value, expected", [
