@@ -5,7 +5,7 @@ Each mutant changes one operator of one module: a comparison is swapped
 (`<` <-> `<=`, `>` <-> `>=`, `==` <-> `!=`, `is` <-> `is not`, `in` <->
 `not in`), an `and` becomes `or` or back, or a `not` is dropped. The
 mutant is written into a temporary copy of `src/` and `tests/`, never into
-the repository, and the four reference commands below run against it, one
+the repository, and the six reference commands below run against it, one
 mutant at a time, in one fresh interpreter with PYTHONDONTWRITEBYTECODE=1
 (a cached `.pyc` of a same-size mutant would otherwise be loaded in its
 place). Every module, the unmutated baseline included, is written back
@@ -46,6 +46,10 @@ COMMANDS = (
     ["run", "lmz", "--shots", "200", "--format", "json"],
     ["run", "cdr", "--experiment", "all", "--shots", "200", "--format", "json"],
     ["check-assignments", "--builtin", "ghz", "--format", "json"],
+    ["check-assignments", "--constraints", "tests/data/planted-20-sat.txt",
+     "--format", "json"],
+    ["check-assignments", "--constraints", "tests/data/planted-20-unsat.txt",
+     "--format", "json"],
 )
 TIMEOUT_SECONDS = 300
 

@@ -1,5 +1,8 @@
 """Command-line interface.
 
+Parsing only: each command's report is built by its builder in `report`,
+which also rejects bad flag combinations with ValueError.
+
 Exit codes: 0 = analysis ran and certified (PASS), 1 = analysis ran but a
 certification failed (FAIL), 2 = usage or parse error, or a file that
 cannot be read or written.
@@ -12,7 +15,6 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from . import parity
 from .errors import ProtocolError
 from .report import (
     ReportDocument,
@@ -62,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--constraints", type=Path,
         help="constraint file: lines like 'B1*A2*A3 = -1', '#' comments")
     chk.add_argument(
-        "--builtin", choices=tuple(sorted(parity.BUILTIN_SYSTEMS)),
+        "--builtin", choices=("ghz",),
         help="analyze a built-in constraint system")
     _add_output_flags(chk)
 
@@ -83,52 +85,27 @@ def _add_output_flags(sub: argparse.ArgumentParser) -> None:
         help="write the report to this path instead of stdout")
 
 
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
 def _emit(doc: ReportDocument, fmt: str, out: Optional[Path]) -> int:
     rendered = doc.to_json() if fmt == "json" else render_text(doc)
     if out is not None:
         try:
             out.write_text(rendered)
         except OSError as exc:
-            return _usage_error(f"cannot write {out}: {exc}")
+            print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(rendered)
     return 0 if doc.verdict == "PASS" else 1
 
 
 def _cmd_run(args) -> int:
-    # Shots, seed and tolerance are range-checked by ScenarioConfig, whose
-    # ValueError main turns into exit 2.
-    if args.scenario == "lmz" and args.experiment is not None:
-        return _usage_error("--experiment applies only to the cdr scenario")
-    if args.scenario == "cdr" and args.experiment is None:
-        return _usage_error("the cdr scenario needs --experiment {1,2,3,4,all}")
     doc = build_run_document(
-        args.scenario, args.experiment, args.shots, args.seed, args.tolerance)
+        args.scenario, args.experiment, args.shots, args.seed, args.tolerance)[1]
     return _emit(doc, args.fmt, args.out)
 
 
 def _cmd_check(args) -> int:
-    if (args.constraints is None) == (args.builtin is None):
-        return _usage_error(
-            "give exactly one of --constraints PATH or --builtin NAME")
-    if args.builtin is not None:
-        system = parity.BUILTIN_SYSTEMS[args.builtin]()
-        command = f"check-assignments --builtin {args.builtin}"
-        config = {"builtin": args.builtin}
-    else:
-        try:
-            text = args.constraints.read_text()
-        except OSError as exc:
-            return _usage_error(f"cannot read {args.constraints}: {exc}")
-        system = parity.parse_constraints(text)
-        command = f"check-assignments --constraints {args.constraints}"
-        config = {"constraints_path": str(args.constraints)}
-    doc = build_check_document(command, system, config)
+    doc = build_check_document(args.builtin, args.constraints)[1]
     return _emit(doc, args.fmt, args.out)
 
 

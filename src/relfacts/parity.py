@@ -394,6 +394,3 @@ def ghz_record_system() -> ConstraintSystem:
         ParityConstraint([label for label, _ in scenarios.record_slots(cid)], sign)
         for cid, sign in enumerate(scenarios.CONSTRAINT_SIGNS, 1))
     return ConstraintSystem(constraints, ("A1", "A2", "A3", "B1", "B2", "B3"))
-
-
-BUILTIN_SYSTEMS = {"ghz": ghz_record_system}

@@ -1,7 +1,10 @@
 """Canonical report documents.
 
 One report schema serves every subcommand: a command echo, the effective
-config, a results tree and a PASS/FAIL verdict. A report holds no
+config, a results tree and a PASS/FAIL verdict. `run` and
+`check-assignments` each have one builder here (build_run_document,
+build_check_document), which the CLI and verify's evidence both call, so
+`verify` judges the bytes the CLI prints. A report holds no
 wall-clock value and no operation count, so identical (command, flags)
 produce byte-identical output; wall-clock belongs on stderr. A document
 keeps the values its flow returned; to_json() writes them in one recursive
@@ -37,10 +40,12 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, fields, is_dataclass
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
+from . import parity
 from .scenarios import (
     MAX_TOLERANCE,
     ScenarioConfig,
@@ -222,39 +227,57 @@ def from_verify(command: str, rows: Sequence[dict]) -> ReportDocument:
         verdict="PASS" if all_passed else "FAIL")
 
 
-def run_flow(scenario: str, experiment: Optional[str], shots: int,
-             seed: int, tolerance: float) -> tuple:
-    """(command echo, flow result) for primitive run flags: the list of four
-    reports for `cdr --experiment all`, one ScenarioReport otherwise. The
-    echo is rebuilt from the flags, so identical flags always yield
-    identical echoes."""
-    flags = f"--shots {shots} --seed {seed} --tolerance {tolerance:g}"
-    if scenario == "lmz":
-        return f"run lmz {flags}", run_lmz(ScenarioConfig(
-            shots=shots, master_seed=seed, tolerance=tolerance))
-    if scenario != "cdr":
-        raise ValueError(f"unknown scenario {scenario!r}")
-    if experiment == "all":
-        return f"run cdr --experiment all {flags}", run_cdr_suite(
-            shots=shots, master_seed=seed, tolerance=tolerance)
-    exp = int(experiment)
-    return f"run cdr --experiment {exp} {flags}", run_cdr(ScenarioConfig(
-        experiment_id=exp, shots=shots, master_seed=seed, tolerance=tolerance))
-
-
 def build_run_document(scenario: str, experiment: Optional[str], shots: int,
-                       seed: int, tolerance: float) -> ReportDocument:
-    """Run a scenario from primitive flags and wrap it as a document."""
-    command, result = run_flow(scenario, experiment, shots, seed, tolerance)
-    if scenario == "cdr" and experiment == "all":
-        return from_cdr_suite(command, result)
-    return from_scenario(command, result)
+                       seed: int, tolerance: float) -> tuple:
+    """(flow result, document) of `run` from its flags: the list of four
+    reports for `cdr --experiment all`, one ScenarioReport otherwise. The
+    echo is rebuilt from the flags, and rerunning it writes the same
+    report. A flag combination the CLI rejects raises ValueError with its
+    message; ScenarioConfig range-checks shots, seed and tolerance."""
+    if scenario not in ("lmz", "cdr"):
+        raise ValueError(f"unknown scenario {scenario!r}")
+    if scenario == "lmz" and experiment is not None:
+        raise ValueError("--experiment applies only to the cdr scenario")
+    if scenario == "cdr" and experiment is None:
+        raise ValueError("the cdr scenario needs --experiment {1,2,3,4,all}")
+    flags = f"--shots {shots} --seed {seed} --tolerance {tolerance!r}"
+    if scenario == "lmz":
+        report = run_lmz(ScenarioConfig(
+            shots=shots, master_seed=seed, tolerance=tolerance))
+        return report, from_scenario(f"run lmz {flags}", report)
+    if experiment == "all":
+        reports = run_cdr_suite(shots=shots, master_seed=seed, tolerance=tolerance)
+        return reports, from_cdr_suite(f"run cdr --experiment all {flags}", reports)
+    exp = int(experiment)
+    report = run_cdr(ScenarioConfig(
+        experiment_id=exp, shots=shots, master_seed=seed, tolerance=tolerance))
+    return report, from_scenario(f"run cdr --experiment {exp} {flags}", report)
 
 
-def build_check_document(command: str, system, config: dict) -> ReportDocument:
-    from .parity import analyze
-
-    return from_parity(command, analyze(system), config)
+def build_check_document(builtin: Optional[str],
+                         constraints: Optional[Path]) -> tuple:
+    """(parity analysis, document) of `check-assignments` for exactly one of
+    a builtin system's name and a constraint file's path. A bad flag
+    combination, an unknown builtin or an unreadable file raises
+    ValueError, as does a malformed file (ConstraintParseError)."""
+    if (constraints is None) == (builtin is None):
+        raise ValueError("give exactly one of --constraints PATH or --builtin NAME")
+    if builtin is not None:
+        if builtin != "ghz":
+            raise ValueError(f"unknown builtin system {builtin!r}")
+        system = parity.ghz_record_system()
+        command, config = f"check-assignments --builtin {builtin}", {"builtin": builtin}
+    else:
+        path = Path(constraints)
+        try:
+            text = path.read_text()
+        except OSError as exc:
+            raise ValueError(f"cannot read {path}: {exc}") from exc
+        system = parity.parse_constraints(text)
+        command = f"check-assignments --constraints {path}"
+        config = {"constraints_path": str(path)}
+    analysis = parity.analyze(system)
+    return analysis, from_parity(command, analysis, config)
 
 
 # -- text rendering -----------------------------------------------------------

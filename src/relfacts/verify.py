@@ -5,11 +5,12 @@ a pass/fail row. The evidence a check reads (a flow's report, a parity
 analysis, monomial matrices) is built once per sweep, on first use, and
 its judge returns (passed, detail) from that evidence alone. The lmz flow,
 the reversal suite and the GHZ analysis are each built through the same
-path as their CLI report and rendered in both formats; check 9 builds each
-of those reports once more from the same flags and compares the bytes. The
-rows are deterministic; the final row checks the whole sweep against a
-5-second budget. The CLI prints the sweep's wall time, then the time of
-each piece of evidence and of each judge, to stderr.
+path as their CLI report (report.build_run_document and
+build_check_document, from the flags below) and rendered in both formats;
+check 9 builds each of those reports once more from the same flags and
+compares the bytes. The rows are deterministic; the final row checks the
+whole sweep against a 5-second budget. The CLI prints the sweep's wall
+time, then the time of each piece of evidence and of each judge, to stderr.
 """
 from __future__ import annotations
 
@@ -23,15 +24,7 @@ from . import parity
 from .observers import Premeasurement, _premeasure_array, _require_cleared_memory
 from .pauli import PauliString, product_of
 from .rng import STREAM_SCRIPT, child_generator
-from .report import (
-    build_check_document,
-    build_run_document,
-    from_cdr_suite,
-    from_parity,
-    from_scenario,
-    render_text,
-    run_flow,
-)
+from .report import build_check_document, build_run_document, render_text
 from .scenarios import (
     DEFAULT_TOLERANCE,
     MAX_TOLERANCE,
@@ -50,8 +43,7 @@ TIME_BUDGET_SECONDS = 5.0
 # each is also the evidence the other checks read.
 LMZ_FLAGS = ("lmz", None, FULL_SHOTS, 13, DEFAULT_TOLERANCE)
 CDR_FLAGS = ("cdr", "all", FULL_SHOTS, 11, DEFAULT_TOLERANCE)
-GHZ_COMMAND = "check-assignments --builtin ghz"
-GHZ_CONFIG = {"builtin": "ghz"}
+GHZ_FLAGS = ("ghz", None)
 
 
 def _monomial(matrix: np.ndarray) -> tuple:
@@ -200,31 +192,29 @@ def _without_states(report):
 
 
 def _lmz() -> _Rendered:
-    command, report = run_flow(*LMZ_FLAGS)
-    return _Rendered(_without_states(report), _render(from_scenario(command, report)))
+    report, doc = build_run_document(*LMZ_FLAGS)
+    return _Rendered(_without_states(report), _render(doc))
 
 
 def _cdr() -> _Rendered:
-    command, reports = run_flow(*CDR_FLAGS)
-    return _Rendered([_without_states(r) for r in reports],
-                     _render(from_cdr_suite(command, reports)))
+    reports, doc = build_run_document(*CDR_FLAGS)
+    return _Rendered([_without_states(r) for r in reports], _render(doc))
 
 
 def _ghz_analysis() -> _Rendered:
-    analysis = parity.analyze(parity.ghz_record_system())
-    return _Rendered(analysis, _render(from_parity(GHZ_COMMAND, analysis, GHZ_CONFIG)))
+    analysis, doc = build_check_document(*GHZ_FLAGS)
+    return _Rendered(analysis, _render(doc))
 
 
 def _reruns() -> list:
     """(command, (JSON, text)) of the second build of each check-9 pair, in
-    the order lmz, cdr, GHZ analysis, from the first builds' flags."""
-    docs = (
-        lambda: build_run_document(*LMZ_FLAGS),
-        lambda: build_run_document(*CDR_FLAGS),
-        lambda: build_check_document(
-            GHZ_COMMAND, parity.ghz_record_system(), GHZ_CONFIG),
-    )
-    return [(doc.command, _render(doc)) for doc in (build() for build in docs)]
+    the order lmz, cdr, GHZ analysis, from the first builds' flags. Each
+    build keeps only its document, so a flow's stage states are freed
+    before rendering."""
+    builds = ((build_run_document, LMZ_FLAGS), (build_run_document, CDR_FLAGS),
+              (build_check_document, GHZ_FLAGS))
+    return [(doc.command, _render(doc))
+            for doc in (build(*flags)[1] for build, flags in builds)]
 
 
 # The sampled flows serve every check that reads them: their expectations,

@@ -186,12 +186,12 @@ def test_acceptance_08_record_agreement_premise(lmz):
 def test_acceptance_09_byte_identical_reports():
     ok = True
     for scenario, experiment in (("lmz", None), ("cdr", "all")):
-        first = build_run_document(scenario, experiment, 50, 7, 1e-9)
-        second = build_run_document(scenario, experiment, 50, 7, 1e-9)
+        first = build_run_document(scenario, experiment, 50, 7, 1e-9)[1]
+        second = build_run_document(scenario, experiment, 50, 7, 1e-9)[1]
         ok = ok and first.to_json() == second.to_json()
         ok = ok and render_text(first) == render_text(second)
-    doc_a = build_check_document("check", ghz_record_system(), {"builtin": "ghz"})
-    doc_b = build_check_document("check", ghz_record_system(), {"builtin": "ghz"})
+    doc_a = build_check_document("ghz", None)[1]
+    doc_b = build_check_document("ghz", None)[1]
     ok = ok and doc_a.to_json() == doc_b.to_json()
     announce(9, "identical flags reproduce byte-identical reports "
                 "(both flows, both formats, and the parity analysis)", ok)

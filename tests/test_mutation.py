@@ -134,13 +134,16 @@ def record_system_of(*constraints):
         ("A1", "A2", "A3", "B1", "B2", "B3"))
 
 
+TWO_SIGNS = record_system_of(                   # signs of (2) and (3) flipped
+    (("B1", "B2", "B3"), 1), (("B1", "A2", "A3"), 1),
+    (("A1", "B2", "A3"), 1), (("A1", "A2", "B3"), -1))
+
+
 # Record systems the flows do not measure that are still contradictory, so
 # every parity cross-check of theirs holds: only the tie of check 3 to the
 # flows' certifications sees them.
 @pytest.mark.parametrize("system, detail", [
-    (record_system_of(                          # signs of (2) and (3) flipped
-        (("B1", "B2", "B3"), 1), (("B1", "A2", "A3"), 1),
-        (("A1", "B2", "A3"), 1), (("A1", "A2", "B3"), -1)),
+    (TWO_SIGNS,
      "constraint 2: lmz measured A2*A3*B1 = -1, analysed A2*A3*B1 = +1"),
     (record_system_of(                          # B2 and A2 swapped, (1) <-> (2)
         (("B1", "A2", "B3"), 1), (("B1", "B2", "A3"), -1),
@@ -151,6 +154,15 @@ def test_unmeasured_record_system_fails_verify(system, detail, monkeypatch, caps
     assert not parity.satisfiable(system()).satisfiable
     monkeypatch.setattr(parity, "ghz_record_system", system)
     assert assert_verify_row_fails(3, capsys)["detail"] == detail
+
+
+def test_builtin_ghz_analyses_the_current_record_system(monkeypatch, capsys):
+    # The command and check 3 read the same system: the one verify judges.
+    monkeypatch.setattr(parity, "ghz_record_system", TWO_SIGNS)
+    assert main(["check-assignments", "--builtin", "ghz", "--format", "json"]) == 0
+    printed = json.loads(capsys.readouterr().out)["results"]["system"]["constraints"]
+    assert printed == [str(c) for c in TWO_SIGNS().constraints]
+    assert printed[1] == "A2*A3*B1 = +1"
 
 
 def test_sign_flipped_enumeration_fails_verify(monkeypatch, capsys):

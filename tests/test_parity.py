@@ -8,7 +8,6 @@ import pytest
 from oracle import brute_force_count
 from relfacts.errors import ConstraintParseError, ResourceError
 from relfacts.parity import (
-    BUILTIN_SYSTEMS,
     ConstraintSystem,
     ParityConstraint,
     _consistency,
@@ -19,6 +18,7 @@ from relfacts.parity import (
     product_identity,
     satisfiable,
 )
+from relfacts.report import build_check_document
 
 
 def system_of(*specs, universe=None):
@@ -253,7 +253,11 @@ class TestRecordSystem:
             "A1*A3*B2 = -1",
             "A1*A2*B3 = -1",
         ]
-        assert BUILTIN_SYSTEMS["ghz"]().universe == sys_.universe
+        # `check-assignments --builtin ghz` analyses this system.
+        analysis = build_check_document("ghz", None)[0]
+        assert analysis["system"] == {
+            "constraints": [str(c) for c in sys_.constraints],
+            "universe": list(sys_.universe)}
 
     def test_unsatisfiable_with_full_certificate(self):
         result = satisfiable(ghz_record_system())

@@ -2,6 +2,8 @@
 field, stage summaries by weight, JSON bytes equal to the standard
 library's, and text that prints floats as the JSON rounds them."""
 import json
+import re
+import shlex
 from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
@@ -10,12 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relfacts import report
+from relfacts.cli import build_parser
 from relfacts.observers import StageSnapshot
 from relfacts.report import (
     SCHEMA_VERSION,
     ReportDocument,
     _json_text,
     _stage_summary,
+    build_check_document,
     build_run_document,
     render_text,
     round_float,
@@ -167,7 +171,7 @@ def test_cdr_suite_summarizes_each_shared_stage_once(monkeypatch):
         return original(snap, before)
 
     monkeypatch.setattr(report, "_stage_summary", counted)
-    doc = build_run_document("cdr", "all", 0, 0, 1e-9)
+    doc = build_run_document("cdr", "all", 0, 0, 1e-9)[1]
     assert len(calls) == 10
     assert len({id(snap) for snap in calls}) == 10
     experiments = doc.results["experiments"]
@@ -179,7 +183,7 @@ def test_cdr_suite_summarizes_each_shared_stage_once(monkeypatch):
 @pytest.mark.parametrize("shots", [0, 200])
 @pytest.mark.parametrize("scenario, experiment", [("lmz", None), ("cdr", "all")])
 def test_changed_facts_replay_to_the_final_ledger(scenario, experiment, shots):
-    doc = build_run_document(scenario, experiment, shots, 0, 1e-9)
+    doc = build_run_document(scenario, experiment, shots, 0, 1e-9)[1]
     results = json.loads(doc.to_json())["results"]
     for body in results.get("experiments", [results]):
         ledger = {}
@@ -207,3 +211,50 @@ def test_text_prints_each_float_as_the_json_rounds_it():
         "1", "operator", "B1", "s", "+1", "+0.1234567891", "0", "0", "no"]
     assert json.loads(doc.to_json())["results"]["constraints"][0]["expectation"] == (
         0.12345678905)
+
+
+@pytest.mark.parametrize("tolerance", [1e-9, 1.0000001e-9, 0.49, 1e-6])
+@pytest.mark.parametrize("scenario, experiment", [
+    ("lmz", None), ("cdr", "2"), ("cdr", "all")])
+def test_run_echo_parses_back_to_its_flags(scenario, experiment, tolerance):
+    # `{:g}` would echo 1.0000001e-9 as 1e-09, a different run.
+    doc = build_run_document(scenario, experiment, 3, 5, tolerance)[1]
+    args = build_parser().parse_args(shlex.split(doc.command))
+    assert (args.command, args.scenario, args.experiment, args.shots, args.seed,
+            args.tolerance) == ("run", scenario, experiment, 3, 5, tolerance)
+    assert doc.config["tolerance"] == tolerance
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("lmz", "2"), "--experiment applies only to the cdr scenario"),
+    (("lmz", "all"), "--experiment applies only to the cdr scenario"),
+    (("cdr", None), "the cdr scenario needs --experiment {1,2,3,4,all}"),
+    (("ghz", None), "unknown scenario 'ghz'"),
+])
+def test_run_builder_rejects_flag_combinations(flags, message):
+    with pytest.raises(ValueError) as info:
+        build_run_document(*flags, 0, 0, 1e-9)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("builtin, constraints, message", [
+    (None, None, "give exactly one of --constraints PATH or --builtin NAME"),
+    ("ghz", "system.txt", "give exactly one of --constraints PATH or --builtin NAME"),
+    ("lmz", None, "unknown builtin system 'lmz'"),
+])
+def test_check_builder_rejects_flag_combinations(builtin, constraints, message):
+    with pytest.raises(ValueError) as info:
+        build_check_document(builtin, constraints)
+    assert str(info.value) == message
+
+
+def test_check_builder_reads_a_constraint_file(tmp_path):
+    path = tmp_path / "system.txt"
+    with pytest.raises(ValueError, match=f"^cannot read {re.escape(str(path))}: "):
+        build_check_document(None, path)
+    path.write_text("x1*x2 = -1\n")
+    analysis, doc = build_check_document(None, str(path))
+    assert doc.command == f"check-assignments --constraints {path}"
+    assert doc.config == {"constraints_path": str(path)}
+    assert analysis["system"]["constraints"] == ["x1*x2 = -1"]
+    assert doc.verdict == "PASS"

@@ -627,3 +627,16 @@ def test_failing_evidence_fails_only_the_rows_that_need_it(monkeypatch, capsys):
     assert failed == dict.fromkeys((1, 3, 5, 6, 9), "raised RuntimeError: suite unavailable")
     assert main(["verify", "--all"]) == 1
     assert "verdict: FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("evidence, argv", [
+    (verify._lmz, ["run", "lmz", "--shots", "10000", "--seed", "13"]),
+    (verify._cdr, ["run", "cdr", "--experiment", "all", "--shots", "10000", "--seed", "11"]),
+    (verify._ghz_analysis, ["check-assignments", "--builtin", "ghz"]),
+], ids=["lmz", "cdr", "ghz"])
+def test_evidence_is_the_report_the_cli_prints(evidence, argv, capsys):
+    printed = []
+    for fmt in ("json", "text"):
+        assert main(argv + ["--format", fmt]) == 0
+        printed.append(capsys.readouterr().out)
+    assert evidence().rendered == tuple(printed)
