@@ -37,6 +37,7 @@ key, and perfbench/test_perfbench.py alters a report at the bytes
 """
 from __future__ import annotations
 
+import shlex
 from dataclasses import asdict, dataclass, fields, is_dataclass
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
@@ -259,7 +260,9 @@ def build_check_document(builtin: Optional[str],
     """(parity analysis, document) of `check-assignments` for exactly one of
     a builtin system's name and a constraint file's path. A bad flag
     combination, an unknown builtin or an unreadable file raises
-    ValueError, as does a malformed file (ConstraintParseError)."""
+    ValueError, as does a malformed file (ConstraintParseError). The echo
+    quotes the path as a shell would need it (shlex.quote), so it parses
+    back to the same path."""
     if (constraints is None) == (builtin is None):
         raise ValueError("give exactly one of --constraints PATH or --builtin NAME")
     if builtin is not None:
@@ -274,7 +277,7 @@ def build_check_document(builtin: Optional[str],
         except OSError as exc:
             raise ValueError(f"cannot read {path}: {exc}") from exc
         system = parity.parse_constraints(text)
-        command = f"check-assignments --constraints {path}"
+        command = f"check-assignments --constraints {shlex.quote(str(path))}"
         config = {"constraints_path": str(path)}
     analysis = parity.analyze(system)
     return analysis, from_parity(command, analysis, config)

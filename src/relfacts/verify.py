@@ -8,9 +8,12 @@ the reversal suite and the GHZ analysis are each built through the same
 path as their CLI report (report.build_run_document and
 build_check_document, from the flags below) and rendered in both formats;
 check 9 builds each of those reports once more from the same flags and
-compares the bytes. The rows are deterministic; the final row checks the
-whole sweep against a 5-second budget. The CLI prints the sweep's wall
-time, then the time of each piece of evidence and of each judge, to stderr.
+compares the SHA-256 digests of the bytes. Each piece of evidence is
+dropped once the last row that reads it is judged, so the sweep's memory
+peak is that of its largest single build, not of all it has built. The
+rows are deterministic; the final row checks the whole sweep against a
+5-second budget. The CLI prints the sweep's wall time, then the time of
+each piece of evidence and of each judge, to stderr.
 """
 from __future__ import annotations
 
@@ -174,31 +177,40 @@ def _round_trips() -> list:
 @dataclasses.dataclass(frozen=True)
 class _Rendered:
     """Evidence that is also the first build of a check-9 pair: the result
-    the judges read, and its report's (JSON, text) renderings."""
+    the judges read, and the SHA-256 digests of its report's (JSON, text)
+    bytes."""
 
     result: object
     rendered: tuple
 
 
 def _render(doc) -> tuple:
-    return doc.to_json(), render_text(doc)
+    """(JSON, text) SHA-256 digests of the bytes the CLI prints for `doc`.
+    Each rendering is freed once hashed, so check 9 holds 64 bytes per
+    report instead of its renderings."""
+    # Imported here: hashlib loads OpenSSL, about 5 ms that every other
+    # command would otherwise pay at start-up.
+    import hashlib
+    return (hashlib.sha256(doc.to_json().encode()).digest(),
+            hashlib.sha256(render_text(doc).encode()).digest())
 
 
 def _without_states(report):
     """The report without its stage snapshots: no judge reads those full
-    states, and holding them for the whole sweep would raise its memory
-    peak by a third."""
+    states, so they are dropped before the report is rendered and kept."""
     return dataclasses.replace(report, snapshots=[])
 
 
 def _lmz() -> _Rendered:
     report, doc = build_run_document(*LMZ_FLAGS)
-    return _Rendered(_without_states(report), _render(doc))
+    report = _without_states(report)
+    return _Rendered(report, _render(doc))
 
 
 def _cdr() -> _Rendered:
     reports, doc = build_run_document(*CDR_FLAGS)
-    return _Rendered([_without_states(r) for r in reports], _render(doc))
+    reports = [_without_states(r) for r in reports]
+    return _Rendered(reports, _render(doc))
 
 
 def _ghz_analysis() -> _Rendered:
@@ -207,10 +219,10 @@ def _ghz_analysis() -> _Rendered:
 
 
 def _reruns() -> list:
-    """(command, (JSON, text)) of the second build of each check-9 pair, in
-    the order lmz, cdr, GHZ analysis, from the first builds' flags. Each
-    build keeps only its document, so a flow's stage states are freed
-    before rendering."""
+    """(command, (JSON, text) digests) of the second build of each check-9
+    pair, in the order lmz, cdr, GHZ analysis, from the first builds'
+    flags. Each build keeps only its document, so a flow's stage states are
+    freed before rendering, and only the digests outlive it."""
     builds = ((build_run_document, LMZ_FLAGS), (build_run_document, CDR_FLAGS),
               (build_check_document, GHZ_FLAGS))
     return [(doc.command, _render(doc))
@@ -408,11 +420,24 @@ _CHECKS = (
 )
 
 
+def _last_readers(checks) -> dict:
+    """The id of the last row of `checks` that reads each piece of built
+    evidence ("elapsed" is not built)."""
+    return {name: idx for idx, _, names, _ in checks for name in names
+            if name != "elapsed"}
+
+
+# run_all_checks drops each piece of evidence once this row is judged.
+_LAST_READER = _last_readers(_CHECKS)
+
+
 def run_all_checks() -> tuple:
     """Run every acceptance check. Returns (rows, elapsed_seconds, timings):
     the report rows, the sweep's wall time, and (label, seconds) for each
     piece of evidence built ("evidence lmz") and each judge ("check 01") in
-    the order they ran. Wall times stay out of the rows."""
+    the order they ran. Wall times stay out of the rows. Each piece of
+    evidence, or the exception its build raised, is dropped right after
+    its last reader (_LAST_READER) is judged."""
     started = time.monotonic()
     evidence, rows, timings = {}, [], []
     for idx, claim, names, judge in _CHECKS:
@@ -422,18 +447,35 @@ def run_all_checks() -> tuple:
             try:
                 evidence[name] = _EVIDENCE[name]()
             except Exception as exc:  # kept in place: fails only the rows that need it
-                evidence[name] = exc
+                # Kept without its traceback, whose frames would keep the
+                # builder's locals (and through them, perhaps the exception
+                # itself) alive.
+                evidence[name] = exc.with_traceback(None)
             timings.append((f"evidence {name}", time.monotonic() - built))
-        inputs = [evidence[name] for name in names]
         judged = time.monotonic()
-        try:
-            failed = [x for x in inputs if isinstance(x, Exception)]
-            if failed:
-                raise failed[0]
-            passed, detail = judge(*inputs)
-        except Exception as exc:  # a failing check must not kill the sweep
-            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+        passed, detail = _judge(judge, [evidence[name] for name in names])
         timings.append((f"check {idx:02d}", time.monotonic() - judged))
         rows.append({
             "id": idx, "claim": claim, "passed": bool(passed), "detail": detail})
+        for name in names:
+            if _LAST_READER.get(name) == idx:
+                del evidence[name]
     return rows, evidence["elapsed"], timings
+
+
+def _judge(judge, inputs: list) -> tuple:
+    """(passed, detail) of `judge` on `inputs`. Evidence whose build raised
+    fails the row with that exception, as does a judge that raises; the
+    evidence exception is not raised again, so its traceback does not grow
+    a frame that holds this row's inputs."""
+    failed = next((x for x in inputs if isinstance(x, Exception)), None)
+    if failed is not None:
+        return _raised(failed)
+    try:
+        return judge(*inputs)
+    except Exception as exc:  # a failing check must not kill the sweep
+        return _raised(exc)
+
+
+def _raised(exc: Exception) -> tuple:
+    return False, f"raised {type(exc).__name__}: {exc}"

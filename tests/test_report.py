@@ -258,3 +258,14 @@ def test_check_builder_reads_a_constraint_file(tmp_path):
     assert doc.config == {"constraints_path": str(path)}
     assert analysis["system"]["constraints"] == ["x1*x2 = -1"]
     assert doc.verdict == "PASS"
+
+
+@pytest.mark.parametrize("name", ["sys tem.txt", "it's.txt", "system.txt"])
+def test_check_echo_parses_back_to_its_path(tmp_path, name):
+    path = tmp_path / name
+    path.write_text("x1*x2 = -1\n")
+    doc = build_check_document(None, path)[1]
+    args = build_parser().parse_args(shlex.split(doc.command))
+    assert (args.command, args.builtin, args.constraints) == (
+        "check-assignments", None, path)
+    assert doc.config == {"constraints_path": str(path)}
