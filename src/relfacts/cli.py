@@ -23,7 +23,7 @@ from .report import (
     from_verify,
     render_text,
 )
-from .scenarios import MAX_SHOTS, MAX_TOLERANCE
+from .scenarios import DEFAULT_TOLERANCE, MAX_SHOTS, MAX_TOLERANCE
 from .verify import run_all_checks
 
 
@@ -51,9 +51,9 @@ def build_parser() -> argparse.ArgumentParser:
              f"{MAX_SHOTS:g} (0 = exact certification only)")
     run_p.add_argument("--seed", type=int, default=0, help="master random seed")
     run_p.add_argument(
-        "--tolerance", type=float, default=1e-9,
+        "--tolerance", type=float, default=DEFAULT_TOLERANCE,
         help="certification tolerance on exact expectations, "
-             f"0 < T < {MAX_TOLERANCE:g} (default 1e-9)")
+             f"0 < T < {MAX_TOLERANCE:g} (default %(default)s)")
     _add_output_flags(run_p)
 
     chk = sub.add_parser(

@@ -9,10 +9,12 @@ wall-clock value and no operation count, so identical (command, flags)
 produce byte-identical output; wall-clock belongs on stderr. A document
 keeps the values its flow returned; to_json() writes them in one recursive
 pass, and render_text() reads only what it prints. Both round floats to 12
-significant digits. The JSON bytes equal json.dumps(tree, sort_keys=True,
-indent=2) of the canonical tree (see _json_text); with `indent` set,
-json.dumps on CPython 3.12 and earlier runs in pure Python, about twice as
-slow as this module's writer.
+significant digits. Every report value has an exact type (ScenarioConfig
+makes outside numbers exact once), and the writer raises TypeError on any
+other. The JSON bytes equal json.dumps(tree, sort_keys=True, indent=2) of
+the canonical tree (see _json_text); with `indent` set, json.dumps on
+CPython 3.12 and earlier runs in pure Python, about twice as slow as this
+module's writer.
 
 Report keys are the field names of the result dataclasses (ScenarioConfig,
 ConstraintResult, SampleTally, CplResult, RelativeFact, the lmz flow's
@@ -70,10 +72,8 @@ def round_float(x: float) -> float:
 @lru_cache(maxsize=None)
 def _field_keys(kind: type):
     """Sorted (name, JSON key text) of a dataclass's fields; None for other
-    types and for a dataclass that is also a number, str or container, which
-    is written as that. The memo grows with the program's types only."""
-    if not is_dataclass(kind) or issubclass(
-            kind, (np.generic, float, int, complex, str, dict, list, tuple)):
+    types. The memo grows with the program's types only."""
+    if not is_dataclass(kind):
         return None
     return tuple(sorted(
         (f.name, encode_basestring_ascii(f.name) + ": ") for f in fields(kind)))
@@ -81,14 +81,12 @@ def _field_keys(kind: type):
 
 def _json_text(value, newline: str) -> str:
     """The JSON of `value` as json.dumps(tree, sort_keys=True, indent=2)
-    writes its canonical tree: floats at 12 significant digits, dict keys
-    as str, tuples as lists, complex numbers as [re, im], numpy scalars as
-    their int or float, dataclasses as objects by field; other types raise
-    TypeError. `newline` closes a container at this depth. Each container
-    is joined as soon as it is written, so few pieces are alive at once."""
-    # Exact types and dataclasses first: they are nearly every value of a
-    # report. Subclasses, numpy scalars and complex values are converted to
-    # one of the exact types and written again.
+    writes its canonical tree: floats at 12 significant digits, tuples as
+    lists, dataclasses as objects by field. Types match exactly: str, float,
+    None, bool, int, list, tuple, dict with str keys and dataclasses; any
+    other, a numpy scalar, complex or subclass included, raises TypeError.
+    `newline` closes a container at this depth. Each container is joined
+    as soon as it is written, so few pieces are alive at once."""
     kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)
@@ -106,26 +104,13 @@ def _json_text(value, newline: str) -> str:
         items = [_json_text(item, inner) for item in value]
         return f"[{inner}{(',' + inner).join(items)}{newline}]" if items else "[]"
     if kind is dict:
-        pairs = {str(k): v for k, v in value.items()}
-        items = [f"{encode_basestring_ascii(key)}: {_json_text(pairs[key], inner)}"
-                 for key in sorted(pairs)]
+        items = [f"{encode_basestring_ascii(key)}: {_json_text(value[key], inner)}"
+                 for key in sorted(value)]
         return f"{{{inner}{(',' + inner).join(items)}{newline}}}" if items else "{}"
     keys = _field_keys(kind)
     if keys is not None:
         items = [key + _json_text(getattr(value, name), inner) for name, key in keys]
         return f"{{{inner}{(',' + inner).join(items)}{newline}}}" if items else "{}"
-    if isinstance(value, (np.floating, float)):
-        return _json_text(float(value), newline)
-    if isinstance(value, (np.integer, int)):
-        return _json_text(int(value), newline)
-    if isinstance(value, complex):
-        return _json_text([value.real, value.imag], newline)
-    if isinstance(value, str):
-        return _json_text(str.__str__(value), newline)
-    if isinstance(value, dict):
-        return _json_text(dict(value.items()), newline)
-    if isinstance(value, (list, tuple)):
-        return _json_text(list(value), newline)
     raise TypeError(f"cannot write {kind.__name__} as report JSON")
 
 
@@ -232,27 +217,29 @@ def build_run_document(scenario: str, experiment: Optional[str], shots: int,
                        seed: int, tolerance: float) -> tuple:
     """(flow result, document) of `run` from its flags: the list of four
     reports for `cdr --experiment all`, one ScenarioReport otherwise. The
-    echo is rebuilt from the flags, and rerunning it writes the same
-    report. A flag combination the CLI rejects raises ValueError with its
-    message; ScenarioConfig range-checks shots, seed and tolerance."""
+    echo is rebuilt from the config, whose exact numbers (numpy flags too)
+    rerun to the same report. A flag combination the CLI rejects raises
+    ValueError with its message, as do ScenarioConfig's range checks."""
     if scenario not in ("lmz", "cdr"):
         raise ValueError(f"unknown scenario {scenario!r}")
     if scenario == "lmz" and experiment is not None:
         raise ValueError("--experiment applies only to the cdr scenario")
     if scenario == "cdr" and experiment is None:
         raise ValueError("the cdr scenario needs --experiment {1,2,3,4,all}")
+    config = ScenarioConfig(
+        experiment_id=None if experiment in (None, "all") else int(experiment),
+        shots=shots, master_seed=seed, tolerance=tolerance)
+    shots, seed, tolerance = config.shots, config.master_seed, config.tolerance
     flags = f"--shots {shots} --seed {seed} --tolerance {tolerance!r}"
     if scenario == "lmz":
-        report = run_lmz(ScenarioConfig(
-            shots=shots, master_seed=seed, tolerance=tolerance))
+        report = run_lmz(config)
         return report, from_scenario(f"run lmz {flags}", report)
     if experiment == "all":
         reports = run_cdr_suite(shots=shots, master_seed=seed, tolerance=tolerance)
         return reports, from_cdr_suite(f"run cdr --experiment all {flags}", reports)
-    exp = int(experiment)
-    report = run_cdr(ScenarioConfig(
-        experiment_id=exp, shots=shots, master_seed=seed, tolerance=tolerance))
-    return report, from_scenario(f"run cdr --experiment {exp} {flags}", report)
+    report = run_cdr(config)
+    return report, from_scenario(
+        f"run cdr --experiment {config.experiment_id} {flags}", report)
 
 
 def build_check_document(builtin: Optional[str],
@@ -269,7 +256,7 @@ def build_check_document(builtin: Optional[str],
         if builtin != "ghz":
             raise ValueError(f"unknown builtin system {builtin!r}")
         system = parity.ghz_record_system()
-        command, config = f"check-assignments --builtin {builtin}", {"builtin": builtin}
+        command, config = "check-assignments --builtin ghz", {"builtin": "ghz"}
     else:
         path = Path(constraints)
         try:

@@ -36,6 +36,7 @@ reports byte for byte.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 from math import sqrt
@@ -55,7 +56,7 @@ from .observers import (
     reverse,
 )
 from .pauli import PauliString, commutes, product_of
-from .rng import STREAM_CPL, STREAM_SAMPLE, child_generator
+from .rng import MAX_SEED, STREAM_CPL, STREAM_SAMPLE, child_generator
 from .statevector import (
     ALG_TOL,
     PHYS_TOL,
@@ -102,7 +103,10 @@ class ScenarioConfig:
     experiment_id selects the flow: None for run_lmz, 1..4 for that
     reversal experiment of run_cdr; bob_mode, "lmz-lifted" or
     "cdr-reversal", is derived from it. shots = 0 disables sampling,
-    leaving only exact Born-rule certification; at most MAX_SHOTS.
+    leaving only exact Born-rule certification; at most MAX_SHOTS. Each
+    range-checked value is stored as an exact Python number (operator.index
+    for the integers, float() for tolerance): numpy integers and floats are
+    accepted and converted, and a float id, count or seed raises TypeError.
     """
 
     experiment_id: Optional[int] = None
@@ -122,8 +126,13 @@ class ScenarioConfig:
         if not 0 < self.tolerance < MAX_TOLERANCE:
             raise ValueError(
                 f"tolerance must lie in (0, {MAX_TOLERANCE:g}), got {self.tolerance}")
-        if not 0 <= self.master_seed < 2**64:
+        if not 0 <= self.master_seed <= MAX_SEED:
             raise ValueError(f"master_seed must be in [0, 2^64), got {self.master_seed}")
+        if self.experiment_id is not None:
+            object.__setattr__(self, "experiment_id", operator.index(self.experiment_id))
+        object.__setattr__(self, "shots", operator.index(self.shots))
+        object.__setattr__(self, "master_seed", operator.index(self.master_seed))
+        object.__setattr__(self, "tolerance", float(self.tolerance))
 
 
 @dataclass(frozen=True)
@@ -751,7 +760,7 @@ def run_lmz(config: ScenarioConfig) -> ScenarioReport:
         shots=config.shots, master_seed=config.master_seed,
         tolerance=config.tolerance)
 
-    _require_constraint_coverage(constraints, {1, 2, 3, 4}, CONSTRAINT_KINDS)
+    _require_constraint_coverage(constraints, {1, 2, 3, 4})
     passed = (
         all(c.certified for c in constraints)
         and commutation.all_products_commute
@@ -849,7 +858,7 @@ def _run_experiment(config: ScenarioConfig, opening: _Flow, state: StateVector,
     coexisting_records = CoexistingRecords(
         current, spec.labels, sorted(current) == sorted(spec.labels))
 
-    _require_constraint_coverage(constraints, {exp}, CONSTRAINT_KINDS)
+    _require_constraint_coverage(constraints, {exp})
     passed = (
         all(c.certified for c in constraints)
         and restoration.restored
@@ -879,9 +888,9 @@ def run_cdr_suite(shots: int = 0, master_seed: int = 0,
 
 
 def _require_constraint_coverage(constraints: Sequence[ConstraintResult],
-                                 ids: set, kinds: tuple) -> None:
+                                 ids: set) -> None:
     seen = {(c.constraint_id, c.kind) for c in constraints}
-    want = {(i, k) for i in ids for k in kinds}
+    want = {(i, k) for i in ids for k in CONSTRAINT_KINDS}
     if not want <= seen:
         missing = sorted(want - seen)
         raise InternalConsistencyError(

@@ -9,7 +9,7 @@ import pytest
 
 from relfacts import cli
 from relfacts.cli import build_parser, main
-from relfacts.scenarios import MAX_SHOTS
+from relfacts.scenarios import DEFAULT_TOLERANCE, MAX_SHOTS, ScenarioConfig
 
 
 class TestRunCommand:
@@ -20,6 +20,10 @@ class TestRunCommand:
         assert out.startswith("command: run lmz --shots 0 --seed 0 --tolerance 1e-09")
         assert "verdict: PASS" in out
         assert "constraint certifications:" in out
+
+    def test_tolerance_default_is_the_config_default(self):
+        args = build_parser().parse_args(["run", "lmz"])
+        assert args.tolerance == DEFAULT_TOLERANCE == ScenarioConfig().tolerance
 
     def test_lmz_json(self, capsys):
         rc = main(["run", "lmz", "--format", "json"])

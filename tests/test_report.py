@@ -31,24 +31,16 @@ from relfacts.statevector import StateVector
 def canonicalize(value):
     """Reference for the writer: the canonical tree of `value`, which
     json.dumps(tree, sort_keys=True, indent=2) must write as the writer
-    does. Exact types first, then numpy scalars, complex numbers as
-    [re, im], dataclasses by field; any other type raises TypeError."""
+    does. Exact types and dataclasses by field; any other type raises
+    TypeError."""
     kind = type(value)
     if kind is float:
         return round_float(value)
     if kind is str or kind is int or kind is bool or value is None:
         return value
-    if isinstance(value, (np.floating, float)):
-        return round_float(float(value))
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, complex):
-        return [round_float(value.real), round_float(value.imag)]
-    if isinstance(value, str):
-        return value
-    if isinstance(value, dict):
-        return {str(k): canonicalize(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
+    if kind is dict:
+        return {k: canonicalize(v) for k, v in value.items()}
+    if kind is list or kind is tuple:
         return [canonicalize(v) for v in value]
     if is_dataclass(kind):
         return {f.name: canonicalize(getattr(value, f.name)) for f in fields(kind)}
@@ -64,7 +56,7 @@ def written(value):
 class Point:
     name: str
     coords: tuple
-    weight: np.float64
+    weight: float
 
 
 @dataclass
@@ -73,30 +65,27 @@ class Segment:
     end: object
 
 
-@dataclass(init=False)
-class Weight(float):
-    """A dataclass that is also a float: written as the float."""
-    unit: str = "kg"
+class Grams(float):
+    """A float subclass: not an exact float, so the writer rejects it."""
 
 
 def test_canonicalize_dataclass_by_field():
-    assert written([Point("p", (1, 2.0), np.float64(1 / 3))]) == [
+    assert written([Point("p", (1, 2.0), 1 / 3)]) == [
         {"name": "p", "coords": [1, 2.0], "weight": 0.333333333333}]
-    segment = Segment(Point("a", (), np.float64(0.5)), Point("b", (3,), np.float64(-1)))
+    segment = Segment(Point("a", (), 0.5), Point("b", (3,), -1.0))
     assert written({"s": segment}) == {"s": {
         "start": {"name": "a", "coords": [], "weight": 0.5},
         "end": {"name": "b", "coords": [3], "weight": -1.0}}}
 
 
 @pytest.mark.parametrize("value, expected", [
-    (np.float32(0.1), 0.10000000149),
-    (np.int64(-7), -7),
+    (1 / 3, 0.333333333333),
+    (-7, -7),
     (True, True),
     (1, 1),
     ((1, (2.5, "x")), [1, [2.5, "x"]]),
-    (complex(1 / 3, -2), [0.333333333333, -2.0]),
-    ({1: None, "k": 2 / 3}, {"1": None, "k": 0.666666666667}),
-    (Weight(1 / 3), 0.333333333333),
+    (-0.0, -0.0),
+    ({"1": None, "k": 2 / 3}, {"1": None, "k": 0.666666666667}),
 ])
 def test_canonicalize_keeps_types_and_values(value, expected):
     result = written(value)
@@ -104,7 +93,19 @@ def test_canonicalize_keeps_types_and_values(value, expected):
     assert json.dumps(result) == json.dumps(expected)  # bool stays bool, int stays int
 
 
-@pytest.mark.parametrize("value", [{1, 2}, object(), Point, np.array([1.0])])
+@pytest.mark.parametrize("value", [
+    {1, 2}, object(), Point, np.array([1.0]),
+    # Numbers that are not exact Python types: ScenarioConfig converts
+    # outside numbers before they reach a report, and the writer has no
+    # fallback for them.
+    pytest.param(np.float64(0.5), id="float64"),
+    pytest.param(np.float32(0.1), id="float32"),
+    pytest.param(np.int64(-7), id="int64"),
+    pytest.param(np.bool_(True), id="bool_"),
+    pytest.param(complex(1 / 3, -2), id="complex"),
+    pytest.param(Grams(1 / 3), id="float-subclass"),
+    pytest.param({1: None, "k": 2 / 3}, id="int-key"),
+])
 def test_canonicalize_rejects_other_types(value):
     with pytest.raises(TypeError):
         _json_text(value, "\n")
@@ -118,11 +119,8 @@ SCALARS = (
     | st.integers() | st.integers(-10**40, 10**40)
     | st.text() | st.text(alphabet=st.characters(max_codepoint=0x1f))
     | st.sampled_from(["", "é", "\u2028", "\U0001f600", '"\\/', -0.0, 2**100])
-    | st.floats().map(np.float64) | st.floats(width=32).map(np.float32)
-    | st.integers(-2**63, 2**63 - 1).map(np.int64) | st.integers(0, 255).map(np.uint8)
-    | st.complex_numbers()
     | st.builds(Point, st.text(max_size=3), st.tuples(st.integers(), st.floats()),
-                st.floats().map(np.float64)))
+                st.floats()))
 TREES = st.recursive(
     SCALARS,
     lambda children: st.lists(children, max_size=4) | st.tuples(children, children)
@@ -223,6 +221,19 @@ def test_run_echo_parses_back_to_its_flags(scenario, experiment, tolerance):
     assert (args.command, args.scenario, args.experiment, args.shots, args.seed,
             args.tolerance) == ("run", scenario, experiment, 3, 5, tolerance)
     assert doc.config["tolerance"] == tolerance
+
+
+@pytest.mark.parametrize("scenario, experiment", [
+    ("lmz", None), ("cdr", "2"), ("cdr", "all")])
+def test_numpy_flags_write_the_plain_flags_report(scenario, experiment):
+    plain = build_run_document(scenario, experiment, 1000, 7, 1e-9)[1]
+    doc = build_run_document(
+        scenario, experiment, np.int64(1000), np.uint64(7), np.float64(1e-9))[1]
+    assert doc.to_json() == plain.to_json()
+    assert render_text(doc) == render_text(plain)
+    args = build_parser().parse_args(shlex.split(doc.command))
+    assert (args.command, args.scenario, args.experiment, args.shots, args.seed,
+            args.tolerance) == ("run", scenario, experiment, 1000, 7, 1e-9)
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -133,6 +133,26 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             ScenarioConfig(**kwargs)
 
+    def test_numbers_become_exact_python_numbers(self):
+        config = ScenarioConfig(
+            experiment_id=np.int8(2), shots=np.int64(1000),
+            master_seed=np.uint64(2**64 - 1), tolerance=np.float32(1e-3))
+        assert config == ScenarioConfig(
+            experiment_id=2, shots=1000, master_seed=2**64 - 1,
+            tolerance=float(np.float32(1e-3)))
+        assert [type(v) for v in dataclasses.astuple(config)] == [
+            int, int, int, float, str]
+
+    @pytest.mark.parametrize("kwargs", [
+        {"experiment_id": 2.0},  # in range, but not an integer
+        {"shots": 2.0},
+        {"master_seed": 7.0},
+        {"tolerance": "1e-9"},
+    ])
+    def test_non_numbers_raise_type_error(self, kwargs):
+        with pytest.raises(TypeError):
+            ScenarioConfig(**kwargs)
+
     def test_flow_config_cross_checks(self):
         with pytest.raises(ValueError):
             run_cdr(ScenarioConfig())
@@ -571,6 +591,25 @@ class TestCertifyConstraint:
             lmz_exact.snapshots[2].state, 2, "bob-1", "t", ScenarioConfig(), sampling)
         assert exact_only.shots == 0 and exact_only.certified
         assert len(sampling) == 1
+
+    def test_a_sampled_violation_fails_the_certification(self, lmz_exact, monkeypatch):
+        # The exact product holds, so only the tally can fail it.
+        def one_violation(state, **kwargs):
+            return SampleTally(
+                target=kwargs["target"], constraint_id=kwargs["constraint_id"],
+                stage=kwargs["stage"],
+                record_labels=tuple(label for label, _ in kwargs["records"]),
+                expected_product=kwargs["expected_product"],
+                outcome_counts={"---": 99, "+--": 1})
+
+        monkeypatch.setattr(scenarios, "sample_records", one_violation)
+        sampling = []
+        result = _certify_records(
+            lmz_exact.snapshots[2].state, 2, "bob-1", "t",
+            ScenarioConfig(shots=100), sampling)
+        assert abs(result.expectation + 1) <= 1e-12
+        assert (result.shots, result.violations) == (100, 1)
+        assert not result.certified
 
     def test_detects_wrong_sign(self):
         state = zero_state(2)

@@ -186,6 +186,15 @@ def test_exact_products_fail_beyond_1e_9():
     assert not passes(verify._exact_products, built(lmz), built(cdr))
 
 
+def test_exact_products_read_the_lmz_operator_certifications():
+    # The lmz flow's record certifications are exact too, so reading them
+    # in place of its operator ones would hide this deviation.
+    lmz, cdr = exact_flows()
+    lmz.constraints[1].expectation += 2e-9
+    assert lmz.constraints[1].kind == "operator"
+    assert not passes(verify._exact_products, built(lmz), built(cdr))
+
+
 def pauli_monomial(label):
     return _monomial(PauliString.from_label(label).dense_matrix())
 
