@@ -40,8 +40,10 @@ from .parity import (
 from .pauli import PauliString, commutes
 from .rng import child_generator
 from .scenarios import (
+    CdrReport,
     ConstraintResult,
     CplResult,
+    LmzReport,
     SampleTally,
     ScenarioConfig,
     ScenarioReport,
@@ -67,12 +69,14 @@ __version__ = "0.1.0"
 __all__ = [
     "ALG_TOL",
     "PHYS_TOL",
+    "CdrReport",
     "ConstraintParseError",
     "ConstraintResult",
     "ConstraintSystem",
     "CplResult",
     "EnumerationResult",
     "InternalConsistencyError",
+    "LmzReport",
     "ParityConstraint",
     "PauliString",
     "Premeasurement",

@@ -17,12 +17,12 @@ CPython 3.12 and earlier runs in pure Python, about twice as slow as this
 module's writer.
 
 Report keys are the field names of the result dataclasses (ScenarioConfig,
-ConstraintResult, SampleTally, CplResult, RelativeFact, the lmz flow's
-CommutationSurvey with its SamePairAnticommute rows, TransportedCertificate
-and DisturbedDiagnostic, the cdr flow's FullRestoration or MemoryRestoration
-and CoexistingRecords, ...): the writer serializes any dataclass field by
-field. Renaming a field therefore changes the schema, and the pinned hashes
-in tests/test_golden.py catch it.
+ConstraintResult, SampleTally, RelativeFact, the lmz flow's LmzReport with
+its CommutationSurvey, TransportedCertificate, DisturbedDiagnostic and
+CplResult, the cdr flow's CdrReport with its FullRestoration or
+MemoryRestoration and CoexistingRecords, ...): the writer serializes any
+dataclass field by field. Renaming a field therefore changes the schema,
+and the pinned hashes in tests/test_golden.py catch it.
 
 Reports carry measurements, not restatements of them. A sampled tally's
 shots, violations and marginal counts are derived from its outcome counts
@@ -134,9 +134,9 @@ class ReportDocument:
 
 
 # ScenarioReport fields that are not results: the document carries config
-# and passed in their own blocks, and the snapshots and ledger facts go out
-# as "stages" and "ledger".
-_NOT_RESULTS = ("snapshots", "ledger_facts", "config", "passed")
+# and passed in their own blocks, and the snapshots go out as "stages",
+# with the last one's facts as "ledger".
+_NOT_RESULTS = ("snapshots", "config", "passed")
 
 
 def _stage_summary(snap, before: tuple = (), limit: int = 8) -> dict:
@@ -174,7 +174,7 @@ def _scenario_results(report, summaries: dict) -> dict:
             summaries[key] = _stage_summary(snap, before)
         stages.append(summaries[key])
     body["stages"] = stages
-    body["ledger"] = report.ledger_facts
+    body["ledger"] = report.snapshots[-1].facts
     return body
 
 
@@ -215,11 +215,11 @@ def from_verify(command: str, rows: Sequence[dict]) -> ReportDocument:
 
 def build_run_document(scenario: str, experiment: Optional[str], shots: int,
                        seed: int, tolerance: float) -> tuple:
-    """(flow result, document) of `run` from its flags: the list of four
-    reports for `cdr --experiment all`, one ScenarioReport otherwise. The
-    echo is rebuilt from the config, whose exact numbers (numpy flags too)
-    rerun to the same report. A flag combination the CLI rejects raises
-    ValueError with its message, as do ScenarioConfig's range checks."""
+    """(flow result, document) of `run` from its flags: an LmzReport, a
+    CdrReport, or the list of four for `cdr --experiment all`. The echo is
+    rebuilt from the config, whose exact numbers (numpy flags too) rerun to
+    the same report. A flag combination the CLI rejects raises ValueError
+    with its message, as do ScenarioConfig's range checks."""
     if scenario not in ("lmz", "cdr"):
         raise ValueError(f"unknown scenario {scenario!r}")
     if scenario == "lmz" and experiment is not None:
@@ -322,7 +322,7 @@ def _render_scenario_body(results: dict) -> list:
             f" {_fmt(all(r.anticommute for r in commutation.same_pair_anticommute))},"
             f" cross-pair commute {_fmt(commutation.cross_pair_commute)}")
         lines.append("")
-    final_certificate = results.get("final_certificate") or []
+    final_certificate = results.get("final_certificate")
     if final_certificate:
         lines.append("final-state transported certificate:")
         lines.extend(_table(
@@ -401,7 +401,7 @@ def render_text(doc: ReportDocument) -> str:
     if "experiments" in results:
         for body in results["experiments"]:
             lines.append(
-                f"=== experiment {body['experiment_id']} ===")
+                f"=== experiment {body['constraints'][0].constraint_id} ===")
             lines.extend(_render_scenario_body(body))
     elif "checks" in results:
         lines.append("acceptance checks:")

@@ -101,9 +101,8 @@ class ScenarioConfig:
     """Run parameters shared by both flows.
 
     experiment_id selects the flow: None for run_lmz, 1..4 for that
-    reversal experiment of run_cdr; bob_mode, "lmz-lifted" or
-    "cdr-reversal", is derived from it. shots = 0 disables sampling,
-    leaving only exact Born-rule certification; at most MAX_SHOTS. Each
+    reversal experiment of run_cdr. shots = 0 disables sampling, leaving
+    only exact Born-rule certification; at most MAX_SHOTS. Each
     range-checked value is stored as an exact Python number (operator.index
     for the integers, float() for tolerance): numpy integers and floats are
     accepted and converted, and a float id, count or seed raises TypeError.
@@ -113,14 +112,11 @@ class ScenarioConfig:
     shots: int = 0
     master_seed: int = 0
     tolerance: float = DEFAULT_TOLERANCE
-    bob_mode: str = field(init=False)
 
     def __post_init__(self):
         if self.experiment_id not in (None, 1, 2, 3, 4):
             raise ValueError(
                 f"experiment_id must be None or in 1..4, got {self.experiment_id!r}")
-        object.__setattr__(self, "bob_mode", (
-            "lmz-lifted" if self.experiment_id is None else "cdr-reversal"))
         if not 0 <= self.shots <= MAX_SHOTS:
             raise ValueError(f"shots must lie in [0, {MAX_SHOTS:g}], got {self.shots}")
         if not 0 < self.tolerance < MAX_TOLERANCE:
@@ -238,8 +234,6 @@ class CplResult:
 class SamePairAnticommute:
     """Whether pair k's direct observable B_k anticommutes with A_k."""
     pair: int
-    direct_label: str
-    record_label: str
     anticommute: bool
 
 
@@ -307,28 +301,36 @@ class CoexistingRecords:
 
 @dataclass
 class ScenarioReport:
-    """Everything one flow certifies, plus the stage-by-stage evidence.
+    """What both flows certify, plus the stage-by-stage evidence; each
+    flow's own results are on its subclass, LmzReport or CdrReport.
 
     `snapshots` keeps the full states for programmatic use; the report
     module serializes a summary of each stage instead. Each snapshot's facts
-    and `ledger_facts` are observers.ledger of the record steps applied up
-    to that stage and to the end of the flow.
+    are observers.ledger of the record steps applied up to that stage, so
+    the last snapshot's facts are the flow's final ledger.
     """
 
-    scenario: str
-    experiment_id: Optional[int]
     config: ScenarioConfig
     snapshots: list
-    ledger_facts: tuple
     constraints: list
-    commutation: CommutationSurvey | dict  # {} in a reversal experiment
-    final_certificate: list
-    disturbed_diagnostic: Optional[DisturbedDiagnostic]
-    restoration: FullRestoration | MemoryRestoration | None
-    coexisting_records: Optional[CoexistingRecords]
-    cpl: Optional[CplResult]
     sampling: list
     passed: bool
+
+
+@dataclass
+class LmzReport(ScenarioReport):
+    """run_lmz's report, with the evidence only the lmz flow computes."""
+    commutation: CommutationSurvey
+    final_certificate: list
+    disturbed_diagnostic: DisturbedDiagnostic
+    cpl: CplResult
+
+
+@dataclass
+class CdrReport(ScenarioReport):
+    """run_cdr's report of one experiment, with the evidence only cdr computes."""
+    restoration: FullRestoration | MemoryRestoration
+    coexisting_records: CoexistingRecords
 
 
 # -- protocol building blocks ------------------------------------------------
@@ -584,8 +586,7 @@ def _commutation_survey(specs: Sequence[ConstraintSpec],
                 commutes(a, b) for a, b in combinations(spec.observables, 2))
             for spec in specs},
         same_pair_anticommute=tuple(
-            SamePairAnticommute(k + 1, f"B{k + 1}", f"A{k + 1}",
-                                not commutes(bhats[k], ahats[k]))
+            SamePairAnticommute(k + 1, not commutes(bhats[k], ahats[k]))
             for k in range(3)),
         cross_pair_commute=all(commutes(bhats[k], ahats[j])
                                for k in range(3) for j in range(3) if j != k))
@@ -678,7 +679,7 @@ def _sampling_holds(constraints: Sequence[ConstraintResult],
                     for t in sampling))
 
 
-def run_lmz(config: ScenarioConfig) -> ScenarioReport:
+def run_lmz(config: ScenarioConfig) -> LmzReport:
     """Single-experiment flow: Alice's friends record, Bob addresses lifted
     observables, every certification lives in one pipeline.
 
@@ -774,17 +775,14 @@ def run_lmz(config: ScenarioConfig) -> ScenarioReport:
         and cpl.violation_demonstrated
         and abs(cpl.operator_product_after - 1.0) <= config.tolerance
         and _sampling_holds(constraints, sampling, config.shots))
-    return ScenarioReport(
-        scenario="lmz", experiment_id=None, config=config,
-        snapshots=flow.snapshots, ledger_facts=facts,
-        constraints=constraints, commutation=commutation,
+    return LmzReport(
+        config=config, snapshots=flow.snapshots, constraints=constraints,
+        sampling=sampling, passed=passed, commutation=commutation,
         final_certificate=final_certificate,
-        disturbed_diagnostic=disturbed_diagnostic,
-        restoration=None, coexisting_records=None, cpl=cpl,
-        sampling=sampling, passed=passed)
+        disturbed_diagnostic=disturbed_diagnostic, cpl=cpl)
 
 
-def run_cdr(config: ScenarioConfig) -> ScenarioReport:
+def run_cdr(config: ScenarioConfig) -> CdrReport:
     """Four-experiment flow, one experiment per constraint: Alice's friends
     record, the records not read by the constraint are unwound by the
     self-inverse premeasurement, and Bob then measures the freed system
@@ -801,7 +799,7 @@ def run_cdr(config: ScenarioConfig) -> ScenarioReport:
 
 
 def _run_experiment(config: ScenarioConfig, opening: _Flow, state: StateVector,
-                    alice_pms: tuple) -> ScenarioReport:
+                    alice_pms: tuple) -> CdrReport:
     """run_cdr's experiment, continued from what _alice_complete returned;
     the `opening` flow itself is left as it was."""
     flow = _Flow(opening)
@@ -864,13 +862,10 @@ def _run_experiment(config: ScenarioConfig, opening: _Flow, state: StateVector,
         and restoration.restored
         and coexisting_records.records_match_constraint
         and _sampling_holds(constraints, sampling, config.shots))
-    return ScenarioReport(
-        scenario="cdr", experiment_id=exp, config=config,
-        snapshots=flow.snapshots, ledger_facts=facts,
-        constraints=constraints, commutation={},
-        final_certificate=[], disturbed_diagnostic=None,
-        restoration=restoration, coexisting_records=coexisting_records,
-        cpl=None, sampling=sampling, passed=passed)
+    return CdrReport(
+        config=config, snapshots=flow.snapshots, constraints=constraints,
+        sampling=sampling, passed=passed, restoration=restoration,
+        coexisting_records=coexisting_records)
 
 
 def run_cdr_suite(shots: int = 0, master_seed: int = 0,

@@ -338,7 +338,7 @@ def _tallies_fault(report) -> str:
 
 def _reversal_per_shot(cdr) -> tuple:
     for rep in cdr.result:
-        exp = f"experiment {rep.experiment_id}"
+        exp = f"experiment {rep.config.experiment_id}"
         record = next(c for c in rep.constraints if c.kind == "record")
         if record.violations != 0 or record.shots != FULL_SHOTS:
             return False, (

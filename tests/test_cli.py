@@ -31,7 +31,7 @@ class TestRunCommand:
         assert rc == 0
         assert doc["schema_version"] == "1"
         assert doc["verdict"] == "PASS"
-        assert doc["config"]["bob_mode"] == "lmz-lifted"
+        assert doc["config"]["experiment_id"] is None
         assert len(doc["results"]["constraints"]) == 8
         assert doc["results"]["cpl"]["premise_certified"] is True
         assert doc["timing"] == {}
@@ -52,7 +52,18 @@ class TestRunCommand:
         assert rc == 0
         assert doc["config"]["experiment_id"] == "all"
         assert len(doc["results"]["experiments"]) == 4
-        assert [e["experiment_id"] for e in doc["results"]["experiments"]] == [1, 2, 3, 4]
+        assert [e["constraints"][0]["constraint_id"]
+                for e in doc["results"]["experiments"]] == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "lmz"],
+        ["run", "cdr", "--experiment", "2"],
+        ["run", "cdr", "--experiment", "all"],
+    ])
+    def test_config_holds_exactly_the_four_flags(self, argv, capsys):
+        assert main(argv + ["--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert set(doc["config"]) == {"experiment_id", "master_seed", "shots", "tolerance"}
 
     def test_identical_flags_identical_bytes(self, tmp_path):
         jobs = (

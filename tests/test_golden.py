@@ -2,10 +2,16 @@
 
 The hashes were generated from the reports of an earlier release, so a
 refactor that changes any byte of a report, in either format, fails here.
-All 32 date from the release that dropped the operation counts: each JSON
-report's "timing" object became empty (the key stays, and the version
-string still reads "1"), and each text report lost its closing blank line
-and `timing:` line. Every other byte was unchanged by that release.
+The 8 `check-assignments` and `verify --all` hashes date from the release
+that dropped the operation counts: each JSON report's "timing" object
+became empty (the key stays, and the version string still reads "1"), and
+each text report lost its closing blank line and `timing:` line. The 24
+`run` hashes date from the release that gave each flow its own report
+type: each JSON report lost `config.bob_mode`, `results.scenario`,
+`results.experiment_id`, the other flow's empty slots and the same-pair
+rows' `direct_label` and `record_label`, and each text report's `config:`
+line lost `bob_mode=...`. Every other byte was unchanged by either
+release.
 The two planted 20-variable constraint files under tests/data/ (one
 satisfiable, one contradictory) are read by a relative path, which each
 report prints, so the test runs from the repository root.
@@ -23,53 +29,53 @@ from relfacts.cli import main
 
 GOLDEN = {
     ("run lmz --shots 0", "json"):
-        "7e778aaa4ee381aeaa9d5a483337d7989eefab0ad7870372c63764dd8b2e779a",
+        "223d6010a5792bc4cf36cd1b0be309d917a2052bfe2fee93db1c492b7c9bbaa2",
     ("run lmz --shots 0", "text"):
-        "52e331cf5eb98fbdb4f77f9a8251d60b4d3d3af53a841f59aec5a46db8bec206",
+        "8c425829d21e5d50b78c08b44935195c29a62ee42dca098b4d38d8156f1366d4",
     ("run lmz --shots 1000 --seed 7", "json"):
-        "756d10a9eb269533375f62b15e8ba2890fde688f9c0bae1fa846793c11d1f368",
+        "cdd0596516f8b7c5a1b13e0975bc426fefb00b506b6cee66cc3db9985f5047a5",
     ("run lmz --shots 1000 --seed 7", "text"):
-        "5e1e4e07696887717721c097910c88f28502e757e0c46514f419aa19fa266b0f",
+        "7ec4013367a5cec66d4d0ab8fb9b69330dfcbeb748d1068c63f1210d3d4e55c2",
     ("run cdr --experiment 1 --shots 0", "json"):
-        "ea6435a8113ed2b0c4f275925f6e1da22818bcddd42fb903e43b2f39d1403567",
+        "d40530d6341051d48396dd33c103173144cdc2f125c2908a0e58f2dc8fcf60ef",
     ("run cdr --experiment 1 --shots 0", "text"):
-        "e3311553e988d5f5e467914130160121dd34cc9fcb17750bc9ea8f2f48221e66",
+        "778076a7922f0afc1f44db5b3ebf7a37a86c183936fb97adc369a1dcd884b27a",
     ("run cdr --experiment 1 --shots 1000 --seed 7", "json"):
-        "6fb5541616e1011a425fa300145c98b57c4e47c87c90fec581aab683bfee613d",
+        "6af5d2b65542759a98ef013117d7ee8c15f1ebbdc58f99c62702f9525177f3ac",
     ("run cdr --experiment 1 --shots 1000 --seed 7", "text"):
-        "1e3b2ca67da2def09c8b0c5d55092e41443669d9f14e48c4271592f274068311",
+        "8ec2c9e2b2dde51b6686d93890284fc870ccb3b4d35efd848cc165677a13c0ed",
     ("run cdr --experiment 2 --shots 0", "json"):
-        "d2f758402ea0fdf2e874e0590043d59707a9c05e1798fad256eb15baab331d8a",
+        "bbb7aca4eb1cd47cbd0bf93083d130557084d28eca3d74bd20dfd4be2361e2b7",
     ("run cdr --experiment 2 --shots 0", "text"):
-        "42655e8b16a2ec7d3a0c0b9a6b64c80370e92b636b4c7e57d8dc41b42af3db09",
+        "e56d01eab6c0a18c3155a2158f8904db760996048e280557a14f8134dac8ea0d",
     ("run cdr --experiment 2 --shots 1000 --seed 7", "json"):
-        "45cf9b2a173eeeac2c51289a3571cbc750bf3fed6721275160a25f773d4b8c52",
+        "95f675f62dd61d22bd93a6332264b04cffe13207055ca4db1de62d5d41322483",
     ("run cdr --experiment 2 --shots 1000 --seed 7", "text"):
-        "e783b5fe80eae6688424af868201658b366d24a097e4971331a9ec261f09dc5f",
+        "535e2640a582566b018c994dbf276ee6b0401bb7cdbb191dd80673fd27a47cd0",
     ("run cdr --experiment 3 --shots 0", "json"):
-        "424be499bbe83c9f754cf4addb225e0b3339f9cf7dfebe0bf29b5d77b5b3d80c",
+        "b53b478ed107b49ac5a453ca704fba56337a4f0cfd373700de6b1e24f32612ff",
     ("run cdr --experiment 3 --shots 0", "text"):
-        "0afc56bdd0a7164eec4d563988535f1e87be4f90f43b33932973ef0c44ab108b",
+        "43278769cf409f594364fc34f193fbc6390750edf9231e3793959eff6244ca3d",
     ("run cdr --experiment 3 --shots 1000 --seed 7", "json"):
-        "f5d1848efde6b6e274d1409ce6501aa7f00f2b0342c0a13c1fc7527a12b9ea96",
+        "a701c1b9dc65d7f427a260e6d1428a513ca3ce9ad1fbd2d2a85f630b74926025",
     ("run cdr --experiment 3 --shots 1000 --seed 7", "text"):
-        "ad17b77abf7fb00631e8e59d55a10f8063887c92431eb0d4d09c9acd7f6bdd4a",
+        "f33fa58a6c221cb06ec6f111020ccd18a1f75482a78bfd295ef19b66402818d5",
     ("run cdr --experiment 4 --shots 0", "json"):
-        "cded3220ee5662a1f962fa0f50703dbd810ff57d4cc5d0d09922e1bfe556056b",
+        "707e9969d9f544e00065e9820704816d5d4b671504bab2f2facbafde53f79eea",
     ("run cdr --experiment 4 --shots 0", "text"):
-        "4f13a86de11456d92802704abcd4776efbd0db429c6b7b24a07765728100ea82",
+        "1026a5ce9c25fdb9afe92dfbf763f07d45011e783f0ef4bf0a3895d79e5b1668",
     ("run cdr --experiment 4 --shots 1000 --seed 7", "json"):
-        "95e2635290f5091a8ab28b3bbc78b86f7cba2c6a33cf64afa94a0d000bd57549",
+        "dad664bfce9ad71b13f26d8c1d16f90e61a76a832c29943ba18a0cfc9883e948",
     ("run cdr --experiment 4 --shots 1000 --seed 7", "text"):
-        "4a368bb431fa03d8fbd6460f25a81529f816375c153c091d455f86670db61b6d",
+        "1a1df94cf9bf2112a742984d8fefe10180bc287aa2bf86e611830ff76aa43140",
     ("run cdr --experiment all --shots 0", "json"):
-        "d9db4c21a5d3366be82d91441a1bd9e78f63c242acbc0f74e5f508022f50e56f",
+        "2156a542406514cb86241c47e708a4271c953325247b198109e0f4d866be7db1",
     ("run cdr --experiment all --shots 0", "text"):
-        "849beae944708170721aa5ee4024af29f02b3d999325c37eadfeb17be31590c4",
+        "0d7859109e91421cd62c7f28f464932f0df9ddcac51db0107fbe1c068a814329",
     ("run cdr --experiment all --shots 1000 --seed 7", "json"):
-        "23e189871ee3b62457b1080aa5b6654b2f7a8408050748753f493c478263bcc0",
+        "ad53f46d76e19b3f2247b18eafd05bbce007d8106e891ef3e2d2205349858bf1",
     ("run cdr --experiment all --shots 1000 --seed 7", "text"):
-        "9c835e89d1db5ddc541c1b7cc8016d59dfe381b971102f02d4cc48305f1c30c7",
+        "f3aff32a0d3f536162f0cd2f34edb91c83bbe1d3d02c7a58ad1ab19736e2ae11",
     ("check-assignments --builtin ghz", "json"):
         "f4d7fa6d6cdf4ef8590669a28f372467e39cbf884b4be00fd0829ea221ba8113",
     ("check-assignments --builtin ghz", "text"):

@@ -1,5 +1,6 @@
 """Both protocol flows end to end, cross-checked against dense pipelines."""
 import dataclasses
+import json
 import math
 from itertools import permutations
 from itertools import product as iter_product
@@ -22,18 +23,21 @@ from relfacts.errors import InternalConsistencyError, ProtocolError
 from relfacts.observers import Premeasurement, RelativeFact, ledger, lift, premeasure
 from relfacts.pauli import PauliString
 from relfacts import scenarios
-from relfacts.report import from_scenario, render_text
+from relfacts.report import build_run_document, from_scenario, render_text
 from relfacts.scenarios import (
     ALICE_MEMORY,
     BOB_MEMORY,
     CONSTRAINT_SIGNS,
+    DEFAULT_TOLERANCE,
     MAX_SHOTS,
     NUM_QUBITS,
     SYSTEM_QUBITS,
+    CdrReport,
     CoexistingRecords,
     CommutationSurvey,
     DisturbedDiagnostic,
     FullRestoration,
+    LmzReport,
     MemoryRestoration,
     SamePairAnticommute,
     SampleTally,
@@ -101,19 +105,16 @@ def assert_born_statuses(facts, evidence):
 
 class TestScenarioConfig:
     def test_defaults(self):
-        config = ScenarioConfig()
-        assert config.bob_mode == "lmz-lifted"
-        assert config.experiment_id is None
-        assert config.shots == 0
+        assert dataclasses.astuple(ScenarioConfig()) == (None, 0, 0, DEFAULT_TOLERANCE)
 
-    def test_experiment_id_selects_the_flow(self):
-        assert ScenarioConfig(experiment_id=2).bob_mode == "cdr-reversal"
-        assert dataclasses.replace(
-            ScenarioConfig(experiment_id=4), experiment_id=None).bob_mode == "lmz-lifted"
-        assert [f.name for f in dataclasses.fields(ScenarioConfig) if f.init] == [
+    def test_experiment_id_selects_the_flow(self, lmz_exact, cdr_suite_sampled):
+        # The report's type names the flow; the config holds only the flags.
+        assert type(lmz_exact) is LmzReport
+        assert lmz_exact.config.experiment_id is None
+        assert [type(r) for r in cdr_suite_sampled] == [CdrReport] * 4
+        assert [r.config.experiment_id for r in cdr_suite_sampled] == [1, 2, 3, 4]
+        assert [f.name for f in dataclasses.fields(ScenarioConfig)] == [
             "experiment_id", "shots", "master_seed", "tolerance"]
-        with pytest.raises(TypeError):
-            ScenarioConfig(bob_mode="cdr-reversal", experiment_id=2)
 
     @pytest.mark.parametrize("kwargs", [
         {"experiment_id": 0},
@@ -141,7 +142,7 @@ class TestScenarioConfig:
             experiment_id=2, shots=1000, master_seed=2**64 - 1,
             tolerance=float(np.float32(1e-3)))
         assert [type(v) for v in dataclasses.astuple(config)] == [
-            int, int, int, float, str]
+            int, int, int, float]
 
     @pytest.mark.parametrize("kwargs", [
         {"experiment_id": 2.0},  # in range, but not an integer
@@ -174,8 +175,8 @@ class TestObservableTables:
 
 class TestLmzExact:
     def test_passes(self, lmz_exact):
-        assert lmz_exact.scenario == "lmz"
-        assert lmz_exact.experiment_id is None
+        assert type(lmz_exact) is LmzReport
+        assert lmz_exact.config.experiment_id is None
         assert lmz_exact.passed is True
 
     def test_stage_labels(self, lmz_exact):
@@ -248,12 +249,12 @@ class TestLmzExact:
         assert cpl.violation_demonstrated is True
 
     def test_final_ledger_statuses(self, lmz_exact):
-        statuses = {f.label: f.status for f in lmz_exact.ledger_facts}
+        statuses = {f.label: f.status for f in lmz_exact.snapshots[-1].facts}
         assert statuses == {
             "A1": "disturbed", "A2": "disturbed", "A3": "disturbed",
             "B1": "current", "B2": "current", "B3": "current",
         }
-        stages = {f.label: f.stage for f in lmz_exact.ledger_facts}
+        stages = {f.label: f.stage for f in lmz_exact.snapshots[-1].facts}
         assert stages == {
             "A1": "alice-complete", "A2": "alice-complete", "A3": "alice-complete",
             "B1": "bob-1", "B2": "bob-2", "B3": "bob-3",
@@ -284,11 +285,24 @@ class TestFlowResultTypes:
         with pytest.raises(TypeError):
             FullRestoration(1.0, True, kind="memory")
 
-    def test_each_flow_keeps_the_other_flows_placeholders(self, lmz_exact, cdr_suite_sampled):
-        assert (lmz_exact.restoration, lmz_exact.coexisting_records) == (None, None)
-        for report in cdr_suite_sampled:
-            assert (report.commutation, report.final_certificate,
-                    report.disturbed_diagnostic, report.cpl) == ({}, [], None, None)
+    def test_each_flow_reports_only_its_own_results(self):
+        # No key restates the config or the flow, and no flow carries the
+        # other flow's results as empty slots.
+        def results(scenario, experiment):
+            doc = build_run_document(scenario, experiment, 0, 0, DEFAULT_TOLERANCE)[1]
+            return json.loads(doc.to_json())["results"]
+
+        shared = {"constraints", "sampling", "stages", "ledger"}
+        lmz = results("lmz", None)
+        assert set(lmz) == shared | {
+            "commutation", "final_certificate", "disturbed_diagnostic", "cpl"}
+        assert [set(row) for row in lmz["commutation"]["same_pair_anticommute"]] == [
+            {"pair", "anticommute"}] * 3
+        cdr = shared | {"restoration", "coexisting_records"}
+        assert set(results("cdr", "2")) == cdr
+        suite = results("cdr", "all")
+        assert set(suite) == {"experiments"}
+        assert [set(body) for body in suite["experiments"]] == [cdr] * 4
 
 
 # The record steps each protocol applies, written out from its definition
@@ -341,7 +355,7 @@ class TestImpliedStatuses:
         assert len(report.snapshots) == len(stage_steps)
         for snap, applied in zip(report.snapshots, stage_steps):
             assert_born_statuses(snap.facts, evidence[applied])
-        assert_born_statuses(report.ledger_facts, evidence[-1])
+        assert_born_statuses(report.snapshots[-1].facts, evidence[-1])
 
     def test_refuses_what_the_rule_cannot_judge(self):
         # Alice premeasures Z0 onto memory 1, Bob premeasures lift(X0) = XX
@@ -882,14 +896,14 @@ class TestCplStandalone:
 
 class TestCdr:
     def test_suite_shape(self, cdr_suite_sampled):
-        assert [r.experiment_id for r in cdr_suite_sampled] == [1, 2, 3, 4]
+        assert [r.config.experiment_id for r in cdr_suite_sampled] == [1, 2, 3, 4]
         for report in cdr_suite_sampled:
-            assert report.scenario == "cdr"
+            assert type(report) is CdrReport
             assert report.passed
 
     def test_certifications(self, cdr_suite_sampled):
         for report, expected in zip(cdr_suite_sampled, CONSTRAINT_SIGNS):
-            exp = report.experiment_id
+            exp = report.config.experiment_id
             for kind in ("operator", "record"):
                 c = constraint(report, exp, kind)
                 assert c.expected == expected
@@ -931,13 +945,13 @@ class TestCdr:
 
     def test_ledger_statuses(self, cdr_suite_sampled):
         statuses = {f.label: f.status
-                    for f in cdr_suite_sampled[0].ledger_facts}
+                    for f in cdr_suite_sampled[0].snapshots[-1].facts}
         assert statuses == {
             "A1": "erased", "A2": "erased", "A3": "erased",
             "B1": "current", "B2": "current", "B3": "current",
         }
         statuses = {f.label: f.status
-                    for f in cdr_suite_sampled[1].ledger_facts}
+                    for f in cdr_suite_sampled[1].snapshots[-1].facts}
         assert statuses == {
             "A1": "erased", "A2": "current", "A3": "current", "B1": "current",
         }
@@ -992,7 +1006,8 @@ class TestCdr:
         (lambda: run_cdr_suite(shots=10), 2 + 4 * 2),
     ])
     def test_ledger_once_per_snapshot(self, monkeypatch, flow, calls):
-        # The final ledger_facts are the last snapshot's, not derived again.
+        # The report's final ledger is the last snapshot's facts, not derived
+        # again.
         count = []
         original = scenarios.ledger
 
@@ -1004,7 +1019,8 @@ class TestCdr:
         result = flow()
         assert len(count) == calls
         for report in result if isinstance(result, list) else [result]:
-            assert report.ledger_facts is report.snapshots[-1].facts
+            document = from_scenario("run", report)
+            assert document.results["ledger"] is report.snapshots[-1].facts
 
     def test_reversed_state_matches_dense(self, cdr_suite_sampled):
         # experiment 2 reverses pair 1 only; rebuild with dense unitaries

@@ -342,7 +342,7 @@ def clean_tally(sign):
 def cdr_suite():
     """Four clean reversal reports; experiment 1 restores the register."""
     return [SimpleNamespace(
-        experiment_id=cid, passed=True,
+        config=SimpleNamespace(experiment_id=cid), passed=True,
         restoration=FullRestoration(1.0, restored=True) if cid == 1 else None,
         constraints=[
             constraint(cid, "operator", SIGNS[cid]),
