@@ -10,7 +10,8 @@ turns them, like any bad input, into exit 2.
 
 class ResourceError(ValueError):
     """A requested computation exceeds a hard size guard (qubit count,
-    variable count, dense-matrix dimension)."""
+    variable count, dense-matrix dimension, constraint count, constraint
+    file size)."""
 
 
 class ProtocolError(RuntimeError):

@@ -23,6 +23,7 @@ from .errors import ConstraintParseError, ResourceError
 
 SOLVE_MAX_VARIABLES = 64
 ENUMERATE_MAX_VARIABLES = 20
+PARSE_MAX_CONSTRAINTS = 10_000
 
 _VARIABLE_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -170,26 +171,30 @@ class EnumerationResult:
 
 
 _KEY_BITS = 64
-_KEY_POSITIONS = np.arange(_KEY_BITS, dtype=np.uint64)
 
 
-def _parity_keys(masks: np.ndarray, width: int) -> np.ndarray:
-    """Row i, for i < 2^width, packs the parity of (i & masks[k]) for every
-    k into bit k % 64 of word k // 64 (at least one word).
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """Entry k of the last axis of a 0/1 array, packed into bit k % 64 of
+    word k // 64 of little-endian uint64 words (at least one word)."""
+    words = max(1, -(-bits.shape[-1] // _KEY_BITS))
+    padded = np.zeros(bits.shape[:-1] + (words * _KEY_BITS,), dtype=bool)
+    padded[..., :bits.shape[-1]] = bits
+    return np.packbits(padded, axis=-1, bitorder="little").view("<u8")
 
-    Each block of 64 masks is one broadcast AND and one shift-xor fold, so
-    temporaries stay at 2^width x 64 entries however many masks there are.
+
+def _parity_keys(units: np.ndarray) -> np.ndarray:
+    """Row i, for i < 2^w with w = len(units), is the xor of units[b] over
+    the set bits b of i.
+
+    With units[b] the key of index 2^b, row i is the key of index i: a key
+    packs the parity of (i & mask) for each constraint's mask, which is
+    linear in i over GF(2). Each step b xors the 2^b rows already filled
+    with units[b] into the next 2^b rows, in place, so the table is the
+    only array of 2^w rows.
     """
-    idx = np.arange(1 << width, dtype=np.uint64)[:, None]
-    shifts = [np.uint64(1 << i) for i in reversed(range((width - 1).bit_length()))]
-    keys = np.zeros((1 << width, max(1, -(-len(masks) // _KEY_BITS))), dtype=np.uint64)
-    for word in range(keys.shape[1]):
-        block = idx & masks[word * _KEY_BITS:(word + 1) * _KEY_BITS]
-        for shift in shifts:
-            block ^= block >> shift
-        block &= np.uint64(1)
-        block <<= _KEY_POSITIONS[:block.shape[1]]
-        keys[:, word] = np.bitwise_or.reduce(block, axis=1)
+    keys = np.zeros((1 << len(units), units.shape[1]), dtype=units.dtype)
+    for b, unit in enumerate(units):
+        np.bitwise_xor(keys[:1 << b], unit, out=keys[1 << b:2 << b])
     return keys
 
 
@@ -202,11 +207,16 @@ def enumerate_assignments(system: ConstraintSystem) -> EnumerationResult:
     universe[j] is -1. Each constraint's parity splits as
     parity(x & mask) = parity(lo & mask_lo) xor parity(hi & mask_hi), so x
     satisfies the system iff key_lo(lo) xor rhs_bits == key_hi(hi), where a
-    key packs one half's parities, one bit per constraint. The keys of both
-    halves are grouped with np.unique, and the count sums, over the high
-    halves, the number of low halves in the same group. Time and memory are
-    O(2^(n/2) * ceil(m/64)) for m constraints; no array of 2^n entries is
-    built. `tested` is 2^n, the number of assignments the count covers.
+    key packs one half's parities, one bit per constraint. Both halves'
+    key tables are built by GF(2) doubling from the key of each variable
+    alone (_parity_keys). The low keys are sorted in place, and the count
+    sums, over the high keys, the number of equal low keys, found by
+    binary search. Keys compare as uint64 when they fit one word (at most
+    64 constraints) and as raw-byte rows otherwise. The only arrays of
+    2^(n/2) rows are the two key tables and the two search results. Time
+    and memory are O(2^(n/2) * ceil(m/64)) for m constraints; no array of
+    2^n entries is built. `tested` is 2^n, the number of assignments the
+    count covers.
     """
     n = system.num_variables
     if n > ENUMERATE_MAX_VARIABLES:
@@ -215,18 +225,18 @@ def enumerate_assignments(system: ConstraintSystem) -> EnumerationResult:
             "enumeration guard")
     low = n // 2
     rows = [system._row(c) for c in system.constraints]
-    masks = np.array([mask for mask, _ in rows], dtype=np.uint64)
-    rhs = sum(bit << k for k, (_, bit) in enumerate(rows))
-    lo_keys = _parity_keys(masks & np.uint64((1 << low) - 1), low)
-    lo_keys ^= np.array(
-        [(rhs >> (word * _KEY_BITS)) & ((1 << _KEY_BITS) - 1)
-         for word in range(lo_keys.shape[1])], dtype=np.uint64)
-    hi_keys = _parity_keys(masks >> np.uint64(low), n - low)
-    keys = np.concatenate([lo_keys, hi_keys])
-    rows_as_bytes = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))
-    distinct, groups = np.unique(rows_as_bytes.ravel(), return_inverse=True)
-    lo_groups, hi_groups = groups[:1 << low], groups[1 << low:]
-    count = int(np.bincount(lo_groups, minlength=len(distinct))[hi_groups].sum())
+    masks = np.array([mask for mask, _ in rows], dtype="<u8")
+    # Row j: bit k set when constraint k holds universe[j].
+    units = _pack(np.unpackbits(masks.view(np.uint8).reshape(-1, 8), axis=1,
+                                count=n, bitorder="little").T)
+    lo_keys = _parity_keys(units[:low])
+    lo_keys ^= _pack(np.array([bit for _, bit in rows], dtype=bool))
+    hi_keys = _parity_keys(units[low:])
+    row = (lo_keys.dtype if lo_keys.shape[1] == 1
+           else np.dtype((np.void, lo_keys.itemsize * lo_keys.shape[1])))
+    lo, hi = lo_keys.view(row).ravel(), hi_keys.view(row).ravel()
+    lo.sort()
+    count = int((np.searchsorted(lo, hi, "right") - np.searchsorted(lo, hi, "left")).sum())
     return EnumerationResult(count=count, tested=1 << n)
 
 
@@ -272,13 +282,19 @@ def parse_constraints(text: str,
     an `=`, and +1 or -1. A factor `1` is the empty product, so the text
     ParityConstraint prints for a constraint whose variables all cancel,
     such as `1 = -1`, parses back to that constraint. Raises
-    ConstraintParseError with the 1-based line number on malformed input.
+    ConstraintParseError with the 1-based line number on malformed input,
+    and ResourceError at the first constraint line past
+    PARSE_MAX_CONSTRAINTS, before that line is parsed.
     """
     constraints = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        if len(constraints) == PARSE_MAX_CONSTRAINTS:
+            raise ResourceError(
+                f"line {line_no}: more than {PARSE_MAX_CONSTRAINTS} constraints "
+                f"exceeds the {PARSE_MAX_CONSTRAINTS}-constraint parse guard")
         if line.count("=") != 1:
             raise ConstraintParseError(
                 line_no, f"expected exactly one '=' in {raw.strip()!r}")

@@ -39,6 +39,7 @@ key, and perfbench/test_perfbench.py alters a report at the bytes
 """
 from __future__ import annotations
 
+import io
 import shlex
 from dataclasses import asdict, dataclass, fields, is_dataclass
 from functools import lru_cache
@@ -49,6 +50,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import parity
+from .errors import ResourceError
 from .scenarios import (
     MAX_TOLERANCE,
     ScenarioConfig,
@@ -58,6 +60,7 @@ from .scenarios import (
 )
 
 SCHEMA_VERSION = "1"
+CONSTRAINT_FILE_MAX_BYTES = 1 << 18
 
 # Float reprs that JSON spells differently, as json.dumps writes them.
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -242,12 +245,27 @@ def build_run_document(scenario: str, experiment: Optional[str], shots: int,
         f"run cdr --experiment {config.experiment_id} {flags}", report)
 
 
+def _read_capped(path: Path) -> bytes:
+    """The first CONSTRAINT_FILE_MAX_BYTES + 1 bytes of a file, or all of a
+    shorter one. It reads in buffer-sized chunks, since one read of the
+    whole cap would allocate the cap however short the file is, and never
+    asks the file its size, which a FIFO or a device does not know."""
+    chunks, left = [], CONSTRAINT_FILE_MAX_BYTES + 1
+    with path.open("rb") as file:
+        while left and (chunk := file.read(min(left, io.DEFAULT_BUFFER_SIZE))):
+            chunks.append(chunk)
+            left -= len(chunk)
+    return b"".join(chunks)
+
+
 def build_check_document(builtin: Optional[str],
                          constraints: Optional[Path]) -> tuple:
     """(parity analysis, document) of `check-assignments` for exactly one of
     a builtin system's name and a constraint file's path. A bad flag
     combination, an unknown builtin or an unreadable file raises
-    ValueError, as does a malformed file (ConstraintParseError). The echo
+    ValueError, as does a malformed file (ConstraintParseError). The file
+    is read as UTF-8, and at most CONSTRAINT_FILE_MAX_BYTES + 1 bytes of it,
+    so a longer file or an endless stream raises ResourceError. The echo
     quotes the path as a shell would need it (shlex.quote), so it parses
     back to the same path."""
     if (constraints is None) == (builtin is None):
@@ -260,10 +278,14 @@ def build_check_document(builtin: Optional[str],
     else:
         path = Path(constraints)
         try:
-            text = path.read_text()
+            data = _read_capped(path)
         except OSError as exc:
             raise ValueError(f"cannot read {path}: {exc}") from exc
-        system = parity.parse_constraints(text)
+        if len(data) > CONSTRAINT_FILE_MAX_BYTES:
+            raise ResourceError(
+                f"{path} is longer than the {CONSTRAINT_FILE_MAX_BYTES}-byte "
+                "constraint file guard")
+        system = parity.parse_constraints(data.decode())
         command = f"check-assignments --constraints {shlex.quote(str(path))}"
         config = {"constraints_path": str(path)}
     analysis = parity.analyze(system)

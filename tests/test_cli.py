@@ -1,7 +1,9 @@
 """CLI contract: exit codes, output formats, byte-level determinism."""
 import json
 import os
+import random
 import re
+import tracemalloc
 from contextlib import redirect_stderr
 from pathlib import Path
 
@@ -9,6 +11,8 @@ import pytest
 
 from relfacts import cli
 from relfacts.cli import build_parser, main
+from relfacts.parity import PARSE_MAX_CONSTRAINTS
+from relfacts.report import CONSTRAINT_FILE_MAX_BYTES, build_check_document
 from relfacts.scenarios import DEFAULT_TOLERANCE, MAX_SHOTS, ScenarioConfig
 
 
@@ -270,6 +274,57 @@ class TestCheckAssignments:
         err = capsys.readouterr().err
         assert rc == 2
         assert "line 2" in err
+
+    def test_one_constraint_over_the_guard_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "system.txt"
+        path.write_text("x = 1\n" * (PARSE_MAX_CONSTRAINTS + 1))
+        assert main(["check-assignments", "--constraints", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: line {PARSE_MAX_CONSTRAINTS + 1}: more than "
+            f"{PARSE_MAX_CONSTRAINTS} constraints exceeds the "
+            f"{PARSE_MAX_CONSTRAINTS}-constraint parse guard\n")
+
+    def test_constraint_guard_holds_at_its_limit_under_16_mib(self, tmp_path):
+        # Random 3-variable constraints over 20 variables: the widest keys
+        # the enumeration builds. The whole report peaks near 11.6 MB.
+        rng = random.Random(13)
+        path = tmp_path / "system.txt"
+        path.write_text("".join(
+            "*".join(f"v{j}" for j in rng.sample(range(20), 3))
+            + f" = {rng.choice(['+1', '-1'])}\n"
+            for _ in range(PARSE_MAX_CONSTRAINTS)))
+        assert path.stat().st_size <= CONSTRAINT_FILE_MAX_BYTES
+        tracemalloc.start()
+        try:
+            analysis, doc = build_check_document(None, path)
+            doc.to_json()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(analysis["system"]["constraints"]) == PARSE_MAX_CONSTRAINTS
+        assert analysis["enumeration"].tested == 1 << 20
+        assert analysis["consistent"] is True
+        assert peak < 16 << 20
+
+    def test_file_over_the_byte_cap_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "system.txt"
+        path.write_bytes(b"#" * (CONSTRAINT_FILE_MAX_BYTES - 1) + b"\n")
+        assert main(["check-assignments", "--constraints", str(path)]) == 0
+        capsys.readouterr()
+        path.write_bytes(b"#" * CONSTRAINT_FILE_MAX_BYTES + b"\n")
+        assert main(["check-assignments", "--constraints", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path} is longer than the {CONSTRAINT_FILE_MAX_BYTES}-byte "
+            "constraint file guard\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+    def test_endless_stream_is_read_only_to_the_cap(self, capsys):
+        assert main(["check-assignments", "--constraints", "/dev/zero"]) == 2
+        assert "-byte constraint file guard" in capsys.readouterr().err
 
     def test_determinism(self, tmp_path):
         paths = [tmp_path / f"chk-{i}.json" for i in (1, 2)]

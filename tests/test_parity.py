@@ -213,8 +213,9 @@ class TestEnumeration:
         sys_ = ConstraintSystem((), tuple(f"v{i}" for i in range(20)))
         assert enumerate_assignments(sys_).count == 1 << 20
 
+    # 64 and 128 constraints fill exactly one and exactly two key words.
     @pytest.mark.parametrize("n", [18, 19, 20])
-    @pytest.mark.parametrize("m", [12, 20, 70])
+    @pytest.mark.parametrize("m", [12, 20, 64, 70, 128])
     def test_large_planted_systems_match_solver(self, n, m):
         rng = np.random.default_rng([n, m])
         sys_ = random_system(rng, n, m, planted=True)
@@ -231,8 +232,13 @@ class TestEnumeration:
             counts.append(enum.count)
         assert counts[0] > 0 and counts[1] == 0
 
-    def test_twenty_variables_take_under_a_byte_per_assignment(self):
-        sys_ = random_system(np.random.default_rng(20), 20, 20, planted=True)
+    # Up to a full key word (64 constraints) each key table is 8 kB; at
+    # 1,000 constraints (16 words) the peak stays under a byte per
+    # assignment.
+    @pytest.mark.parametrize("m,bound", [(20, 1 << 17), (64, 1 << 17), (1000, 1 << 20)],
+                             ids=["20", "64", "1000"])
+    def test_twenty_variables_take_under_a_byte_per_assignment(self, m, bound):
+        sys_ = random_system(np.random.default_rng(m), 20, m, planted=True)
         enumerate_assignments(sys_)
         tracemalloc.start()
         try:
@@ -240,7 +246,7 @@ class TestEnumeration:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1 << 20
+        assert peak < bound
 
 
 class TestRecordSystem:
