@@ -13,11 +13,15 @@ through `ast.unparse`, so outputs differ only by the mutation.
 
 Each mutant lands in one class:
 
-  exit       some command's exit code changed (or the run crashed or hung);
-  tests      exit codes held, but `--tests` failed on the mutant;
-  output     exit codes held and the output changed: a claim the report
-             makes and no verdict checks;
+  exit       the run crashed or hung, or some command's exit code changed
+             and every command that kept its exit code kept its output;
+  tests      otherwise, `--tests` failed on the mutant;
+  output     otherwise, some command kept its exit code and changed its
+             output: a claim the report makes and no verdict checks;
   identical  every report byte and exit code held.
+
+Commands are judged one by one, so one command's exit change does not
+hide another command's silent output change.
 
 `output` and `identical` are survivors and are listed one per line. The
 sweep exits 1 if any `output` survivor remains; `identical` survivors are
@@ -148,12 +152,18 @@ def tests_pass(copy: Path, env: dict, tests: list) -> bool:
 
 
 def classify(baseline: list, outcome, passes_tests) -> str:
-    if isinstance(outcome, str) or (
-            [code for code, _ in outcome] != [code for code, _ in baseline]):
+    """The class of a mutant from its (exit code, output) per command: it
+    reaches the tests whenever some command keeps its exit code and
+    changes its output, whatever the other commands do."""
+    if isinstance(outcome, str):
+        return "exit"
+    silent = any(code == base_code and out != base_out
+                 for (code, out), (base_code, base_out) in zip(outcome, baseline))
+    if not silent and outcome != baseline:
         return "exit"
     if not passes_tests():
         return "tests"
-    return "identical" if outcome == baseline else "output"
+    return "output" if silent else "identical"
 
 
 def sweep(module: str, copy: Path, env: dict, tests: list) -> tuple:

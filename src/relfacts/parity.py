@@ -287,35 +287,57 @@ def parse_constraints(text: str,
     PARSE_MAX_CONSTRAINTS, before that line is parsed.
     """
     constraints = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_no, raw, line in _constraint_lines(text):
         if len(constraints) == PARSE_MAX_CONSTRAINTS:
             raise ResourceError(
                 f"line {line_no}: more than {PARSE_MAX_CONSTRAINTS} constraints "
                 f"exceeds the {PARSE_MAX_CONSTRAINTS}-constraint parse guard")
-        if line.count("=") != 1:
-            raise ConstraintParseError(
-                line_no, f"expected exactly one '=' in {raw.strip()!r}")
-        lhs, rhs_text = (part.strip() for part in line.split("="))
-        rhs_text = rhs_text.replace(" ", "")
-        if rhs_text in ("1", "+1"):
-            rhs = 1
-        elif rhs_text == "-1":
-            rhs = -1
-        else:
-            raise ConstraintParseError(
-                line_no, f"right-hand side must be +1 or -1, got {rhs_text!r}")
-        if not lhs:
-            raise ConstraintParseError(line_no, "empty left-hand side")
-        names = [token.strip() for token in lhs.split("*")]
-        names = [name for name in names if name != "1"]
-        try:
-            constraints.append(ParityConstraint(names, rhs))
-        except ValueError as exc:  # an invalid variable name
-            raise ConstraintParseError(line_no, str(exc)) from None
+        constraints.append(_parse_line(line_no, raw, line))
     return ConstraintSystem.from_constraints(constraints, universe)
+
+
+def _constraint_lines(text: str):
+    """(line number, raw line, text before any `#`, stripped) of each line
+    of `text` that is neither blank nor a comment."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield line_no, raw, line
+
+
+def _parse_line(line_no: int, raw: str, line: str) -> ParityConstraint:
+    """The constraint on one line of _constraint_lines; raises
+    ConstraintParseError with the line number if it is malformed."""
+    if line.count("=") != 1:
+        raise ConstraintParseError(
+            line_no, f"expected exactly one '=' in {raw.strip()!r}")
+    lhs, rhs_text = (part.strip() for part in line.split("="))
+    rhs_text = rhs_text.replace(" ", "")
+    if rhs_text in ("1", "+1"):
+        rhs = 1
+    elif rhs_text == "-1":
+        rhs = -1
+    else:
+        raise ConstraintParseError(
+            line_no, f"right-hand side must be +1 or -1, got {rhs_text!r}")
+    if not lhs:
+        raise ConstraintParseError(line_no, "empty left-hand side")
+    names = [token.strip() for token in lhs.split("*")]
+    names = [name for name in names if name != "1"]
+    try:
+        return ParityConstraint(names, rhs)
+    except ValueError as exc:  # an invalid variable name
+        raise ConstraintParseError(line_no, str(exc)) from None
+
+
+def _parses_back(printed: str, constraint: ParityConstraint) -> bool:
+    """Whether the text `printed` holds exactly one constraint line, and
+    that line parses to `constraint`."""
+    lines = list(_constraint_lines(printed))
+    try:
+        return len(lines) == 1 and _parse_line(*lines[0]) == constraint
+    except ConstraintParseError:
+        return False
 
 
 def analyze(system: ConstraintSystem) -> dict:
@@ -355,10 +377,11 @@ def _consistency(system: ConstraintSystem, analysis: dict) -> dict:
     present and non-empty, name each constraint index in 1..m at most once,
     and multiply to the contradiction 1 = -1. Whenever the universe is
     small enough to enumerate, the enumeration must be present and its
-    count must agree with the solver's. The printed constraint texts must
-    parse back to the system's own constraints. The product of all
-    constraints is a contradiction exactly when no variable survives and
-    its rhs is -1, and only for an unsatisfiable system.
+    count must agree with the solver's. There must be one printed text per
+    constraint, each a single constraint line that parses back to the
+    system's constraint in its place. The product of all constraints is a
+    contradiction exactly when no variable survives and its rhs is -1, and
+    only for an unsatisfiable system.
     """
     solve, enumeration = analysis["solve"], analysis["enumeration"]
     identity = analysis["product_identity"]
@@ -377,7 +400,7 @@ def _consistency(system: ConstraintSystem, analysis: dict) -> dict:
         certificate_verified = (
             bool(certificate)
             and len(set(certificate)) == len(certificate)
-            and set(certificate) <= set(range(1, len(system.constraints) + 1))
+            and all(1 <= i <= len(system.constraints) for i in certificate)
             and product_identity(system, certificate).is_contradiction)
     if enumeration is not None:
         agreement = ((enumeration.count > 0) == solve.satisfiable
@@ -385,12 +408,10 @@ def _consistency(system: ConstraintSystem, analysis: dict) -> dict:
                           or enumeration.count == solve.num_solutions))
     elif system.num_variables <= ENUMERATE_MAX_VARIABLES:
         agreement = False
-    try:
-        printed = parse_constraints(
-            "\n".join(analysis["system"]["constraints"]), system.universe)
-        parse_back = printed.constraints == system.constraints
-    except ValueError:  # unparsable, or names outside the universe
-        parse_back = False
+    # Line by line: a second system of the same size is never built.
+    printed = analysis["system"]["constraints"]
+    parse_back = (len(printed) == len(system.constraints)
+                  and all(map(_parses_back, printed, system.constraints)))
     return {
         "witness_verified": witness_verified,
         "certificate_verified": certificate_verified,

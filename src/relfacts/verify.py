@@ -2,24 +2,24 @@
 
 Each check certifies one physics or toolchain claim end to end and reports
 a pass/fail row. The evidence a check reads (a flow's report, a parity
-analysis, monomial matrices) is built once per sweep, on first use, and
-its judge returns (passed, detail) from that evidence alone. The lmz flow,
-the reversal suite and the GHZ analysis are each built through the same
-path as their CLI report (report.build_run_document and
-build_check_document, from the flags below) and rendered in both formats;
-check 9 builds each of those reports once more from the same flags and
-compares the SHA-256 digests of the bytes. Each piece of evidence is
-dropped once the last row that reads it is judged, so the sweep's memory
-peak is that of its largest single build, not of all it has built. The
-rows are deterministic; the final row checks the whole sweep against a
-5-second budget. The CLI prints the sweep's wall time, then the time of
-each piece of evidence and of each judge, to stderr.
+analysis, the relations of the single-qubit factors) is built once per
+sweep, on first use, and its judge returns (passed, detail) from that
+evidence alone. The lmz flow, the reversal suite and the GHZ analysis are
+each built through the same path as their CLI report
+(report.build_run_document and build_check_document, from the flags below)
+and rendered in both formats; check 9 builds each of those reports once
+more from the same flags and compares the SHA-256 digests of the bytes.
+Each piece of evidence is dropped once the last row that reads it is
+judged, so the sweep's memory peak is that of its largest single build,
+not of all it has built. The rows are deterministic; the final row checks
+the whole sweep against a 5-second budget. The CLI prints the sweep's wall
+time, then the time of each piece of evidence and of each judge, to stderr.
 """
 from __future__ import annotations
 
 import dataclasses
 import time
-from itertools import combinations, zip_longest
+from itertools import combinations, product, zip_longest
 
 import numpy as np
 
@@ -49,73 +49,43 @@ CDR_FLAGS = ("cdr", "all", FULL_SHOTS, 11, DEFAULT_TOLERANCE)
 GHZ_FLAGS = ("ghz", None)
 
 
-def _monomial(matrix: np.ndarray) -> tuple:
-    """(rows, values) of a square matrix with exactly one nonzero per column:
-    column j holds values[j] at row rows[j]. Raises ValueError otherwise,
-    since every Pauli-string matrix is monomial.
-
-    The matrix is scanned once in its own row-major order and the row of
-    each column is scattered into place; scanning the transpose would stride
-    a whole row per entry, which is several times slower and varies with
-    cache pressure from other processes."""
-    rows, cols = np.nonzero(matrix != 0)
-    columns = np.arange(matrix.shape[1])
-    if not np.array_equal(np.sort(cols), columns):
-        raise ValueError(
-            "dense matrix is not monomial: a column holds no nonzero or several")
-    column_rows = np.empty_like(columns)
-    column_rows[cols] = rows
-    return column_rows, matrix[column_rows, columns]
+def _relation_table() -> dict:
+    """(s, ||fg||) for each ordered pair (f, g) of single-qubit factors,
+    read from their explicit 2x2 matrices, where gf = s fg. Raises
+    ValueError for a pair that neither commutes nor anticommutes."""
+    dense = {f: PauliString.from_label(f).dense_matrix() for f in "IXYZ"}
+    table = {}
+    for (f, a), (g, b) in product(dense.items(), repeat=2):
+        fg, gf = a @ b, b @ a
+        s = next((sign for sign in (1, -1) if np.array_equal(gf, sign * fg)), None)
+        if s is None:
+            raise ValueError(f"factors {f}, {g} neither commute nor anticommute")
+        table[f, g] = (s, float(np.linalg.norm(fg)))
+    return table
 
 
-def _monomial_product(a: tuple, b: tuple) -> tuple:
-    """The monomial a @ b: column j of b picks column rows_b[j] of a."""
-    (rows_a, values_a), (rows_b, values_b) = a, b
-    return rows_a[rows_b], values_a[rows_b] * values_b
+def _bracket_norm(table: dict, p: PauliString, q: PauliString, sign: int) -> float:
+    """Frobenius norm of pq + sign * qp, qubit by qubit. With gf = s fg on
+    each qubit, qp = (prod s) pq, and ||pq|| is the product of the factors'
+    ||fg|| (the signs of p and q have modulus 1), so the norm is
+    |1 + sign prod s| ||pq||."""
+    s, norm = 1, 1.0
+    for f, g in zip(p.factors, q.factors, strict=True):
+        s_fg, norm_fg = table[f, g]
+        s *= s_fg
+        norm *= norm_fg
+    return abs(1 + sign * s) * norm
 
 
-def _bracket_norm(a: tuple, b: tuple, sign: int) -> float:
-    """Frobenius norm of a @ b + sign * (b @ a), column by column: where the
-    two products put their nonzero in the same row the column contributes
-    |x + sign * y|^2, elsewhere |x|^2 + |y|^2."""
-    (rows_ab, ab), (rows_ba, ba) = _monomial_product(a, b), _monomial_product(b, a)
-    squares = np.where(
-        rows_ab == rows_ba,
-        np.abs(ab + sign * ba) ** 2,
-        np.abs(ab) ** 2 + np.abs(ba) ** 2)
-    return float(np.sqrt(squares.sum()))
-
-
-def _single_monomials() -> dict:
-    """Monomial of each single-qubit factor, read back from its explicit
-    2x2 matrix."""
-    return {f: _monomial(PauliString.from_label(f).dense_matrix()) for f in "IXYZ"}
-
-
-def _kron_monomial(p: PauliString, singles: dict) -> tuple:
-    """Monomial of p as the kron of its factors' monomials `singles`, built
-    in monomial form: 2^n entries, the same rows and values as reading back
-    p's dense 2^n x 2^n matrix. Qubit n-1 varies slowest, as in dense_matrix."""
-    rows, values = np.zeros(1, dtype=np.int64), np.array([p.sign], dtype=complex)
-    for f in reversed(p.factors):
-        r, v = singles[f]
-        rows = (rows[:, None] * 2 + r[None, :]).ravel()
-        values = (values[:, None] * v[None, :]).ravel()
-    return rows, values
-
-
-def _monomials() -> tuple:
-    """(products, pairs): the four constraint products and each (lifted
-    direct, record readout) pair as monomial krons of the explicit
-    single-qubit matrices, so independent of pauli.commutes and its phases."""
-    singles = _single_monomials()
+def _relations() -> tuple:
+    """(relation table, products, pairs): the four constraint products and
+    each (lifted direct, record readout) pair, whose brackets check 2 reads
+    off the table of the explicit single-qubit matrices, so independent of
+    pauli.commutes and its phases."""
     bhats = lifted_direct_observables(alice_premeasurements())
     ahats = record_readout_observables()
-    products = [_kron_monomial(product_of(spec.observables), singles)
-                for spec in constraint_table(bhats, ahats)]
-    pairs = [(_kron_monomial(b, singles), _kron_monomial(a, singles))
-             for b, a in zip(bhats, ahats)]
-    return products, pairs
+    products = [product_of(spec.observables) for spec in constraint_table(bhats, ahats)]
+    return _relation_table(), products, list(zip(bhats, ahats))
 
 
 def _subsystems() -> list:
@@ -234,7 +204,7 @@ def _reruns() -> list:
 _EVIDENCE = {
     "lmz": _lmz,
     "cdr": _cdr,
-    "monomials": _monomials,
+    "relations": _relations,
     "ghz_analysis": _ghz_analysis,
     "subsystems": _subsystems,
     "round_trips": _round_trips,
@@ -253,12 +223,13 @@ def _exact_products(lmz, cdr) -> tuple:
             f"{len(deviations)} product expectations, max deviation {worst:.3e}")
 
 
-def _commutation(monomials) -> tuple:
-    # Entries are +/-1 or +/-i, so every product and norm is exact.
-    products, pairs = monomials
+def _commutation(relations) -> tuple:
+    # Each s is read exactly off entries 0, +/-1 and +/-i, so a bracket
+    # that vanishes reads exactly 0.
+    table, products, pairs = relations
     worst_comm = max(
-        _bracket_norm(a, b, -1) for a, b in combinations(products, 2))
-    worst_anti = max(_bracket_norm(b, a, +1) for b, a in pairs)
+        _bracket_norm(table, a, b, -1) for a, b in combinations(products, 2))
+    worst_anti = max(_bracket_norm(table, b, a, +1) for b, a in pairs)
     return (worst_comm <= 1e-10 and worst_anti <= 1e-10,
             f"max commutator norm {worst_comm:.3e}, "
             f"max same-pair anticommutator norm {worst_anti:.3e}")
@@ -408,7 +379,7 @@ def _budget(elapsed) -> tuple:
 # order. "elapsed" is the sweep's wall time up to that row.
 _CHECKS = (
     (1, "exact product expectations are (+1,-1,-1,-1)", ("lmz", "cdr"), _exact_products),
-    (2, "products commute pairwise; direct/record pairs anticommute", ("monomials",), _commutation),
+    (2, "products commute pairwise; direct/record pairs anticommute", ("relations",), _commutation),
     (3, "no joint assignment satisfies all four constraints", ("lmz", "cdr", "ghz_analysis"), _no_assignment),
     (4, "every three-constraint subsystem has exactly 8 solutions", ("subsystems",), _three_of_four),
     (5, "each reversal experiment certifies its constraint per shot", ("cdr",), _reversal_per_shot),

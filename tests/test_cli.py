@@ -288,7 +288,7 @@ class TestCheckAssignments:
 
     def test_constraint_guard_holds_at_its_limit_under_16_mib(self, tmp_path):
         # Random 3-variable constraints over 20 variables: the widest keys
-        # the enumeration builds. The whole report peaks near 11.6 MB.
+        # the enumeration builds. The whole report peaks near 9.1 MB.
         rng = random.Random(13)
         path = tmp_path / "system.txt"
         path.write_text("".join(
@@ -363,7 +363,7 @@ class TestVerifyCommand:
         labels = re.findall(
             r"^  (evidence \w+|check \d\d): \d+\.\d{3} s", err, re.MULTILINE)
         assert labels == [
-            "evidence lmz", "evidence cdr", "check 01", "evidence monomials",
+            "evidence lmz", "evidence cdr", "check 01", "evidence relations",
             "check 02", "evidence ghz_analysis", "check 03",
             "evidence subsystems", "check 04", "check 05",
             "evidence round_trips", "check 06", "check 07", "check 08",

@@ -110,6 +110,7 @@ def test_memory_x_readouts_fail_verify(monkeypatch, capsys):
 
 
 def test_non_monomial_dense_matrix_fails_verify(monkeypatch, capsys):
+    # With a crowded first column, I and X neither commute nor anticommute.
     original = PauliString.dense_matrix
 
     def crowded_first_column(self):
@@ -119,7 +120,8 @@ def test_non_monomial_dense_matrix_fails_verify(monkeypatch, capsys):
 
     monkeypatch.setattr(PauliString, "dense_matrix", crowded_first_column)
     row = assert_verify_row_fails(2, capsys)
-    assert "not monomial" in row["detail"]
+    assert row["detail"] == (
+        "raised ValueError: factors I, X neither commute nor anticommute")
 
 
 def test_record_system_reads_the_constraint_signs(monkeypatch):

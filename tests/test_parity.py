@@ -8,6 +8,7 @@ import pytest
 from oracle import brute_force_count
 from relfacts.errors import ConstraintParseError, ResourceError
 from relfacts.parity import (
+    PARSE_MAX_CONSTRAINTS,
     ConstraintSystem,
     ParityConstraint,
     _consistency,
@@ -455,3 +456,39 @@ class TestConsistency:
         sys_ = ghz_record_system()
         analysis = replaced(analyze(sys_), "solve", satisfiable=True)
         assert _consistency(sys_, analysis)["product_identity_verified"] is False
+
+    @pytest.mark.parametrize("printed", [
+        ["a*b = -1", "b*c = +1", "c = +1"],       # one entry too many
+        ["a*b = -1"],                             # one too few
+        ["a*b = -1\nb*c = +1", ""],                # two in one, none in the next
+        ["a*b = -1", "# b*c = +1"],               # a comment, no constraint
+        ["a*b = -1", "b\n= +1"],                  # one constraint over two lines
+        ["a*b = -1", "b*c = -1"],                 # another sign
+        ["a*b = -1", "b*d = +1"],                 # a name outside the universe
+        ["a*b = -1", "b*c = 2"],                  # unparsable
+    ])
+    def test_printed_constraints_that_do_not_parse_back(self, printed):
+        # Each printed entry must be exactly one constraint, equal to its own.
+        analysis = analyze(self.SAT)
+        analysis["system"] = {**analysis["system"], "constraints": printed}
+        assert _consistency(self.SAT, analysis)["constraints_parse_back"] is False
+
+    def test_checks_at_the_constraint_limit_stay_under_1_mb(self):
+        # Printed constraints parse back one line at a time: no second
+        # system of 10,000 constraints (about 5.5 MB) is built beside the first.
+        rng = np.random.default_rng(13)
+        universe = [f"v{j}" for j in range(20)]
+        system = ConstraintSystem.from_constraints(
+            (ParityConstraint(list(rng.choice(universe, 3, replace=False)),
+                              int(rng.choice([1, -1])))
+             for _ in range(PARSE_MAX_CONSTRAINTS)), universe)
+        analysis = analyze(system)
+        tracemalloc.start()
+        try:
+            consistency = _consistency(system, analysis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(flag is not False for flag in consistency.values())
+        assert consistency["constraints_parse_back"] is True
+        assert peak < 1 << 20

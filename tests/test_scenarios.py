@@ -1,5 +1,6 @@
 """Both protocol flows end to end, cross-checked against dense pipelines."""
 import dataclasses
+import functools
 import json
 import math
 from itertools import permutations
@@ -1034,3 +1035,90 @@ class TestCdr:
         amps = units[0] @ amps  # self-inverse reversal of pair 1
         np.testing.assert_allclose(
             cdr_suite_sampled[1].snapshots[2].state.amplitudes, amps, atol=1e-12)
+
+
+# The constraint table, per pair: "B" reads Bob's direct outcome, "A"
+# Alice's record. Written here apart from scenarios.CONSTRAINT_PATTERNS.
+PATTERNS = ("BBB", "BAA", "ABA", "AAB")
+
+
+@functools.lru_cache(maxsize=None)
+def dense_certified_values():
+    """The dense Born value of each product the two flows certify, keyed
+    (flow, constraint id, kind), from oracle's dense unitaries alone."""
+    n = NUM_QUBITS
+    alice = [premeasure_unitary(n, op(n, {SYSTEM_QUBITS[k]: "Y"}), ALICE_MEMORY[k])
+             for k in range(3)]
+    lifted = [{SYSTEM_QUBITS[k]: "X", ALICE_MEMORY[k]: "X"} for k in range(3)]
+    bob = [premeasure_unitary(n, op(n, lifted[k]), BOB_MEMORY[k]) for k in range(3)]
+    bob_direct = [premeasure_unitary(n, op(n, {SYSTEM_QUBITS[k]: "X"}), BOB_MEMORY[k])
+                  for k in range(3)]
+    stage1 = ghz_amps(n, SYSTEM_QUBITS)
+    for u in alice:
+        stage1 = u @ stage1
+
+    def value(state, factors):
+        return expect(state, op(n, factors))
+
+    def readouts(cid):
+        return {(BOB_MEMORY if slot == "B" else ALICE_MEMORY)[k]: "Z"
+                for k, slot in enumerate(PATTERNS[cid - 1])}
+
+    values = {}
+    # lmz: the operator products on the stage-1 state, over Bob's lifted
+    # observables; the record products of constraint 1 after Bob's three
+    # steps, of 2 after his first, of 3 and 4 after the matching step only.
+    for cid, pattern in enumerate(PATTERNS, 1):
+        factors = {}
+        for k, slot in enumerate(pattern):
+            factors.update(lifted[k] if slot == "B" else {ALICE_MEMORY[k]: "Z"})
+        values["lmz", cid, "operator"] = value(stage1, factors)
+    after_first = bob[0] @ stage1
+    values["lmz", 1, "record"] = value(bob[2] @ (bob[1] @ after_first), readouts(1))
+    values["lmz", 2, "record"] = value(after_first, readouts(2))
+    for cid in (3, 4):
+        values["lmz", cid, "record"] = value(bob[cid - 2] @ stage1, readouts(cid))
+    # cdr: reverse the B pairs' records, read X on the freed system qubits
+    # and Z on the kept records, then let Bob premeasure the freed qubits.
+    for cid, pattern in enumerate(PATTERNS, 1):
+        state, factors = stage1, {}
+        for k, slot in enumerate(pattern):
+            if slot == "B":
+                state = alice[k] @ state
+                factors[SYSTEM_QUBITS[k]] = "X"
+            else:
+                factors[ALICE_MEMORY[k]] = "Z"
+        values["cdr", cid, "operator"] = value(state, factors)
+        for k, slot in enumerate(pattern):
+            if slot == "B":
+                state = bob_direct[k] @ state
+        values["cdr", cid, "record"] = value(state, readouts(cid))
+    return values
+
+
+class TestFlagSpace:
+    """Both flows PASS across the flag space, with exact products. The
+    tolerance stays at or above 1e-12: at 1e-16 and below the rounding of
+    the exact products alone exceeds it."""
+
+    @given(shots=st.integers(0, 10**6), seed=st.integers(0, 2**64 - 1),
+           tolerance=st.floats(1e-12, 0.49))
+    @settings(max_examples=40, deadline=None)
+    def test_both_flows_pass_with_exact_products(self, shots, seed, tolerance):
+        lmz = run_lmz(ScenarioConfig(
+            shots=shots, master_seed=seed, tolerance=tolerance))
+        suite = run_cdr_suite(shots=shots, master_seed=seed, tolerance=tolerance)
+        dense = dense_certified_values()
+        for flow, reports in (("lmz", [lmz]), ("cdr", suite)):
+            for report in reports:
+                assert report.passed
+                records = [c for c in report.constraints if c.kind == "record"]
+                assert len(report.sampling) == (len(records) if shots else 0)
+                for tally in report.sampling:
+                    assert (tally.shots, tally.violations) == (shots, 0)
+                for c in report.constraints:
+                    exact = dense[flow, c.constraint_id, c.kind]
+                    assert abs(c.expectation - exact) <= 1e-12
+                    assert exact == pytest.approx(
+                        EXPECTED_SIGNS[c.constraint_id - 1], abs=1e-12)
+        assert len(suite) == 4 and len(lmz.constraints) == 8

@@ -1,6 +1,8 @@
 """Every demo script runs to completion against the package, the
 disturbance sweep prints the constraint table, the assignment search
-lists what it claims, and a stopped mutation sweep leaves nothing behind."""
+lists what it claims, the mutation sweep classifies each command on its
+own, and a stopped mutation sweep leaves nothing behind."""
+import importlib.util
 import math
 import os
 import signal
@@ -77,3 +79,36 @@ def test_mutation_sweep_removes_its_copy_when_terminated(tmp_path):
             sweep.kill()
             sweep.wait()
     assert list(tmp_path.iterdir()) == []
+
+
+def _mutation_sweep():
+    spec = importlib.util.spec_from_file_location(
+        "mutation_sweep", ROOT / "scripts" / "mutation_sweep.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+BASELINE = [(0, "verify"), (0, "lmz"), (2, "usage")]
+
+
+@pytest.mark.parametrize("outcome, tests_pass, kind", [
+    ("timed out", True, "exit"),
+    ([(1, "verify"), (0, "lmz"), (2, "usage")], True, "exit"),
+    ([(1, "verify!"), (0, "lmz"), (2, "usage")], True, "exit"),
+    # One command's exit change does not hide another's silent change.
+    ([(1, "verify!"), (0, "lmz!"), (2, "usage")], True, "output"),
+    ([(1, "verify!"), (0, "lmz!"), (2, "usage")], False, "tests"),
+    ([(0, "verify"), (0, "lmz"), (2, "usage!")], True, "output"),
+    (BASELINE, True, "identical"),
+    (BASELINE, False, "tests"),
+])
+def test_mutation_sweep_classifies_each_command_on_its_own(outcome, tests_pass, kind):
+    ran = []
+
+    def passes_tests():
+        ran.append(True)
+        return tests_pass
+
+    assert _mutation_sweep().classify(BASELINE, outcome, passes_tests) == kind
+    assert bool(ran) == (kind != "exit")

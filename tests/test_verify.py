@@ -1,9 +1,8 @@
-"""The acceptance sweep: check 2's monomial kron against the dense
-read-back and its monomial arithmetic against dense matrix products, every
-judge on hand-built evidence (each conjunct of a
-pass condition made false on its own), and the runner that builds each
-piece of evidence once, each report of check 9 twice, and drops each piece
-of evidence after its last reader."""
+"""The acceptance sweep: check 2's relation table and its bracket norms
+against dense matrix products, every judge on hand-built evidence (each
+conjunct of a pass condition made false on its own), and the runner that
+builds each piece of evidence once, each report of check 9 twice, and drops
+each piece of evidence after its last reader."""
 import dataclasses
 import gc
 import hashlib
@@ -24,55 +23,38 @@ from relfacts.pauli import PauliString, commutes
 from relfacts.rng import STREAM_SCRIPT, child_generator
 from relfacts.scenarios import DisturbedDiagnostic, FullRestoration
 from relfacts.statevector import StateVector, fidelity
-from relfacts.verify import (
-    FULL_SHOTS, _bracket_norm, _kron_monomial, _monomial, _monomial_product,
-    _single_monomials)
-
-NUM_QUBITS = 9
+from relfacts.verify import FULL_SHOTS, _bracket_norm, _relation_table
 
 
 def _random_pairs(seed, count):
-    """count commuting and count anticommuting random 9-qubit string pairs."""
+    """count commuting and count anticommuting random signed string pairs
+    of each size from 1 to 6 qubits."""
     rng = np.random.default_rng(seed)
-    pairs = {True: [], False: []}
-    while min(len(v) for v in pairs.values()) < count:
-        p, q = (PauliString(NUM_QUBITS, tuple(rng.choice(list("IXYZ"), NUM_QUBITS)),
-                            int(rng.choice([1, -1]))) for _ in range(2))
-        bucket = pairs[commutes(p, q)]
-        if len(bucket) < count:
-            bucket.append((p, q))
-    return pairs[True] + pairs[False]
+    pairs = []
+    for num_qubits in range(1, 7):
+        buckets = {True: [], False: []}
+        while min(len(v) for v in buckets.values()) < count:
+            p, q = (PauliString(num_qubits, tuple(rng.choice(list("IXYZ"), num_qubits)),
+                                int(rng.choice([1, -1]))) for _ in range(2))
+            bucket = buckets[commutes(p, q)]
+            if len(bucket) < count:
+                bucket.append((p, q))
+        pairs += buckets[True] + buckets[False]
+    return pairs
 
 
-@pytest.mark.parametrize("p, q", _random_pairs(seed=5, count=2))
+@pytest.mark.parametrize("p, q", _random_pairs(seed=5, count=5))
 def test_norms_match_dense_products(p, q):
+    # The dense reference: both brackets of the explicit 2^n x 2^n
+    # matrices, against the norms read off the relation table.
+    table = _relation_table()
     a, b = p.dense_matrix(), q.dense_matrix()
-    ma, mb = _monomial(a), _monomial(b)
-    commutator = _bracket_norm(ma, mb, -1)
-    anticommutator = _bracket_norm(ma, mb, +1)
-    assert abs(commutator - np.linalg.norm(a @ b - b @ a)) <= 1e-12
-    assert abs(anticommutator - np.linalg.norm(a @ b + b @ a)) <= 1e-12
-    full = 2 * np.sqrt(1 << NUM_QUBITS)
-    expected = (0.0, full) if commutes(p, q) else (full, 0.0)
-    assert (commutator, anticommutator) == pytest.approx(expected, abs=1e-12)
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_generic_monomials_match_dense(seed):
-    # Random permutations with +/-1, +/-i entries: unlike a Pauli pair, a @ b
-    # and b @ a here mostly put their nonzeros in different rows.
-    rng = np.random.default_rng(seed)
-    a, b = (np.zeros((16, 16), dtype=complex) for _ in range(2))
-    for m in (a, b):
-        m[rng.permutation(16), np.arange(16)] = 1j ** rng.integers(0, 4, 16)
-    ma, mb = _monomial(a), _monomial(b)
-    rows, values = _monomial_product(ma, mb)
-    product = np.zeros_like(a)
-    product[rows, np.arange(16)] = values
-    assert np.array_equal(product, a @ b)
+    full = 2 * np.sqrt(1 << p.num_qubits)
     for sign in (-1, +1):
-        dense = np.linalg.norm(a @ b + sign * (b @ a))
-        assert abs(_bracket_norm(ma, mb, sign) - dense) <= 1e-12
+        norm = _bracket_norm(table, p, q, sign)
+        assert abs(norm - np.linalg.norm(a @ b + sign * (b @ a))) <= 1e-12
+        vanishes = commutes(p, q) == (sign == -1)
+        assert norm == (0.0 if vanishes else pytest.approx(full, abs=1e-12))
 
 
 def _random_strings(seed):
@@ -89,10 +71,24 @@ ALL_TWO_QUBIT = [PauliString.from_label(a + b) for a in "IXYZ" for b in "IXYZ"]
     [pytest.param(p, id=f"random{p}") for p in _random_strings(seed=9)]
     + [pytest.param(p, id=f"all{p}") for p in ALL_TWO_QUBIT]))
 def test_kron_monomial_equals_the_dense_readback(p):
-    rows, values = _kron_monomial(p, _single_monomials())
-    dense_rows, dense_values = _monomial(p.dense_matrix())
-    assert np.array_equal(rows, dense_rows)
-    assert np.array_equal(values, dense_values)
+    # Check 2 reads a bracket qubit by qubit, so p's dense matrix must be
+    # its sign times the kron of its factors' 2x2 matrices, as the relation
+    # table reads them back, with qubit n-1 varying slowest.
+    singles = {f: PauliString.from_label(f).dense_matrix() for f in "IXYZ"}
+    kron = np.array([[p.sign]], dtype=complex)
+    for f in reversed(p.factors):
+        kron = np.kron(kron, singles[f])
+    assert np.array_equal(kron, p.dense_matrix())
+
+
+def test_relation_table_reads_the_pauli_relations():
+    # gf = -fg exactly for two distinct non-identity factors, gf = fg
+    # otherwise, and every fg is a 2x2 Pauli matrix up to a phase.
+    table = _relation_table()
+    assert sorted(table) == list(product("IXYZ", repeat=2))
+    for (f, g), (s, norm) in table.items():
+        assert s == (-1 if f != g and "I" not in (f, g) else 1), (f, g)
+        assert norm == np.sqrt(2), (f, g)
 
 
 def test_sweep_builds_dense_matrices_of_single_qubits_only(monkeypatch):
@@ -126,14 +122,23 @@ def test_sweep_peak_memory_stays_below_350_kb():
 
 
 @pytest.mark.parametrize("column", [
-    np.array([1, 1j, 0, 0]),   # two nonzeros
-    np.zeros(4),               # no nonzero
+    np.array([1, 1j]),   # two nonzeros
+    np.zeros(2),         # no nonzero
 ])
-def test_non_monomial_matrix_raises(column):
-    matrix = np.eye(4, dtype=complex)
-    matrix[:, 2] = column
-    with pytest.raises(ValueError, match="not monomial"):
-        _monomial(matrix)
+def test_non_monomial_matrix_raises(column, monkeypatch):
+    # X read back with such a column neither commutes nor anticommutes
+    # with Y.
+    original = PauliString.dense_matrix
+
+    def altered(self):
+        matrix = original(self)
+        if self.factors == ("X",):
+            matrix[:, 1] = column
+        return matrix
+
+    monkeypatch.setattr(PauliString, "dense_matrix", altered)
+    with pytest.raises(ValueError, match="factors X, Y neither commute nor anticommute"):
+        _relation_table()
 
 
 def passes(judge, *evidence):
@@ -195,18 +200,14 @@ def test_exact_products_read_the_lmz_operator_certifications():
     assert not passes(verify._exact_products, built(lmz), built(cdr))
 
 
-def pauli_monomial(label):
-    return _monomial(PauliString.from_label(label).dense_matrix())
-
-
 @pytest.mark.parametrize("products, pairs, expected", [
     (("ZZ", "XX", "YY"), (("XI", "ZI"), ("IY", "IZ")), True),
     (("ZZ", "XI"), (("XI", "ZI"),), False),    # two products anticommute
     (("ZZ", "XX"), (("XI", "XI"),), False),    # a pair commutes
 ])
 def test_commutation_judges_both_norms(products, pairs, expected):
-    evidence = ([pauli_monomial(p) for p in products],
-                [tuple(map(pauli_monomial, pair)) for pair in pairs])
+    evidence = (_relation_table(), [PauliString.from_label(p) for p in products],
+                [tuple(map(PauliString.from_label, pair)) for pair in pairs])
     assert passes(verify._commutation, evidence) is expected
 
 
