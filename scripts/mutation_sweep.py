@@ -5,7 +5,7 @@ Each mutant changes one operator of one module: a comparison is swapped
 (`<` <-> `<=`, `>` <-> `>=`, `==` <-> `!=`, `is` <-> `is not`, `in` <->
 `not in`), an `and` becomes `or` or back, or a `not` is dropped. The
 mutant is written into a temporary copy of `src/` and `tests/`, never into
-the repository, and the six reference commands below run against it, one
+the repository, and the reference commands below run against it, one
 mutant at a time, in one fresh interpreter with PYTHONDONTWRITEBYTECODE=1
 (a cached `.pyc` of a same-size mutant would otherwise be loaded in its
 place). Every module, the unmutated baseline included, is written back
@@ -45,10 +45,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = ("scenarios", "verify", "parity", "observers", "pauli", "statevector",
            "report", "cli")
+# Both flows at every combination of these flags: no shots, one shot and
+# many; the default tolerance and the widest one accepted; two seeds.
+FLAG_GRID = tuple(
+    ["run", *flow, "--shots", str(shots), "--tolerance", tolerance,
+     "--seed", str(seed), "--format", "json"]
+    for flow in (["lmz"], ["cdr", "--experiment", "all"])
+    for shots in (0, 1, 200) for tolerance in ("1e-9", "0.49") for seed in (0, 5))
 COMMANDS = (
     ["verify", "--all", "--format", "json"],
-    ["run", "lmz", "--shots", "200", "--format", "json"],
-    ["run", "cdr", "--experiment", "all", "--shots", "200", "--format", "json"],
+    *FLAG_GRID,
     ["check-assignments", "--builtin", "ghz", "--format", "json"],
     ["check-assignments", "--constraints", "tests/data/planted-20-sat.txt",
      "--format", "json"],

@@ -23,7 +23,7 @@ from .report import (
     from_verify,
     render_text,
 )
-from .scenarios import DEFAULT_TOLERANCE, MAX_SHOTS, MAX_TOLERANCE
+from .scenarios import DEFAULT_TOLERANCE, MAX_SHOTS, MAX_TOLERANCE, MIN_TOLERANCE
 from .verify import run_all_checks
 
 
@@ -53,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument(
         "--tolerance", type=float, default=DEFAULT_TOLERANCE,
         help="certification tolerance on exact expectations, "
-             f"0 < T < {MAX_TOLERANCE:g} (default %(default)s)")
+             f"{MIN_TOLERANCE:g} <= T < {MAX_TOLERANCE:g} (default %(default)s)")
     _add_output_flags(run_p)
 
     chk = sub.add_parser(

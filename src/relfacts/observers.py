@@ -50,13 +50,21 @@ class Premeasurement:
 
 def _premeasure_array(amps: np.ndarray, pm: Premeasurement) -> np.ndarray:
     """(P_plus + X_m P_minus) applied to each row of a (..., 2^n) stack of
-    raw amplitudes."""
-    o_amps = pm.observable.apply_to_array(amps)
-    plus = (amps + o_amps) / 2.0
-    minus = (amps - o_amps) / 2.0
+    raw amplitudes: (a + Oa)/2 + X_m (a - Oa)/2, bit for bit.
+
+    The minus branch is written over Oa, and each branch is divided by 2.0
+    on its own: halving once after the sum, or multiplying by 0.5, can
+    change the sign of a zero, because numpy's complex divide and complex
+    multiply treat signed zeros differently.
+    """
+    o = pm.observable.apply_to_array(amps)
+    plus = amps + o
+    np.subtract(amps, o, out=o)
+    plus /= 2.0
+    o /= 2.0
     # X on the memory qubit as a gather: the sources of +X_m, whose phases are all 1.
     flipped, _ = _apply_tables(pm.observable.num_qubits, 1 << pm.memory, 0, 1)
-    plus += minus.T[flipped].T
+    plus += o.T[flipped].T
     return plus
 
 

@@ -148,11 +148,12 @@ def _stage_summary(snap, before: tuple = (), limit: int = 8) -> dict:
     previous stage; the full state stays out of the report."""
     statuses = {f.label: f.status for f in before}
     amps = snap.state.amplitudes
-    leading = []
-    for i in np.argsort(-np.abs(amps) ** 2, kind="stable")[:limit]:
-        if abs(amps[i]) <= 1e-9:
-            break
-        leading.append([int(i), [float(amps[i].real), float(amps[i].imag)]])
+    # Only amplitudes above 1e-9 are listed, so only they are ranked: a
+    # stable sort of that ascending subset keeps the ties in index order.
+    mags = np.abs(amps)
+    kept = np.flatnonzero(mags > 1e-9)
+    leading = [[int(i), [float(amps[i].real), float(amps[i].imag)]]
+               for i in kept[np.argsort(-mags[kept] ** 2, kind="stable")[:limit]]]
     return {
         "index": snap.index,
         "label": snap.label,

@@ -78,6 +78,10 @@ DEFAULT_TOLERANCE = 1e-9
 # counts as disturbed only when it lies farther than this from the intact
 # one: anything closer could still pass certification.
 MAX_TOLERANCE = 0.5
+# Rounding alone moves the exact products and the restoration fidelity by
+# up to about 4.4e-16 (+/-0.9999999999999999, 0.9999999999999996), so a
+# smaller tolerance would fail correct physics.
+MIN_TOLERANCE = 1e-12
 # Shots per target are drawn as one multinomial whose count must fit a
 # signed 64-bit integer.
 MAX_SHOTS = 10**18
@@ -102,7 +106,8 @@ class ScenarioConfig:
 
     experiment_id selects the flow: None for run_lmz, 1..4 for that
     reversal experiment of run_cdr. shots = 0 disables sampling, leaving
-    only exact Born-rule certification; at most MAX_SHOTS. Each
+    only exact Born-rule certification; at most MAX_SHOTS. tolerance lies
+    in [MIN_TOLERANCE, MAX_TOLERANCE). Each
     range-checked value is stored as an exact Python number (operator.index
     for the integers, float() for tolerance): numpy integers and floats are
     accepted and converted, and a float id, count or seed raises TypeError.
@@ -119,9 +124,10 @@ class ScenarioConfig:
                 f"experiment_id must be None or in 1..4, got {self.experiment_id!r}")
         if not 0 <= self.shots <= MAX_SHOTS:
             raise ValueError(f"shots must lie in [0, {MAX_SHOTS:g}], got {self.shots}")
-        if not 0 < self.tolerance < MAX_TOLERANCE:
+        if not MIN_TOLERANCE <= self.tolerance < MAX_TOLERANCE:
             raise ValueError(
-                f"tolerance must lie in (0, {MAX_TOLERANCE:g}), got {self.tolerance}")
+                f"tolerance must lie in [{MIN_TOLERANCE:g}, {MAX_TOLERANCE:g}), "
+                f"got {self.tolerance}")
         if not 0 <= self.master_seed <= MAX_SEED:
             raise ValueError(f"master_seed must be in [0, 2^64), got {self.master_seed}")
         if self.experiment_id is not None:
@@ -525,6 +531,11 @@ def cpl_check(state: StateVector,
     disturbance is reported alongside, because it stays at +1: only the
     two-time agreement carries the premise. A `system_obs` acting with X or
     Y on the record qubit raises ValueError before any distribution or draw.
+
+    The two rows are filled in place and halved with `/= 2.0`, the same
+    complex divide as (a +/- Oa) / 2 (a multiply by 0.5 can flip the sign
+    of a zero), and the disturbance is applied one row at a time, which
+    gives the stacked kernel's bits with half its temporaries.
     """
     record_obs = PauliString.single(state.num_qubits, record_qubit, "Z")
     if system_obs.factors[record_qubit] in "XY":
@@ -532,15 +543,19 @@ def cpl_check(state: StateVector,
             f"system observable {system_obs.label()} acts with "
             f"{system_obs.factors[record_qubit]} on record qubit {record_qubit}")
     amps = state.amplitudes
-    o_amps = system_obs.apply_to_array(amps)
-    branches = np.stack((amps + o_amps, amps - o_amps)) / 2
-    del o_amps  # run lmz's memory peak lies in the premeasurement below
+    o = system_obs.apply_to_array(amps)
+    branches = np.empty((2, amps.size), dtype=complex)
+    np.add(amps, o, out=branches[0])
+    np.subtract(amps, o, out=branches[1])
+    del o
+    branches /= 2.0
     exact = []
     matches = []
     for variant, between in enumerate(((), (disturbance,))):
         for pm in between:
             _require_cleared_memory(branches, pm)
-            branches = _premeasure_array(branches, pm)
+            for row in branches:
+                row[:] = _premeasure_array(row, pm)
         dist = _z_readout_distribution(
             branches.ravel(), (state.num_qubits, record_qubit))
         exact.append(sum(p * v * w for (v, w), p in dist))
@@ -730,6 +745,7 @@ def run_lmz(config: ScenarioConfig) -> LmzReport:
             stage_label = f"bob-{cid - 1}-only"
         records.append(_certify_records(
             st, cid, stage_label, f"constraint-{cid}-records", config, sampling))
+    del st  # constraint 4's side branch, freed before cpl_check's branches
     constraints += records
 
     # Transported certificate: conjugate each product through Bob's three

@@ -146,13 +146,15 @@ def random_state(rng: np.random.Generator, num_qubits: int,
     return amps / np.linalg.norm(amps)
 
 
-def random_stack(rng: np.random.Generator, rows: int, num_qubits: int) -> np.ndarray:
+def random_stack(rng: np.random.Generator, rows: int, num_qubits: int,
+                 zero_fraction: float = 0.25) -> np.ndarray:
     """A (rows, 2^n) stack of random amplitudes with signed zeros mixed in:
-    about a quarter of the real and of the imaginary parts are +0.0 or -0.0."""
+    about `zero_fraction` of the real and of the imaginary parts are +0.0
+    or -0.0."""
     shape = (rows, 1 << num_qubits)
     real, imag = rng.standard_normal(shape), rng.standard_normal(shape)
     for part in (real, imag):
-        zeroed = rng.random(shape) < 0.25
+        zeroed = rng.random(shape) < zero_fraction
         part[zeroed] = np.copysign(0.0, rng.choice([-1.0, 1.0], size=shape))[zeroed]
     return real + 1j * imag
 

@@ -13,7 +13,7 @@ from relfacts import cli
 from relfacts.cli import build_parser, main
 from relfacts.parity import PARSE_MAX_CONSTRAINTS
 from relfacts.report import CONSTRAINT_FILE_MAX_BYTES, build_check_document
-from relfacts.scenarios import DEFAULT_TOLERANCE, MAX_SHOTS, ScenarioConfig
+from relfacts.scenarios import DEFAULT_TOLERANCE, MAX_SHOTS, MIN_TOLERANCE, ScenarioConfig
 
 
 class TestRunCommand:
@@ -99,11 +99,21 @@ class TestRunCommand:
         assert f"matches {MAX_SHOTS}/{MAX_SHOTS}" in out
         assert "verdict: PASS" in out
 
-    def test_unreachable_tolerance_fails(self, capsys):
+    def test_unreachable_tolerance_is_a_usage_error(self, capsys):
+        # Below MIN_TOLERANCE, rounding alone would fail correct physics.
         rc = main(["run", "lmz", "--tolerance", "1e-18"])
-        out = capsys.readouterr().out
-        assert rc == 1
-        assert "verdict: FAIL" in out
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "error: tolerance must lie in [1e-12, 0.5), got 1e-18" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "lmz"],
+        ["run", "cdr", "--experiment", "all"],
+    ])
+    def test_the_smallest_tolerance_passes(self, argv, capsys):
+        assert main(argv + ["--tolerance", repr(MIN_TOLERANCE)]) == 0
+        assert "verdict: PASS" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [
@@ -141,6 +151,10 @@ class TestUsageErrors:
         ["run", "lmz", "--tolerance", "0.5"],
         ["run", "cdr", "--experiment", "all", "--tolerance", "3"],
         ["run", "lmz", "--tolerance", "inf"],
+        ["run", "lmz", "--tolerance", "1e-13"],
+        ["run", "cdr", "--experiment", "all", "--tolerance", "1e-16"],
+        ["run", "lmz", "--tolerance", "5e-324"],
+        ["run", "lmz", "--tolerance", "nan"],
         ["run", "lmz", "--shots", str(MAX_SHOTS + 1)],
         ["run", "cdr", "--experiment", "all", "--seed", str(2**64)],
     ])

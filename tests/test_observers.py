@@ -153,6 +153,27 @@ class TestStackedKernels:
             for r in range(rows):
                 assert same_bits(out[r], _premeasure_array(stack[r], pm))
 
+    @given(st.integers(2, 6), st.integers(0, 5), st.sampled_from([0.25, 0.9]),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_reference_expression_bit_for_bit(self, num_qubits, rows,
+                                                         zero_fraction, seed):
+        # (a + Oa)/2 + X_m (a - Oa)/2 on stacks, Fortran-ordered stacks and
+        # single rows with signed zeros mixed in; mostly zeros, so that
+        # zeros often meet in the sums. tobytes() compares the bits, so +0.0
+        # and -0.0 differ: halving with a multiply by 0.5, or once after the
+        # sum, fails here.
+        rng = np.random.default_rng(seed)
+        pm = random_premeasurement(rng, num_qubits)
+        stack = random_stack(rng, rows, num_qubits, zero_fraction)
+        flipped = np.arange(1 << num_qubits) ^ (1 << pm.memory)
+        for amps in (stack, np.asfortranarray(stack), *stack):
+            o_amps = pm.observable.apply_to_array(amps)
+            reference = (amps + o_amps) / 2.0 + ((amps - o_amps) / 2.0)[..., flipped]
+            out = _premeasure_array(amps, pm)
+            assert out.shape == reference.shape
+            assert out.tobytes() == reference.tobytes()
+
     @given(st.integers(2, 6), st.integers(0, 5), st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
     def test_cleared_memory_raises_iff_some_row_is_excited(self, num_qubits, rows, seed):

@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import json
 import math
+import tracemalloc
 from itertools import permutations
 from itertools import product as iter_product
 
@@ -16,12 +17,21 @@ from oracle import (
     ghz_amps,
     op,
     premeasure_unitary,
+    random_stack,
     random_state,
     replay_records,
+    same_bits,
     two_time_distribution,
 )
 from relfacts.errors import InternalConsistencyError, ProtocolError
-from relfacts.observers import Premeasurement, RelativeFact, ledger, lift, premeasure
+from relfacts.observers import (
+    Premeasurement,
+    RelativeFact,
+    _premeasure_array,
+    ledger,
+    lift,
+    premeasure,
+)
 from relfacts.pauli import PauliString
 from relfacts import scenarios
 from relfacts.report import build_run_document, from_scenario, render_text
@@ -31,6 +41,7 @@ from relfacts.scenarios import (
     CONSTRAINT_SIGNS,
     DEFAULT_TOLERANCE,
     MAX_SHOTS,
+    MIN_TOLERANCE,
     NUM_QUBITS,
     SYSTEM_QUBITS,
     CdrReport,
@@ -129,6 +140,9 @@ class TestScenarioConfig:
         {"tolerance": 0.5},
         {"tolerance": 3.0},
         {"tolerance": float("inf")},
+        {"tolerance": 1e-13},
+        {"tolerance": 5e-324},
+        {"tolerance": float("nan")},
         {"shots": MAX_SHOTS + 1},
     ])
     def test_rejections(self, kwargs):
@@ -785,6 +799,46 @@ class TestSamplingMachinery:
                 sigma = math.sqrt(shots * agree * (1 - agree))
                 assert abs(matches - shots * agree) <= 6 * sigma
 
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_cpl_branches_equal_the_stacked_kernel_bit_for_bit(self, seed):
+        # cpl_check fills its two branch rows in place and premeasures them
+        # one at a time. The amplitudes each two-time distribution is read
+        # from must have the bits of the stacked expression: both branches
+        # stacked and halved, then the disturbance applied to the stack.
+        # The state mixes signed zeros in; the system observable acts with
+        # Z at most on the disturbance's memory, which stays cleared.
+        rng = np.random.default_rng(seed)
+        num_qubits = int(rng.integers(2, 6))
+        memory, record = (int(q) for q in rng.integers(num_qubits, size=2))
+        amps = random_stack(rng, 1, num_qubits, 0.5)[0]
+        amps[(np.arange(1 << num_qubits) >> memory) & 1 == 1] = np.copysign(
+            0.0, rng.standard_normal(1 << (num_qubits - 1)))
+        amps[0] += 1.0    # index 0 has the memory cleared: a nonzero norm
+        amps /= np.linalg.norm(amps)
+        system = PauliString.from_map(num_qubits, {
+            q: "Z" if q == memory else str(rng.choice(list("XYZ")))
+            for q in range(num_qubits) if q != record} or {record: "Z"})
+        disturbance = {q: str(rng.choice(list("XYZ")))
+                       for q in range(num_qubits) if q != memory and rng.random() < 0.6}
+        pm = Premeasurement(PauliString.from_map(
+            num_qubits, disturbance or {(memory + 1) % num_qubits: "Z"}), memory, "bob")
+        seen, original = [], scenarios._z_readout_distribution
+
+        def recorded(amplitudes, qubits):
+            dist = original(amplitudes, qubits)
+            seen.append((amplitudes.copy(), dist))
+            return dist
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scenarios, "_z_readout_distribution", recorded)
+            cpl_check(StateVector(num_qubits, amps), system, "R", record, pm)
+        o_amps = system.apply_to_array(amps)
+        stacked = np.stack((amps + o_amps, amps - o_amps)) / 2
+        for (got, dist), want in zip(seen, (stacked, _premeasure_array(stacked, pm)), strict=True):
+            assert same_bits(got, want.ravel())
+            assert dist == original(want.ravel(), (num_qubits, record))
+
     def test_draw_outcome_counts(self):
         dist = [((1,), 0.25), ((-1,), 0.75)]
         rng = np.random.default_rng(5)
@@ -836,6 +890,16 @@ class TestSamplingMachinery:
         assert tally.shots == tally.violations == 0
         assert all(m.within_band for m in tally.marginals)
 
+    def test_sample_records_lists_only_drawn_outcomes(self, lmz_exact):
+        # One shot of B1 B2 B3, which have four outcomes of probability
+        # 1/4: the three that were not drawn get no key.
+        tally = sample_records(
+            lmz_exact.snapshots[4].state, target="t", constraint_id=1,
+            stage="s", records=(("B1", BOB_MEMORY[0]), ("B2", BOB_MEMORY[1]),
+                                ("B3", BOB_MEMORY[2])),
+            expected_product=1, shots=1, master_seed=0, target_index=1)
+        assert list(tally.outcome_counts.values()) == [1]
+
 
 class TestFlippedSharedState:
     def test_all_four_constraints_fail(self):
@@ -860,6 +924,27 @@ class TestFlippedSharedState:
                 labels=("p1", "p2", "p3"), constraint_id=cid)
             assert not result.certified
             assert result.expectation == pytest.approx(-expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("shots", [0, 10000])
+def test_lmz_report_peak_memory_stays_below_150_kb(shots):
+    # Building run lmz's report and rendering it in both formats peaked at
+    # about 175 kB (180 kB at 10^4 shots) on CPython 3.11 while the
+    # premeasurement kernels and cpl_check made whole-stack temporaries;
+    # with their buffers reused it peaks at about 125 kB (130 kB).
+    def build():
+        doc = build_run_document("lmz", None, shots, 0, DEFAULT_TOLERANCE)[1]
+        doc.to_json()
+        render_text(doc)
+
+    build()    # fills the memoised tables first
+    tracemalloc.start()
+    try:
+        build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e5
 
 
 class TestCplStandalone:
@@ -1097,12 +1182,11 @@ def dense_certified_values():
 
 
 class TestFlagSpace:
-    """Both flows PASS across the flag space, with exact products. The
-    tolerance stays at or above 1e-12: at 1e-16 and below the rounding of
-    the exact products alone exceeds it."""
+    """Both flows PASS across the flag space, with exact products, at every
+    tolerance ScenarioConfig accepts up to 0.49."""
 
     @given(shots=st.integers(0, 10**6), seed=st.integers(0, 2**64 - 1),
-           tolerance=st.floats(1e-12, 0.49))
+           tolerance=st.floats(MIN_TOLERANCE, 0.49))
     @settings(max_examples=40, deadline=None)
     def test_both_flows_pass_with_exact_products(self, shots, seed, tolerance):
         lmz = run_lmz(ScenarioConfig(

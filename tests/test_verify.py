@@ -105,11 +105,13 @@ def test_sweep_builds_dense_matrices_of_single_qubits_only(monkeypatch):
     assert sizes == [1, 1, 1, 1]
 
 
-def test_sweep_peak_memory_stays_below_350_kb():
+def test_sweep_peak_memory_stays_below_215_kb():
     # One dense 512x512 complex matrix alone takes 4 MB. Holding every
     # piece of evidence and every rendering to the end of the sweep peaks
     # at about 0.44 MB on CPython 3.11; dropping each after its last reader
-    # and keeping digests for check 9 at about 0.24 MB.
+    # and keeping digests for check 9 at about 0.23 MB; dropping the flow
+    # results before check 9's reruns too, and building each flow with the
+    # kernels' reused buffers, at about 0.19 MB.
     verify.run_all_checks()    # fills the memoised tables first
     tracemalloc.start()
     try:
@@ -118,7 +120,7 @@ def test_sweep_peak_memory_stays_below_350_kb():
     finally:
         tracemalloc.stop()
     assert all(row["passed"] for row in rows)
-    assert peak < 3.5e5
+    assert peak < 2.15e5
 
 
 @pytest.mark.parametrize("column", [
@@ -698,6 +700,34 @@ def test_evidence_is_freed_right_after_its_last_reader(monkeypatch):
         (3, True, "ok"), (4, True, "ok")]
     assert [label for label, _ in timings if label.startswith("evidence ")] == [
         f"evidence {n}" for n in "abcde"]
+
+
+def test_first_builds_are_freed_before_the_reruns(monkeypatch):
+    # Row 9 reads only the digests of the lmz, cdr and GHZ first builds, so
+    # each build with its result is gone once check 9's reruns are built.
+    builders, refs, alive_at_reruns = dict(verify._EVIDENCE), {}, []
+
+    def watched(name):
+        def build():
+            value = builders[name]()
+            refs[name] = weakref.ref(value)
+            return value
+        return build
+
+    def reruns():
+        alive_at_reruns.extend(n for n, ref in refs.items() if ref() is not None)
+        return builders["reruns"]()
+
+    monkeypatch.setattr(verify, "_EVIDENCE", dict(
+        builders, reruns=reruns, **{name: watched(name) for name in verify._DIGESTS}))
+    gc.disable()    # freed by reference counting, not by a collection
+    try:
+        rows, _, _ = verify.run_all_checks()
+    finally:
+        gc.enable()
+    assert all(row["passed"] for row in rows)
+    assert sorted(refs) == ["cdr", "ghz_analysis", "lmz"]
+    assert alive_at_reruns == []
 
 
 @pytest.mark.parametrize("evidence", [verify._lmz, verify._cdr], ids=["lmz", "cdr"])
