@@ -27,6 +27,19 @@ two-time agreement reads a system observable, then a record: by deferred
 measurement the first readout becomes Z on an ancilla, the row index of a
 two-row stack of branches, so the same bincount gives its distribution.
 
+The symbolic side of both flows depends on the constraint table alone,
+never on the state, seed or shots: the premeasurements, the lifted and
+transported observables, each certified product and its commutation, the
+stage labels and every stage's ledger (the Heisenberg-picture bookkeeping
+of Pauli strings). It is derived once per process, on the first flow call,
+into an immutable plan of tuples and frozen dataclasses (_plan), keyed on
+the values of CONSTRAINT_PATTERNS and CONSTRAINT_SIGNS, so a patched table
+takes effect at the next flow call. Each run then does only the state
+arithmetic: kernels, expectations, distributions, draws and fidelities,
+and builds every dict its report carries afresh. A builder patched after
+a flow has run (lift, ledger, alice_premeasurements, PauliString.__mul__,
+...) reaches the flows only once clear_plan() has dropped the plan.
+
 Randomness: every sampled draw comes from rng.child_generator(master_seed,
 stream, scope), with streams STREAM_SAMPLE (scope = target index) and
 STREAM_CPL (scope = variant). Each scope draws its shots' outcome counts
@@ -40,7 +53,7 @@ import operator
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 from math import sqrt
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -460,6 +473,29 @@ def certify_constraint(state: StateVector,
     product has no joint eigenbasis to certify). Per-shot evidence for
     record products is added by _certify_records.
     """
+    return _certify(
+        state, _product(constraint_id, kind, labels, observables, expected),
+        stage, tolerance)
+
+
+class _Product(NamedTuple):
+    """A product of pairwise-commuting observables, ready to certify on any
+    state: `observable` is their operator product. A record product also
+    lists the (label, memory qubit) `records` whose Z readouts it reads."""
+
+    constraint_id: int
+    kind: str
+    labels: tuple
+    observable: PauliString
+    expected: int
+    records: tuple = ()
+
+
+def _product(constraint_id: int, kind: str, labels: Sequence[str],
+             observables: Sequence[PauliString], expected: int,
+             records: tuple = ()) -> _Product:
+    """Check a product's arguments and the pairwise commutation of its
+    observables (ProtocolError if two fail to commute), then take it."""
     observables = tuple(observables)
     labels = tuple(labels)
     if len(observables) != len(labels) or not observables:
@@ -473,11 +509,19 @@ def certify_constraint(state: StateVector,
             raise ProtocolError(
                 f"observables {la} and {lb} do not commute; "
                 "simultaneous certification is undefined")
-    val = expectation(state, product_of(observables))
+    return _Product(constraint_id, kind, labels, product_of(observables),
+                    expected, records)
+
+
+def _certify(state: StateVector, product: _Product, stage: str,
+             tolerance: float) -> ConstraintResult:
+    """Certify `product` on `state` from its exact Born expectation."""
+    val = expectation(state, product.observable)
     return ConstraintResult(
-        constraint_id=constraint_id, kind=kind, labels=labels, stage=stage,
-        expected=expected, expectation=val, tolerance=tolerance,
-        shots=0, violations=0, certified=abs(val - expected) <= tolerance)
+        constraint_id=product.constraint_id, kind=product.kind,
+        labels=product.labels, stage=stage, expected=product.expected,
+        expectation=val, tolerance=tolerance, shots=0, violations=0,
+        certified=abs(val - product.expected) <= tolerance)
 
 
 def sample_records(state: StateVector,
@@ -586,92 +630,228 @@ def cpl_check(state: StateVector,
 
 def _commutation_survey(specs: Sequence[ConstraintSpec],
                         bhats: Sequence[PauliString],
-                        ahats: Sequence[PauliString]) -> CommutationSurvey:
+                        ahats: Sequence[PauliString]) -> tuple:
     """The commutation survey of the four products `specs`, over Bob's
-    direct observables `bhats` and Alice's record readouts `ahats`."""
+    direct observables `bhats` and Alice's record readouts `ahats`: the
+    fields of a CommutationSurvey in order, each dict as the tuple of its
+    items, so a plan can hold them and each report gets dicts of its own."""
     products = [product_of(spec.observables) for spec in specs]
-    pairwise = {f"{i},{j}": commutes(pi, pj)
-                for (i, pi), (j, pj) in combinations(enumerate(products, 1), 2)}
-    return CommutationSurvey(
-        product_labels={str(i): p.label() for i, p in enumerate(products, 1)},
-        product_pairwise_commute=pairwise,
-        all_products_commute=all(pairwise.values()),
-        triples_commute={
-            str(spec.constraint_id): all(
-                commutes(a, b) for a, b in combinations(spec.observables, 2))
-            for spec in specs},
-        same_pair_anticommute=tuple(
-            SamePairAnticommute(k + 1, not commutes(bhats[k], ahats[k]))
-            for k in range(3)),
-        cross_pair_commute=all(commutes(bhats[k], ahats[j])
-                               for k in range(3) for j in range(3) if j != k))
+    pairwise = tuple((f"{i},{j}", commutes(pi, pj))
+                     for (i, pi), (j, pj) in combinations(enumerate(products, 1), 2))
+    return (
+        tuple((str(i), p.label()) for i, p in enumerate(products, 1)),
+        pairwise,
+        all(holds for _, holds in pairwise),
+        tuple((str(spec.constraint_id), all(
+            commutes(a, b) for a, b in combinations(spec.observables, 2)))
+            for spec in specs),
+        tuple(SamePairAnticommute(k + 1, not commutes(bhats[k], ahats[k]))
+              for k in range(3)),
+        all(commutes(bhats[k], ahats[j])
+            for k in range(3) for j in range(3) if j != k))
+
+
+# -- the protocol plan -------------------------------------------------------
+
+
+class _Stage(NamedTuple):
+    """A protocol stage: its label, the record steps (label, premeasurement,
+    stage) that lead to it from the previous stage, where stage None
+    reverses the premeasurement that wrote `label`, and the ledger of every
+    step up to it."""
+
+    label: str
+    steps: tuple
+    facts: tuple
+
+
+class _LmzPlan(NamedTuple):
+    """run_lmz's symbolic side. `survey` holds the CommutationSurvey's
+    fields as _commutation_survey gives them, and each `transported`
+    product is an `operator` one lifted through `bob_pms`."""
+
+    bob_pms: tuple
+    operator: tuple
+    survey: tuple
+    bob: tuple
+    transported: tuple
+
+
+class _Experiment(NamedTuple):
+    """One reversal experiment's symbolic side. `memory` is the reversed
+    Alice memory whose Bloch vector (`bloch`: X, Y, Z on it) gives the
+    restoration, or None for experiment 1, which reverses every record."""
+
+    reversed: _Stage
+    memory: Optional[int]
+    bloch: tuple
+    operator: _Product
+    bob: _Stage
+    record: _Product
+    coexisting: CoexistingRecords
+
+
+class _Plan(NamedTuple):
+    """The symbolic side of both flows, derived from the constraint table
+    `key` (CONSTRAINT_PATTERNS, CONSTRAINT_SIGNS): Alice's premeasurements,
+    the opening stages "prepared" and "alice-complete", each constraint's
+    record product (by id), the lmz flow's plan and each experiment's."""
+
+    key: tuple
+    alice_pms: tuple
+    opening: tuple
+    records: tuple
+    lmz: _LmzPlan
+    experiments: tuple
+
+
+_PLAN: Optional[_Plan] = None
+
+
+def _plan() -> _Plan:
+    """The plan of the current constraint table, built on first use and
+    again whenever CONSTRAINT_PATTERNS or CONSTRAINT_SIGNS hold other
+    values than it was built from."""
+    global _PLAN
+    key = (CONSTRAINT_PATTERNS, CONSTRAINT_SIGNS)
+    if _PLAN is None or _PLAN.key != key:
+        _PLAN = _build_plan(key)
+    return _PLAN
+
+
+def clear_plan() -> None:
+    """Drop the plan, so the next flow call derives it again from the
+    builders as they are then."""
+    global _PLAN
+    _PLAN = None
+
+
+def _stage(label: str, steps: list, new: tuple) -> _Stage:
+    """The stage reached by the record steps `new` after `steps`, which
+    are extended by them; its facts are the ledger of all of them."""
+    steps.extend(new)
+    return _Stage(label, new, ledger(steps))
+
+
+def _build_plan(key: tuple) -> _Plan:
+    """The plan of the module's current tables, whose values are `key`."""
+    alice_pms = alice_premeasurements()
+    steps = []
+    opening = (
+        _stage("prepared", steps, ()),
+        _stage("alice-complete", steps, tuple(
+            (f"A{k + 1}", pm, "alice-complete") for k, pm in enumerate(alice_pms))))
+    records = tuple(
+        _product(cid, "record", [label for label, _ in record_slots(cid)],
+                 constraint_readouts(cid), sign, record_slots(cid))
+        for cid, sign in enumerate(CONSTRAINT_SIGNS, 1))
+    # Operator certification after a reversal: direct X for freed pairs,
+    # record Z for kept ones.
+    direct = constraint_table(
+        tuple(PauliString.single(NUM_QUBITS, q, "X") for q in SYSTEM_QUBITS),
+        record_readout_observables())
+    return _Plan(
+        key, alice_pms, opening, records,
+        _lmz_plan(alice_pms, list(steps)),
+        tuple(_experiment_plan(exp, alice_pms, list(steps), direct[exp - 1],
+                               records[exp - 1]) for exp in (1, 2, 3, 4)))
+
+
+def _lmz_plan(alice_pms: tuple, steps: list) -> _LmzPlan:
+    """Bob addresses the direct observables lifted through Alice's records,
+    premeasuring each onto his memory in turn."""
+    bhats = lifted_direct_observables(alice_pms)
+    ahats = record_readout_observables()
+    specs = constraint_table(bhats, ahats)
+    operator = tuple(
+        _product(spec.constraint_id, "operator", spec.labels, spec.observables,
+                 spec.expected) for spec in specs)
+    bob_pms = tuple(
+        Premeasurement(bhats[k], BOB_MEMORY[k], "bob") for k in range(3))
+    bob = tuple(
+        _stage(f"bob-{k + 1}", steps, ((f"B{k + 1}", pm, f"bob-{k + 1}"),))
+        for k, pm in enumerate(bob_pms))
+    transported = []
+    for product in operator:
+        carried = product.observable
+        for pm in bob_pms:
+            carried = lift(carried, pm)
+        transported.append(product._replace(observable=carried))
+    return _LmzPlan(bob_pms, operator, _commutation_survey(specs, bhats, ahats),
+                    bob, tuple(transported))
+
+
+def _experiment_plan(exp: int, alice_pms: tuple, steps: list,
+                     spec: ConstraintSpec, record: _Product) -> _Experiment:
+    """Experiment `exp` reverses the records of its constraint's B pairs,
+    latest first, then Bob premeasures X on each freed system qubit onto
+    his own memory, the constraint's B record."""
+    pattern = CONSTRAINT_PATTERNS[exp - 1]
+    reversed_pairs = tuple(k for k, slot in enumerate(pattern) if slot == "B")
+    reversal = tuple((f"A{k + 1}", alice_pms[k], None)
+                     for k in sorted(reversed_pairs, reverse=True))
+    reversed_stage = _stage(
+        "reversed-all" if exp == 1 else f"reversed-pair-{reversed_pairs[0] + 1}",
+        steps, reversal)
+    memory = None if exp == 1 else ALICE_MEMORY[reversed_pairs[0]]
+    bloch = () if memory is None else tuple(
+        PauliString.single(NUM_QUBITS, memory, f) for f in "XYZ")
+    bob = _stage("bob-direct", steps, tuple(
+        (label, Premeasurement(
+            PauliString.single(NUM_QUBITS, SYSTEM_QUBITS[k], "X"),
+            memory=qubit, owner="bob"), "bob-direct")
+        for k, (slot, (label, qubit)) in enumerate(zip(pattern, record_slots(exp)))
+        if slot == "B"))
+    current = tuple(f.label for f in bob.facts if f.status == "current")
+    return _Experiment(
+        reversed_stage, memory, bloch,
+        _product(exp, "operator", spec.labels, spec.observables, spec.expected),
+        bob, record,
+        CoexistingRecords(current, spec.labels, sorted(current) == sorted(spec.labels)))
 
 
 # -- scenario flows ----------------------------------------------------------
 
 
-class _Flow:
-    """One flow run's bookkeeping beside its state: the stage snapshots and
-    the record steps applied so far. Each snapshot's ledger is derived from
-    the steps (observers.ledger)."""
-
-    def __init__(self, start: Optional["_Flow"] = None):
-        """A new flow, or one that continues from `start`: copies of its
-        snapshot list and step list, sharing the snapshots."""
-        self.snapshots = list(start.snapshots) if start else []
-        self.steps = list(start.steps) if start else []  # (label, pm, stage) applied
-
-    def record(self, state: StateVector, pm: Premeasurement, label: str,
-               stage: Optional[str] = None) -> StateVector:
-        """One record unitary. With a stage: premeasure `pm`, writing the
-        record `label`. Without one: reverse `pm`, erasing `label`."""
-        self.steps.append((label, pm, stage))
-        return reverse(state, pm) if stage is None else premeasure(state, pm)
-
-    def snapshot(self, label: str, state: StateVector) -> None:
-        self.snapshots.append(StageSnapshot(
-            len(self.snapshots), label, state, ledger(self.steps)))
+def _advance(snapshots: list, stage: _Stage, state: StateVector) -> StateVector:
+    """Apply `stage`'s record steps to `state` and append the result to
+    `snapshots` with the stage's label and ledger."""
+    for _, pm, written in stage.steps:
+        state = reverse(state, pm) if written is None else premeasure(state, pm)
+    snapshots.append(StageSnapshot(len(snapshots), stage.label, state, stage.facts))
+    return state
 
 
-def _alice_complete() -> tuple:
+def _alice_complete(plan: _Plan) -> tuple:
     """The opening both flows share: prepare the shared state, then let
-    Alice's friends premeasure it. Returns the flow so far, with the stages
-    "prepared" and "alice-complete", the stage-1 state and Alice's
-    premeasurements."""
-    flow = _Flow()
-    state = prepare_ghz(zero_state(NUM_QUBITS), SYSTEM_QUBITS)
-    flow.snapshot("prepared", state)
-    alice_pms = alice_premeasurements()
-    for k, pm in enumerate(alice_pms):
-        state = flow.record(state, pm, f"A{k + 1}", stage="alice-complete")
-    flow.snapshot("alice-complete", state)
-    return flow, state, alice_pms
+    Alice's friends premeasure it. Returns the snapshots of the stages
+    "prepared" and "alice-complete", and the stage-1 state."""
+    snapshots = []
+    prepared, alice = plan.opening
+    state = _advance(snapshots, prepared,
+                     prepare_ghz(zero_state(NUM_QUBITS), SYSTEM_QUBITS))
+    return snapshots, _advance(snapshots, alice, state)
 
 
-def _certify_records(state: StateVector, constraint_id: int, stage: str,
+def _certify_records(state: StateVector, record: _Product, stage: str,
                      target: str, config: ScenarioConfig, sampling: list) -> ConstraintResult:
-    """Certify constraint `constraint_id` on the memory records of `state`.
+    """Certify the record product `record` on the memory records of `state`.
 
-    The (label, qubit) records are record_slots(constraint_id), and the
-    expected sign comes from CONSTRAINT_SIGNS. The product of their Z
-    readouts (constraint_readouts) is certified exactly; when config.shots > 0
-    the readouts are also sampled on STREAM_SAMPLE (scope = constraint id),
-    the tally is appended to `sampling`, and the returned certification
-    carries the shot evidence.
+    Its records are record_slots of its constraint, and its expected sign
+    comes from CONSTRAINT_SIGNS. The product of their Z readouts
+    (constraint_readouts) is certified exactly; when config.shots > 0 the
+    readouts are also sampled on STREAM_SAMPLE (scope = constraint id), the
+    tally is appended to `sampling`, and the returned certification carries
+    the shot evidence.
     """
-    expected = CONSTRAINT_SIGNS[constraint_id - 1]
-    records = record_slots(constraint_id)
-    result = certify_constraint(
-        state, constraint_readouts(constraint_id), expected,
-        labels=tuple(label for label, _ in records),
-        constraint_id=constraint_id, kind="record", stage=stage,
-        tolerance=config.tolerance)
+    result = _certify(state, record, stage, config.tolerance)
     if config.shots == 0:
         return result
     tally = sample_records(
-        state, target=target, constraint_id=constraint_id, stage=stage,
-        records=records, expected_product=expected, shots=config.shots,
-        master_seed=config.master_seed, target_index=constraint_id)
+        state, target=target, constraint_id=record.constraint_id, stage=stage,
+        records=record.records, expected_product=record.expected,
+        shots=config.shots, master_seed=config.master_seed,
+        target_index=record.constraint_id)
     sampling.append(tally)
     return replace(
         result, shots=tally.shots, violations=tally.violations,
@@ -705,27 +885,19 @@ def run_lmz(config: ScenarioConfig) -> LmzReport:
     """
     if config.experiment_id is not None:
         raise ValueError("run_lmz needs a config without an experiment_id")
-    flow, stage1, alice_pms = _alice_complete()
+    plan = _plan()
+    lmz = plan.lmz
+    snapshots, stage1 = _alice_complete(plan)
 
-    bhats = lifted_direct_observables(alice_pms)
-    ahats = record_readout_observables()
-    specs = constraint_table(bhats, ahats)
+    constraints = [_certify(stage1, product, "alice-complete", config.tolerance)
+                   for product in lmz.operator]
+    labels, pairwise, all_commute, triples, same_pair, cross = lmz.survey
+    commutation = CommutationSurvey(
+        dict(labels), dict(pairwise), all_commute, dict(triples), same_pair, cross)
 
-    constraints = []
-    for spec in specs:
-        constraints.append(certify_constraint(
-            stage1, spec.observables, spec.expected,
-            labels=spec.labels, constraint_id=spec.constraint_id,
-            kind="operator", stage="alice-complete",
-            tolerance=config.tolerance))
-    commutation = _commutation_survey(specs, bhats, ahats)
-
-    bob_pms = tuple(
-        Premeasurement(bhats[k], BOB_MEMORY[k], "bob") for k in range(3))
     state = stage1
-    for k, pm in enumerate(bob_pms):
-        state = flow.record(state, pm, f"B{k + 1}", stage=f"bob-{k + 1}")
-        flow.snapshot(f"bob-{k + 1}", state)
+    for stage in lmz.bob:
+        state = _advance(snapshots, stage, state)
     final = state
 
     # Record-level certification and sampling: constraint 1 from the full
@@ -734,38 +906,35 @@ def run_lmz(config: ScenarioConfig) -> LmzReport:
     # the matching Bob premeasurement has run.
     sampling = []
     records = []
-    for spec in specs:
-        cid = spec.constraint_id
+    for record in plan.records:
+        cid = record.constraint_id
         if cid == 1:
             st, stage_label = final, "bob-3"
         elif cid == 2:
-            st, stage_label = flow.snapshots[2].state, "bob-1"
+            st, stage_label = snapshots[2].state, "bob-1"
         else:
-            st = premeasure(stage1, bob_pms[cid - 2])
+            st = premeasure(stage1, lmz.bob_pms[cid - 2])
             stage_label = f"bob-{cid - 1}-only"
         records.append(_certify_records(
-            st, cid, stage_label, f"constraint-{cid}-records", config, sampling))
+            st, record, stage_label, f"constraint-{cid}-records", config, sampling))
     del st  # constraint 4's side branch, freed before cpl_check's branches
     constraints += records
 
-    # Transported certificate: conjugate each product through Bob's three
-    # premeasurements and certify it on the final state.
+    # Transported certificate: each product conjugated through Bob's three
+    # premeasurements, certified on the final state.
     final_certificate = []
-    for spec in specs:
-        carried = product_of(spec.observables)
-        for pm in bob_pms:
-            carried = lift(carried, pm)
-        val = expectation(final, carried)
+    for product in lmz.transported:
+        val = expectation(final, product.observable)
         final_certificate.append(TransportedCertificate(
-            spec.constraint_id, carried.label(), spec.expected, val,
-            certified=abs(val - spec.expected) <= config.tolerance))
+            product.constraint_id, product.observable.label(), product.expected, val,
+            certified=abs(val - product.expected) <= config.tolerance))
 
     # Disturbed diagnostic: the mixed record product of constraint 2, which
     # its record certification read right after Bob's first premeasurement,
     # no longer holds on the final state.
     early = records[1]
-    final_val = expectation(final, product_of(constraint_readouts(early.constraint_id)))
-    facts = flow.snapshots[-1].facts  # bob-3 follows the last record step
+    final_val = expectation(final, plan.records[1].observable)
+    facts = snapshots[-1].facts  # bob-3 follows the last record step
     gap = abs(final_val - early.expectation)
     disturbed_diagnostic = DisturbedDiagnostic(
         early.labels, early.stage, early.expectation, final_val, gap,
@@ -773,7 +942,7 @@ def run_lmz(config: ScenarioConfig) -> LmzReport:
             f.label: f.status for f in facts if f.label in ("A2", "A3")})
 
     cpl = cpl_check(
-        stage1, alice_pms[0].observable, "A1", ALICE_MEMORY[0], bob_pms[0],
+        stage1, plan.alice_pms[0].observable, "A1", ALICE_MEMORY[0], lmz.bob_pms[0],
         shots=config.shots, master_seed=config.master_seed,
         tolerance=config.tolerance)
 
@@ -792,7 +961,7 @@ def run_lmz(config: ScenarioConfig) -> LmzReport:
         and abs(cpl.operator_product_after - 1.0) <= config.tolerance
         and _sampling_holds(constraints, sampling, config.shots))
     return LmzReport(
-        config=config, snapshots=flow.snapshots, constraints=constraints,
+        config=config, snapshots=snapshots, constraints=constraints,
         sampling=sampling, passed=passed, commutation=commutation,
         final_certificate=final_certificate,
         disturbed_diagnostic=disturbed_diagnostic, cpl=cpl)
@@ -811,91 +980,67 @@ def run_cdr(config: ScenarioConfig) -> CdrReport:
     """
     if config.experiment_id is None:
         raise ValueError("run_cdr needs a config with an experiment_id in 1..4")
-    return _run_experiment(config, *_alice_complete())
+    plan = _plan()
+    return _run_experiment(config, plan.experiments[config.experiment_id - 1],
+                           *_alice_complete(plan))
 
 
-def _run_experiment(config: ScenarioConfig, opening: _Flow, state: StateVector,
-                    alice_pms: tuple) -> CdrReport:
-    """run_cdr's experiment, continued from what _alice_complete returned;
-    the `opening` flow itself is left as it was."""
-    flow = _Flow(opening)
-    exp = config.experiment_id
-    prepared = flow.snapshots[0].state
+def _run_experiment(config: ScenarioConfig, exp: _Experiment, opening: list,
+                    state: StateVector) -> CdrReport:
+    """run_cdr's experiment `exp`, continued from the snapshots and state
+    _alice_complete returned; the `opening` list itself is left as it was."""
+    snapshots = list(opening)
+    prepared = snapshots[0].state
+    state = _advance(snapshots, exp.reversed, state)
 
-    pattern = CONSTRAINT_PATTERNS[exp - 1]
-    reversed_pairs = tuple(k for k, slot in enumerate(pattern) if slot == "B")
-    for k in sorted(reversed_pairs, reverse=True):
-        state = flow.record(state, alice_pms[k], f"A{k + 1}")
-    stage_label = "reversed-all" if exp == 1 else f"reversed-pair-{reversed_pairs[0] + 1}"
-    flow.snapshot(stage_label, state)
-
-    if exp == 1:
+    if exp.memory is None:
         fid = fidelity(state, prepared)
         restoration = FullRestoration(fid, restored=fid >= 1.0 - config.tolerance)
     else:
-        mem = ALICE_MEMORY[reversed_pairs[0]]
         # Purity of the memory's reduced state from its Bloch vector.
-        bloch = [expectation(state, PauliString.single(NUM_QUBITS, mem, f))
-                 for f in "XYZ"]
+        bloch = [expectation(state, obs) for obs in exp.bloch]
         purity = (1.0 + sum(b * b for b in bloch)) / 2.0
-        excitation = state.probability_of_bit(mem)
-        restoration = MemoryRestoration(mem, purity, excitation, restored=(
+        excitation = state.probability_of_bit(exp.memory)
+        restoration = MemoryRestoration(exp.memory, purity, excitation, restored=(
             purity >= 1.0 - config.tolerance and excitation <= config.tolerance))
 
-    # Operator certification on the reversed state: direct X for freed
-    # pairs, record Z for kept ones.
-    spec = constraint_table(
-        tuple(PauliString.single(NUM_QUBITS, q, "X") for q in SYSTEM_QUBITS),
-        record_readout_observables())[exp - 1]
-    constraints = [certify_constraint(
-        state, spec.observables, spec.expected, labels=spec.labels,
-        constraint_id=exp, kind="operator", stage=stage_label,
-        tolerance=config.tolerance)]
+    constraints = [_certify(state, exp.operator, exp.reversed.label, config.tolerance)]
 
     # Bob measures the freed system qubits directly (premeasurement onto his
     # own memories, the constraint's B records, so the records coexist and
     # can be read in any order).
-    for k, (slot, (label, memory)) in enumerate(zip(pattern, record_slots(exp))):
-        if slot == "B":
-            pm = Premeasurement(
-                PauliString.single(NUM_QUBITS, SYSTEM_QUBITS[k], "X"),
-                memory=memory, owner="bob")
-            state = flow.record(state, pm, label, stage="bob-direct")
-    flow.snapshot("bob-direct", state)
-
+    state = _advance(snapshots, exp.bob, state)
     sampling = []
     constraints.append(_certify_records(
-        state, exp, "bob-direct", f"experiment-{exp}-records", config, sampling))
+        state, exp.record, exp.bob.label,
+        f"experiment-{config.experiment_id}-records", config, sampling))
 
-    facts = flow.snapshots[-1].facts  # bob-direct follows the last record step
-    current = tuple(f.label for f in facts if f.status == "current")
-    coexisting_records = CoexistingRecords(
-        current, spec.labels, sorted(current) == sorted(spec.labels))
-
-    _require_constraint_coverage(constraints, {exp})
+    _require_constraint_coverage(constraints, {config.experiment_id})
     passed = (
         all(c.certified for c in constraints)
         and restoration.restored
-        and coexisting_records.records_match_constraint
+        and exp.coexisting.records_match_constraint
         and _sampling_holds(constraints, sampling, config.shots))
     return CdrReport(
-        config=config, snapshots=flow.snapshots, constraints=constraints,
+        config=config, snapshots=snapshots, constraints=constraints,
         sampling=sampling, passed=passed, restoration=restoration,
-        coexisting_records=coexisting_records)
+        coexisting_records=exp.coexisting)
 
 
 def run_cdr_suite(shots: int = 0, master_seed: int = 0,
                   tolerance: float = DEFAULT_TOLERANCE) -> list:
     """All four reversal experiments with shared seed and tolerance. The
     opening (the GHZ register and Alice's three records) is built once, and
-    each experiment continues from copies of its snapshot and step lists:
-    the four reports share its two snapshots, and each equals
-    run_cdr's for the same config."""
+    each experiment continues from a copy of its snapshot list: the four
+    reports share its two snapshots, and each equals run_cdr's for the
+    same config."""
     configs = [ScenarioConfig(
         experiment_id=exp, shots=shots, master_seed=master_seed,
         tolerance=tolerance) for exp in (1, 2, 3, 4)]
-    opening = _alice_complete()
-    return [_run_experiment(config, *opening) for config in configs]
+    plan = _plan()
+    opening = _alice_complete(plan)
+    return [_run_experiment(config, experiment, *opening)
+            for config, experiment in zip(configs, plan.experiments)]
 
 
 def _require_constraint_coverage(constraints: Sequence[ConstraintResult],

@@ -43,7 +43,8 @@ class StateVector:
                 f"amplitude array of shape {amps.shape} does not match "
                 f"{self.num_qubits} qubits")
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > PHYS_TOL:
+        # Written so that a NaN norm fails too: every comparison with NaN is false.
+        if not abs(norm - 1.0) <= PHYS_TOL:
             raise ValueError(f"state is not normalized: |psi| = {norm!r}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)

@@ -8,7 +8,8 @@ evidence alone. The lmz flow, the reversal suite and the GHZ analysis are
 each built through the same path as their CLI report
 (report.build_run_document and build_check_document, from the flags below)
 and rendered in both formats; check 9 builds each of those reports once
-more from the same flags and compares the SHA-256 digests of the bytes.
+more from the same flags, in the reverse order, and compares the SHA-256
+digests of the bytes.
 Each piece of evidence is dropped once the last row that reads it is
 judged, so the sweep's memory peak is that of its largest single build,
 not of all it has built. The digests of each first build are evidence of
@@ -193,12 +194,14 @@ def _ghz_analysis() -> _Rendered:
 def _reruns() -> list:
     """(command, (JSON, text) digests) of the second build of each check-9
     pair, in the order lmz, cdr, GHZ analysis, from the first builds'
-    flags. Each build keeps only its document, so a flow's stage states are
-    freed before rendering, and only the digests outlive it."""
-    builds = ((build_run_document, LMZ_FLAGS), (build_run_document, CDR_FLAGS),
-              (build_check_document, GHZ_FLAGS))
+    flags. They are built in the reverse order, so the flows read the
+    protocol plan that the first builds derived in another order than
+    theirs. Each build keeps only its document, so a flow's stage states
+    are freed before rendering, and only the digests outlive it."""
+    builds = ((build_check_document, GHZ_FLAGS), (build_run_document, CDR_FLAGS),
+              (build_run_document, LMZ_FLAGS))
     return [(doc.command, _render(doc))
-            for doc in (build(*flags)[1] for build, flags in builds)]
+            for doc in (build(*flags)[1] for build, flags in builds)][::-1]
 
 
 # The sampled flows serve every check that reads them: their expectations,

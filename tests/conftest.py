@@ -1,9 +1,10 @@
 """Shared fixtures. Scenario flows are session-scoped so each expensive
-pipeline runs once for the whole suite. The acceptance tests log one line
-per criterion here; the summary hook prints them after the run."""
+pipeline runs once for the whole suite. Every test starts and ends without
+the flows' protocol plan. The acceptance tests log one line per criterion
+here; the summary hook prints them after the run."""
 import pytest
 
-from relfacts.scenarios import ScenarioConfig, run_cdr_suite, run_lmz
+from relfacts.scenarios import ScenarioConfig, clear_plan, run_cdr_suite, run_lmz
 
 ACCEPTANCE_LINES = []
 
@@ -13,6 +14,18 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(autouse=True)
+def fresh_plan():
+    """Drop the protocol plan before and after each test. A flow derives it
+    on first use, from the builders as they are then, so a test that
+    patches one (scenarios.lift, ledger, alice_premeasurements,
+    PauliString.__mul__, ...) must not meet a plan built before its patch,
+    nor leave one built with it."""
+    clear_plan()
+    yield
+    clear_plan()
 
 
 @pytest.fixture(scope="session")

@@ -3,9 +3,12 @@ import dataclasses
 import functools
 import json
 import math
+import subprocess
+import sys
 import tracemalloc
 from itertools import permutations
 from itertools import product as iter_product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +37,7 @@ from relfacts.observers import (
 )
 from relfacts.pauli import PauliString
 from relfacts import scenarios
+from relfacts.cli import main
 from relfacts.report import build_run_document, from_scenario, render_text
 from relfacts.scenarios import (
     ALICE_MEMORY,
@@ -601,8 +605,9 @@ class TestCertifyConstraint:
         # exact product plus per-shot evidence drawn on the sampling stream.
         config = ScenarioConfig(shots=100, master_seed=9)
         sampling = []
+        record = scenarios._plan().records[1]
         result = _certify_records(
-            lmz_exact.snapshots[2].state, 2, "bob-1", "t", config, sampling)
+            lmz_exact.snapshots[2].state, record, "bob-1", "t", config, sampling)
         assert result.kind == "record"
         assert result.labels == ("B1", "A2", "A3")
         assert result.expectation == pytest.approx(-1.0, abs=1e-12)
@@ -617,7 +622,7 @@ class TestCertifyConstraint:
             expected_product=-1, shots=100, master_seed=9,
             target_index=2).outcome_counts
         exact_only = _certify_records(
-            lmz_exact.snapshots[2].state, 2, "bob-1", "t", ScenarioConfig(), sampling)
+            lmz_exact.snapshots[2].state, record, "bob-1", "t", ScenarioConfig(), sampling)
         assert exact_only.shots == 0 and exact_only.certified
         assert len(sampling) == 1
 
@@ -634,7 +639,7 @@ class TestCertifyConstraint:
         monkeypatch.setattr(scenarios, "sample_records", one_violation)
         sampling = []
         result = _certify_records(
-            lmz_exact.snapshots[2].state, 2, "bob-1", "t",
+            lmz_exact.snapshots[2].state, scenarios._plan().records[1], "bob-1", "t",
             ScenarioConfig(shots=100), sampling)
         assert abs(result.expectation + 1) <= 1e-12
         assert (result.shots, result.violations) == (100, 1)
@@ -1092,21 +1097,32 @@ class TestCdr:
         (lambda: run_cdr_suite(shots=10), 2 + 4 * 2),
     ])
     def test_ledger_once_per_snapshot(self, monkeypatch, flow, calls):
-        # The report's final ledger is the last snapshot's facts, not derived
-        # again.
-        count = []
+        # Each stage's ledger is derived once per plan: the first flow call
+        # derives all 13 (the opening's 2, lmz's 3 and 2 per experiment),
+        # and a warm run derives none. Both runs' `calls` distinct snapshots
+        # carry facts the plan derived, and the report's final ledger is the
+        # last snapshot's facts, not derived again.
+        derived = []
         original = scenarios.ledger
 
         def counted(steps):
-            count.append(len(steps))
-            return original(steps)
+            derived.append(original(steps))
+            return derived[-1]
 
         monkeypatch.setattr(scenarios, "ledger", counted)
-        result = flow()
-        assert len(count) == calls
-        for report in result if isinstance(result, list) else [result]:
-            document = from_scenario("run", report)
-            assert document.results["ledger"] is report.snapshots[-1].facts
+        cold = flow()
+        assert len(derived) == 2 + 3 + 4 * 2
+        warm = flow()
+        assert len(derived) == 13
+        for result in (cold, warm):
+            reports = result if isinstance(result, list) else [result]
+            snapshots = {id(s): s for report in reports for s in report.snapshots}
+            assert len(snapshots) == calls
+            assert all(any(s.facts is facts for facts in derived)
+                       for s in snapshots.values())
+            for report in reports:
+                document = from_scenario("run", report)
+                assert document.results["ledger"] is report.snapshots[-1].facts
 
     def test_reversed_state_matches_dense(self, cdr_suite_sampled):
         # experiment 2 reverses pair 1 only; rebuild with dense unitaries
@@ -1206,3 +1222,108 @@ class TestFlagSpace:
                     assert exact == pytest.approx(
                         EXPECTED_SIGNS[c.constraint_id - 1], abs=1e-12)
         assert len(suite) == 4 and len(lmz.constraints) == 8
+
+
+# The 14 commands of perfbench's `exact` workload, at one seed.
+EXACT_COMMANDS = [
+    [*command, "--shots", "0", "--format", fmt] if command[0] == "run"
+    else [*command, "--format", fmt]
+    for command in (["run", "lmz"],
+                    *(["run", "cdr", "--experiment", e] for e in ("all", "1", "2", "3", "4")),
+                    ["check-assignments", "--builtin", "ghz"])
+    for fmt in ("json", "text")]
+
+
+def printed(argv, capsys):
+    assert main(argv) == 0, argv
+    return capsys.readouterr().out
+
+
+def frozen_values(value):
+    """Every value reachable from `value` through tuples and dataclass
+    fields, failing on a dataclass that is not frozen."""
+    yield value
+    if isinstance(value, tuple):
+        for item in value:
+            yield from frozen_values(item)
+    elif dataclasses.is_dataclass(value):
+        assert type(value).__dataclass_params__.frozen, type(value)
+        for f in dataclasses.fields(value):
+            yield from frozen_values(getattr(value, f.name))
+
+
+class TestPlan:
+    """The symbolic side of both flows is derived once per process, from the
+    constraint table, and no run's report shares a mutable part of it."""
+
+    def test_built_by_the_first_flow_call_only(self, capsys):
+        # Importing every module builds nothing, and neither does
+        # check-assignments.
+        package = str(Path(scenarios.__file__).resolve().parents[1])
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "import relfacts.cli, relfacts.scenarios as s, relfacts.verify; "
+                "assert s._PLAN is None and s.__file__.startswith(sys.argv[1])")
+        assert subprocess.run([sys.executable, "-c", code, package]).returncode == 0
+        printed(["check-assignments", "--builtin", "ghz"], capsys)
+        assert scenarios._PLAN is None
+        plan = scenarios._plan()
+        run_lmz(ScenarioConfig())
+        run_cdr_suite()
+        run_cdr(ScenarioConfig(experiment_id=3))
+        assert scenarios._PLAN is plan
+        scenarios.clear_plan()
+        assert scenarios._PLAN is None
+
+    def test_holds_only_tuples_and_frozen_dataclasses(self):
+        plan = scenarios._plan()
+        kinds = {type(v) for v in frozen_values(plan)}
+        assert kinds <= {
+            tuple, str, int, bool, type(None), PauliString, Premeasurement,
+            RelativeFact, CoexistingRecords, SamePairAnticommute, scenarios._Plan,
+            scenarios._LmzPlan, scenarios._Experiment, scenarios._Stage,
+            scenarios._Product}
+
+    def test_keyed_on_the_table_values(self, monkeypatch):
+        plan = scenarios._plan()
+        # An equal table is the same key, whatever tuple holds it.
+        monkeypatch.setattr(scenarios, "CONSTRAINT_SIGNS", tuple(list(CONSTRAINT_SIGNS)))
+        assert scenarios._plan() is plan
+        monkeypatch.setattr(scenarios, "CONSTRAINT_SIGNS", (1, 1, -1, -1))
+        flipped = scenarios._plan()
+        assert flipped.key == (scenarios.CONSTRAINT_PATTERNS, (1, 1, -1, -1))
+        assert [r.expected for r in flipped.records] == [1, 1, -1, -1]
+        assert not run_lmz(ScenarioConfig()).passed
+        monkeypatch.setattr(scenarios, "CONSTRAINT_SIGNS", CONSTRAINT_SIGNS)
+        assert scenarios._plan() is not flipped
+        assert scenarios._plan().key == plan.key
+        assert run_lmz(ScenarioConfig()).passed
+
+    def test_warm_plan_renders_the_bytes_of_a_fresh_one(self, capsys):
+        fresh = []
+        for argv in EXACT_COMMANDS:
+            scenarios.clear_plan()
+            fresh.append(printed(argv, capsys))
+        # Each command runs twice per order, the second time after every
+        # other command has run on the same plan.
+        for order in (range(len(EXACT_COMMANDS)), reversed(range(len(EXACT_COMMANDS)))):
+            scenarios.clear_plan()
+            order = list(order)
+            for i in order + order:
+                assert printed(EXACT_COMMANDS[i], capsys) == fresh[i], EXACT_COMMANDS[i]
+
+    def test_editing_a_report_leaves_the_next_run_unchanged(self):
+        first = build_run_document("lmz", None, 200, 3, DEFAULT_TOLERANCE)
+        suite = build_run_document("cdr", "all", 200, 3, DEFAULT_TOLERANCE)
+        rendered = [(doc.to_json(), render_text(doc)) for _, doc in (first, suite)]
+        lmz = first[0]
+        survey = lmz.commutation
+        for table in (survey.product_labels, survey.product_pairwise_commute,
+                      survey.triples_commute, lmz.disturbed_diagnostic.record_statuses):
+            table[next(iter(table))] = "edited"
+            table["extra"] = False
+        for report in [lmz, *suite[0]]:
+            for tally in report.sampling:
+                tally.outcome_counts.clear()
+        again = (build_run_document("lmz", None, 200, 3, DEFAULT_TOLERANCE),
+                 build_run_document("cdr", "all", 200, 3, DEFAULT_TOLERANCE))
+        assert [(doc.to_json(), render_text(doc)) for _, doc in again] == rendered

@@ -50,6 +50,15 @@ class TestStateVector:
         with pytest.raises(ValueError):
             StateVector(1, np.array([1.0, 1.0], dtype=complex))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan), complex(np.inf, 0)])
+    def test_non_finite_norm_is_refused(self, bad):
+        # A NaN norm compares false with everything, so it must fail the
+        # check at construction, not later in a readout distribution.
+        with pytest.raises(ValueError, match="not normalized"):
+            StateVector(1, np.array([bad, 0]))
+        with pytest.raises(ValueError, match="not normalized"):
+            StateVector(2, np.array([0.5, 0.5, 0.5, bad]))
+
     def test_amplitudes_write_protected(self):
         state = zero_state(2)
         with pytest.raises(ValueError):

@@ -730,6 +730,28 @@ def test_first_builds_are_freed_before_the_reruns(monkeypatch):
     assert alive_at_reruns == []
 
 
+def test_reruns_are_built_in_reverse_order(monkeypatch):
+    # The first builds run lmz, cdr, GHZ analysis; check 9 rebuilds them
+    # GHZ analysis, cdr, lmz, so the flows read the protocol plan in an
+    # order of their own. The reruns still come back in first-build order,
+    # each paired with its own first build.
+    order = []
+    for name in ("build_run_document", "build_check_document"):
+        def recorded(*flags, original=getattr(verify, name)):
+            order.append(flags[0])
+            return original(*flags)
+
+        monkeypatch.setattr(verify, name, recorded)
+    rows, _, _ = verify.run_all_checks()
+    assert all(row["passed"] for row in rows)
+    assert order == ["lmz", "cdr", "ghz", "ghz", "cdr", "lmz"]
+    del order[:]
+    commands = [command for command, _ in verify._reruns()]
+    assert order == ["ghz", "cdr", "lmz"]
+    assert [c.split()[:2] for c in commands] == [
+        ["run", "lmz"], ["run", "cdr"], ["check-assignments", "--builtin"]]
+
+
 @pytest.mark.parametrize("evidence", [verify._lmz, verify._cdr], ids=["lmz", "cdr"])
 def test_flow_states_are_freed_before_rendering(evidence, monkeypatch):
     original_build, original_render = verify.build_run_document, verify._render
